@@ -10,7 +10,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .branch import build_branch_matrix, extract_lambda
@@ -55,9 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
         "check", parents=[common], help="run the obstruction battery on graph pair files"
     )
     p_check.add_argument("files", nargs="+", metavar="FILE")
-    p_check.add_argument(
-        "--parallel", action="store_true", help="process files concurrently"
-    )
 
     p_ratios = sub.add_parser(
         "ratios", parents=[common], help="tabulate admissible dimension ratios"
@@ -130,30 +126,20 @@ def _report_json(path: str, report: ObstructionReport) -> str:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    def worker(path: str):
-        try:
-            return _check_one(path, args.tol)
-        except (TripointError, OSError) as exc:
-            return exc
-
-    if args.parallel and len(args.files) > 1:
-        with ThreadPoolExecutor() as pool:
-            outcomes = list(pool.map(worker, args.files))
-    else:
-        outcomes = [worker(path) for path in args.files]
-
     had_error = False
     had_failure = False
-    for path, outcome in zip(args.files, outcomes):
-        if isinstance(outcome, Exception):
+    for path in args.files:
+        try:
+            report = _check_one(path, args.tol)
+        except (TripointError, OSError, UnicodeDecodeError) as exc:
             had_error = True
-            print(f"{path}: {outcome}", file=sys.stderr)
+            print(f"{path}: {exc}", file=sys.stderr)
             continue
-        had_failure = had_failure or outcome.has_failure
+        had_failure = had_failure or report.has_failure
         if args.format == "json":
-            print(_report_json(path, outcome))
+            print(_report_json(path, report))
         else:
-            print(_render_report_text(path, outcome))
+            print(_render_report_text(path, report))
     if had_error:
         return 2
     return 1 if had_failure else 0

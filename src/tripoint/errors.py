@@ -10,7 +10,7 @@ class InvalidArgument(TripointError):
 
 
 class UnsupportedIndex(TripointError):
-    """Index parameter delta < 2 (index below 4), outside the supported regime."""
+    """Outside the supported regime: delta < 2, or [k] beyond double precision."""
 
 
 class ParseError(TripointError):
@@ -49,3 +49,7 @@ class NoUnitaryPhase(TripointError):
 
 class DimensionSumMismatch(TripointError):
     """p + q differs from [n+1], so the rotational eigenvalue is undefined."""
+
+
+class LambdaMismatch(TripointError):
+    """The branch-matrix lambda disagrees with the trace formula."""

@@ -15,17 +15,18 @@ sections.
 
 Vertices are addressed as ``(depth, index)`` throughout.  Dimensions are the
 entries of the Perron-Frobenius eigenvector of the full adjacency matrix,
-normalized to 1 at the root.  Note that for an incomplete candidate graph
+normalized to 1 at the root; one dense symmetric eigensolve per graph yields
+both them and the graph norm.  Note that for an incomplete candidate graph
 these differ from the dimensions of any completion, so verdicts derived from
 a truncated graph are advisory.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,10 +44,6 @@ from .qnum import QuantumContext
 Edge = tuple[int, int, int]
 
 _EDGE_RE = re.compile(r"^(\d+):(\d+)-(\d+)$")
-
-#: Power iteration stops once the eigen-residual drops below this value.
-RESIDUAL_TOL = 1e-12
-POWER_ITERATION_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -103,6 +100,19 @@ class GradedBigraph:
             a[i, j] += 1.0
             a[j, i] += 1.0
         return a
+
+    @cached_property
+    def _perron(self) -> tuple[float, np.ndarray]:
+        """Largest eigenvalue and unit positive eigenvector, solved once per graph.
+
+        The graph is connected, so its top eigenvalue is simple and is the
+        last one of the ascending spectrum, even though a graded (bipartite)
+        graph also has -delta as an eigenvalue.
+        """
+        w, v = np.linalg.eigh(self.adjacency())
+        vec = np.abs(v[:, -1])
+        vec.setflags(write=False)  # shared by every reader of this graph
+        return float(w[-1]), vec
 
     def up_multiplicities(self, depth: int, index: int) -> dict[int, int]:
         """Multiplicity of edges from ``(depth, index)`` to each depth+1 vertex."""
@@ -253,34 +263,14 @@ def serialize_pair(principal: GradedBigraph, dual: GradedBigraph) -> str:
 # ---------------------------------------------------------------------------
 # spectral data
 
-def _perron_pair(a: np.ndarray) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue and unit positive eigenvector of an adjacency matrix.
-
-    Power iteration runs on A + I: a graded graph is bipartite, so the
-    spectrum of A is symmetric about zero and iterating A itself oscillates
-    between the +delta and -delta eigenspaces.  The shift keeps the
-    eigenvectors and makes the Perron eigenvalue strictly dominant.
-    """
-    size = a.shape[0]
-    x = np.full(size, 1.0 / math.sqrt(size))
-    for _ in range(POWER_ITERATION_CAP):
-        ax = a @ x
-        lam = float(x @ ax)
-        if float(np.linalg.norm(ax - lam * x)) <= RESIDUAL_TOL:
-            return lam, x
-        y = ax + x
-        x = y / np.linalg.norm(y)
-    raise RuntimeError("power iteration failed to converge")
-
-
 def graph_norm(g: GradedBigraph) -> float:
     """Spectral radius of the adjacency matrix (the graph norm)."""
-    return _perron_pair(g.adjacency())[0]
+    return g._perron[0]
 
 
 def dimension_vector(g: GradedBigraph, delta: float) -> DimensionAssignment:
     """Perron-Frobenius dimensions at eigenvalue ``delta``, root normalized to 1."""
-    norm, vec = _perron_pair(g.adjacency())
+    norm, vec = g._perron
     if abs(delta - norm) > 1e-9:
         raise EigenvalueMismatch(f"delta = {delta!r} is not the graph norm {norm!r}")
     root = vec[0]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .branch import build_branch_matrix, extract_lambda
-from .errors import InvalidArgument, NoUnitaryPhase
+from .errors import InvalidArgument, LambdaMismatch, NoUnitaryPhase, UnsupportedIndex
 from .graph import GradedBigraph, TriplePointData, extract_triple_point
 from .qnum import QuantumContext
 
@@ -57,10 +57,6 @@ class ObstructionReport:
     @property
     def has_failure(self) -> bool:
         return any(v is Verdict.FAIL for v in self.verdicts.values())
-
-    @property
-    def all_applicable_pass(self) -> bool:
-        return not self.has_failure
 
     def as_dict(self) -> dict:
         """Plain-data form of the report, suitable for JSON output."""
@@ -153,6 +149,10 @@ def allowed_ratios(ctx: QuantumContext, n: int) -> list[RatioRow]:
         raise InvalidArgument(f"n = {n} must be even and >= 2")
     big = ctx.qint(n) * ctx.qint(n + 2)
     sum_pq = ctx.qint(n + 1)
+    if not (math.isfinite(big) and math.isfinite(sum_pq)):
+        raise UnsupportedIndex(
+            f"[n][n+2] overflows double precision at n = {n}, delta = {ctx.delta}"
+        )
     rows = []
     for k in range(n // 2 + 1):
         trace = 2.0 * math.cos(2.0 * math.pi * k / n)
@@ -198,8 +198,9 @@ def run_battery(
             matrix = build_branch_matrix(ctx, tp.n, tp.p, tp.q)
             lam = extract_lambda(matrix)
             if abs(2.0 * lam.real - trace) > tol:
-                raise RuntimeError(
-                    "branch-matrix lambda disagrees with the trace formula"
+                raise LambdaMismatch(
+                    f"branch-matrix lambda trace {2.0 * lam.real!r} disagrees"
+                    f" with the trace formula {trace!r}"
                 )
         except NoUnitaryPhase:
             verdicts["triple_single"] = Verdict.FAIL

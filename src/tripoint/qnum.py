@@ -77,5 +77,5 @@ def nu_from_delta(delta: float, tol: float = DEFAULT_TOL) -> QuantumContext:
             f"delta = {delta} < 2 means index < 4, outside the supported regime"
         )
     delta = max(delta, 2.0)
-    nu = (delta + math.sqrt(max(delta * delta - 4.0, 0.0))) / 2.0
-    return QuantumContext(delta=delta, nu=max(nu, 1.0), tol=tol)
+    nu = (delta + math.sqrt(delta * delta - 4.0)) / 2.0
+    return QuantumContext(delta=delta, nu=nu, tol=tol)

@@ -2,10 +2,10 @@
 
 Each test here enforces one release gate at its stated tolerance and prints
 one [PASS]/[FAIL] line (run pytest with -s to see them all).  Expected values
-come from independent oracles coded in this file: a dense symmetric
-eigensolver instead of power iteration, closed-form quantum integers instead
-of the recurrence, and straight-line verdict formulas instead of the
-branch-matrix machinery.
+come from oracles coded in this file: a dense symmetric eigensolver (the
+program's own method; tests/test_graph.py rechecks it against a 30-digit
+mpmath eigensolve), closed-form quantum integers instead of the recurrence,
+and straight-line verdict formulas instead of the branch-matrix machinery.
 """
 
 import cmath

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import helpers
@@ -68,6 +69,13 @@ def test_check_missing_file_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err
 
 
+def test_check_non_utf8_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "binary.pair"
+    path.write_bytes(b"\xff\xfe[principal]\n")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err
+
+
 def test_check_error_wins_over_failure(even_depth_file, malformed_file):
     assert main(["check", even_depth_file, malformed_file]) == 2
 
@@ -108,12 +116,17 @@ def test_check_multiple_files_in_input_order(passing_file, even_depth_file, caps
     assert [json.loads(line)["file"] for line in lines] == [passing_file, even_depth_file]
 
 
-def test_check_parallel_matches_sequential(passing_file, even_depth_file, capsys):
-    assert main(["check", passing_file, even_depth_file, "--format", "json"]) == 1
-    sequential = capsys.readouterr().out
-    code = main(["check", passing_file, even_depth_file, "--format", "json", "--parallel"])
-    assert code == 1
-    assert capsys.readouterr().out == sequential
+def test_check_solves_each_graph_once(passing_file, monkeypatch):
+    eigh = np.linalg.eigh
+    calls = []
+
+    def counting_eigh(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    assert main(["check", passing_file]) == 0
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +141,13 @@ def test_ratios_row_count_and_monotonicity(capsys):
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[0] == pytest.approx(1.0, abs=1e-9)
     assert gaps[2] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_ratios_overflow_exits_two(capsys):
+    assert main(["ratios", "--n", "2000", "--delta", "2.5", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "overflows" in captured.err
 
 
 def test_ratios_json(capsys):

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -37,7 +38,7 @@ def path_graph(vertices: int) -> GradedBigraph:
 
 
 def eigh_perron(g: GradedBigraph) -> tuple[float, np.ndarray]:
-    """Independent spectral oracle via a dense symmetric eigensolver."""
+    """Spectral oracle via a dense symmetric eigensolver, as the program uses."""
     w, v = np.linalg.eigh(g.adjacency())
     vec = np.abs(v[:, -1])
     return float(w[-1]), vec / vec[0]
@@ -175,6 +176,27 @@ def test_norm_matches_dense_solver_on_corpus():
     for name, principal, _ in helpers.battery_corpus():
         expected, _ = eigh_perron(principal)
         assert graph_norm(principal) == pytest.approx(expected, abs=1e-10), name
+
+
+def test_spectrum_matches_30_digit_mpmath_on_small_corpus():
+    """Method-independent oracle: an mpmath eigensolve at 30 digits."""
+    graphs = {
+        g: name
+        for name, principal, dual in helpers.battery_corpus()
+        for g in (principal, dual)
+        if g.vertex_count <= 13
+    }
+    with mpmath.workdps(30):
+        for g, name in graphs.items():
+            w, v = mpmath.eigsy(mpmath.matrix(g.adjacency().tolist()))
+            top = g.vertex_count - 1
+            norm = graph_norm(g)
+            assert abs(norm - w[top]) <= 1e-12, name
+            dims = dimension_vector(g, norm)
+            got = [dims[(d, i)] for d in range(g.depth_count) for i in range(g.vertex_counts[d])]
+            for k, value in enumerate(got):
+                expected = float(v[k, top] / v[0, top])
+                assert value == pytest.approx(expected, rel=1e-10), (name, k)
 
 
 def test_dimension_vector_root_is_one():

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import helpers
 from tripoint.branch import build_branch_matrix, extract_lambda
-from tripoint.errors import InvalidArgument
+from tripoint.cli import main
+from tripoint.errors import InvalidArgument, LambdaMismatch
 from tripoint.graph import TriplePointData, graph_norm
 from tripoint.obstruct import (
     Verdict,
@@ -225,7 +226,7 @@ def test_battery_symmetric_pair_all_pass():
     assert report.verdicts["triple_single"] is Verdict.PASS
     assert report.verdicts["rotational"] is Verdict.PASS
     assert report.verdicts["quadratic_tangles"] is Verdict.INAPPLICABLE
-    assert report.all_applicable_pass
+    assert not report.has_failure
     assert report.root_candidates[0].k == report.n // 2
     assert report.r == pytest.approx(1.0, rel=1e-9)
 
@@ -244,6 +245,16 @@ def test_battery_bivalent_gamma3():
     assert report.verdicts["quadratic_tangles"] is Verdict.INAPPLICABLE
     assert report.verdicts["ocneanu_parity"] is Verdict.PASS
     assert not report.has_failure
+
+
+def test_battery_lambda_mismatch_raises_and_exits_two(monkeypatch, tmp_path):
+    principal, dual = helpers.two_rooted_pair(0)
+    monkeypatch.setattr("tripoint.obstruct.extract_lambda", lambda matrix: complex(1.0, 0.0))
+    with pytest.raises(LambdaMismatch):
+        run_battery(nu_from_delta(graph_norm(principal)), principal, dual)
+    path = tmp_path / "pair.pair"
+    path.write_text(helpers.pair_text(principal, dual))
+    assert main(["check", str(path)]) == 2
 
 
 def test_battery_survives_missing_unitary_phase():
