@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DimensionSumMismatch, InvalidArgument, NoUnitaryPhase
-from .qnum import QuantumContext
+from .qnum import NUMERIC_TOL, QuantumContext
 
 Entries = tuple[tuple[complex | None, ...], ...]
 
@@ -39,7 +39,7 @@ class BranchMatrix:
     im_sign: int
 
     def __post_init__(self) -> None:
-        tol = self.ctx.tol
+        tol = NUMERIC_TOL
         if abs(abs(self.sigma) - 1.0) > tol or abs(abs(self.tau) - 1.0) > tol:
             raise InvalidArgument("sigma and tau must be unit phases")
         if abs(1.0 + self.sigma * self.p + self.tau * self.q) > tol * (1.0 + self.p + self.q):
@@ -56,7 +56,7 @@ def solve_phases(
     """Solve 1 + sigma*p + tau*q = 0 for unit phases sigma and tau.
 
     Unitarity forces Re(tau) = (p^2 - q^2 - 1)/(2q); the phase exists exactly
-    when that value lies in [-1, 1].  Values within ctx.tol of the boundary
+    when that value lies in [-1, 1].  Values within NUMERIC_TOL of the boundary
     snap onto it from either side: sqrt(1 - Re^2) has unbounded slope at
     +-1, so rounding-level undershoot would otherwise smear the meaningful
     boundary case p - q = 1 into a spurious imaginary part of order 1e-7.
@@ -66,11 +66,11 @@ def solve_phases(
     if not (q > 0 and p >= q):
         raise InvalidArgument("dimensions must satisfy p >= q > 0")
     re_tau = (p * p - q * q - 1.0) / (2.0 * q)
-    if abs(re_tau) > 1.0 + ctx.tol:
+    if abs(re_tau) > 1.0 + NUMERIC_TOL:
         raise NoUnitaryPhase(
             f"|Re tau| = {abs(re_tau)!r} exceeds 1: no unitary phase exists (p - q > 1)"
         )
-    if abs(re_tau) > 1.0 - ctx.tol:
+    if abs(re_tau) > 1.0 - NUMERIC_TOL:
         re_tau = math.copysign(1.0, re_tau)
     tau = complex(re_tau, im_sign * math.sqrt(1.0 - re_tau * re_tau))
     sigma = -(1.0 + tau * q) / p
@@ -83,12 +83,12 @@ def build_branch_matrix(
     """Populate the seven known entries of the branch matrix."""
     if n < 2:
         raise InvalidArgument(f"n = {n} must be >= 2")
+    sigma, tau = solve_phases(ctx, n, p, q, im_sign)
     qn_minus = ctx.qint(n - 1)
     qn = ctx.qint(n)
     qn_plus2 = ctx.qint(n + 2)
     if min(qn_minus, qn, qn_plus2) <= 0:
         raise InvalidArgument("quantum integers through [n+2] must be positive")
-    sigma, tau = solve_phases(ctx, n, p, q, im_sign)
     dn = ctx.delta * qn
     entries: Entries = (
         (
@@ -121,21 +121,17 @@ def apply_to_perp_vector(u: BranchMatrix) -> tuple[complex, complex, None]:
     return c1, c2, None
 
 
-def extract_lambda(u: BranchMatrix, tol: float | None = None) -> complex:
+def extract_lambda(u: BranchMatrix) -> complex:
     """Rotational eigenvalue lambda = (sigma - tau)^2 * p*q / ([n][n+2]).
 
-    Requires p + q = [n+1] (relative to ``tol``, defaulting to the context
-    tolerance); that constraint is what makes |lambda| = 1.
+    Requires p + q = [n+1] (see ``QuantumContext.check_dimension_sum``);
+    that constraint is what makes |lambda| = 1.
     """
     ctx = u.ctx
-    if tol is None:
-        tol = ctx.tol
-    target = ctx.qint(u.n + 1)
-    if abs(u.p + u.q - target) > tol * max(1.0, target):
-        raise DimensionSumMismatch(
-            f"p + q = {u.p + u.q!r} but [n+1] = {target!r}; lambda needs p + q = [n+1]"
-        )
+    ctx.check_dimension_sum(u.n, u.p, u.q)
     lam = (u.sigma - u.tau) ** 2 * (u.p * u.q) / (ctx.qint(u.n) * ctx.qint(u.n + 2))
-    if abs(abs(lam) - 1.0) > 10.0 * tol + 1e-12:
+    # unitary phases give |lambda| = ((p+q)^2 - 1)/([n+1]^2 - 1), so a relative
+    # p + q error e moves |lambda| by at most 2.25 e (n >= 2)
+    if abs(abs(lam) - 1.0) > 10.0 * NUMERIC_TOL:
         raise DimensionSumMismatch(f"computed |lambda| = {abs(lam)!r} is not 1")
     return lam

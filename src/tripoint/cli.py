@@ -16,12 +16,22 @@ from .branch import build_branch_matrix, extract_lambda
 from .errors import NoUnitaryPhase, TripointError
 from .graph import graph_norm, parse_pair
 from .obstruct import DEFAULT_TRACE_TOL, ObstructionReport, allowed_ratios, run_battery
-from .qnum import nu_from_delta
+from .qnum import NUMERIC_TOL, nu_from_delta
 
 
-def _sig12(x: float) -> float:
-    """Round to 12 significant digits for machine-readable output."""
-    return float(f"{x:.12g}")
+def _json(payload: dict) -> str:
+    """JSON text of ``payload`` with every float rounded to 12 significant digits."""
+
+    def rounded(value):
+        if isinstance(value, float):
+            return float(f"{value:.12g}")
+        if isinstance(value, dict):
+            return {key: rounded(item) for key, item in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [rounded(item) for item in value]
+        return value
+
+    return json.dumps(rounded(payload), allow_nan=False)
 
 
 def _fmt(x: float) -> str:
@@ -33,7 +43,7 @@ def _fmt_complex(z: complex) -> str:
 
 
 def _complex_dict(z: complex) -> dict:
-    return {"re": _sig12(z.real), "im": _sig12(z.imag)}
+    return {"re": z.real, "im": z.imag}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,10 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Triple point obstruction checks for candidate principal graph pairs.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--tol", type=float, default=DEFAULT_TRACE_TOL,
-        help="tolerance for obstruction verdicts (default 1e-6)",
-    )
     common.add_argument("--format", choices=("text", "json"), default="text")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -54,6 +60,10 @@ def build_parser() -> argparse.ArgumentParser:
         "check", parents=[common], help="run the obstruction battery on graph pair files"
     )
     p_check.add_argument("files", nargs="+", metavar="FILE")
+    p_check.add_argument(
+        "--tol", type=float, default=DEFAULT_TRACE_TOL,
+        help=f"tolerance for obstruction verdicts (default {DEFAULT_TRACE_TOL:g})",
+    )
 
     p_ratios = sub.add_parser(
         "ratios", parents=[common], help="tabulate admissible dimension ratios"
@@ -105,26 +115,6 @@ def _render_report_text(path: str, report: ObstructionReport) -> str:
     return "\n".join(lines)
 
 
-def _report_json(path: str, report: ObstructionReport) -> str:
-    raw = report.as_dict()
-    payload = {
-        "file": path,
-        "n": raw["n"],
-        "delta": _sig12(raw["delta"]),
-        "p": _sig12(raw["p"]),
-        "q": _sig12(raw["q"]),
-        "r": _sig12(raw["r"]),
-        "lambda_trace": _sig12(raw["lambda_trace"]),
-        "verdicts": raw["verdicts"],
-        "root_candidates": [
-            {"k": c["k"], "distance": _sig12(c["distance"])}
-            for c in raw["root_candidates"]
-        ],
-        "tol": _sig12(raw["tol"]),
-    }
-    return json.dumps(payload)
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     had_error = False
     had_failure = False
@@ -137,7 +127,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             continue
         had_failure = had_failure or report.has_failure
         if args.format == "json":
-            print(_report_json(path, report))
+            print(_json({"file": path, **report.as_dict()}))
         else:
             print(_render_report_text(path, report))
     if had_error:
@@ -167,21 +157,7 @@ def _cmd_ratios(args: argparse.Namespace) -> int:
         return 2
 
     if args.format == "json":
-        payload = {
-            "n": args.n,
-            "delta": _sig12(ctx.delta),
-            "rows": [
-                {
-                    "k": row.k,
-                    "lambda_trace": _sig12(row.lambda_trace),
-                    "r": _sig12(row.r),
-                    "p": _sig12(row.p),
-                    "q": _sig12(row.q),
-                }
-                for row in rows
-            ],
-        }
-        print(json.dumps(payload))
+        print(_json({"n": args.n, "delta": ctx.delta, "rows": [r._asdict() for r in rows]}))
     else:
         print(f"admissible ratios for n = {args.n}, delta = {_fmt(ctx.delta)}")
         print(f"{'k':>3}  {'lambda_trace':>18}  {'r':>18}  {'p':>18}  {'q':>18}  {'p-q':>18}")
@@ -200,7 +176,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     try:
         ctx = nu_from_delta(args.delta)
         matrix = build_branch_matrix(ctx, args.n, args.p, args.q)
-        lam = extract_lambda(matrix, tol=args.tol)
+        lam = extract_lambda(matrix)
     except NoUnitaryPhase:
         print("no unitary phase: p - q > 1")
         return 1
@@ -212,9 +188,9 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     if args.format == "json":
         payload = {
             "n": args.n,
-            "delta": _sig12(ctx.delta),
-            "p": _sig12(args.p),
-            "q": _sig12(args.q),
+            "delta": ctx.delta,
+            "p": args.p,
+            "q": args.q,
             "entries": [
                 [None if z is None else _complex_dict(z) for z in row]
                 for row in matrix.entries
@@ -222,16 +198,16 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
             "sigma": _complex_dict(matrix.sigma),
             "tau": _complex_dict(matrix.tau),
             "lambda": _complex_dict(lam),
-            "lambda_trace": _sig12(trace),
+            "lambda_trace": trace,
         }
-        print(json.dumps(payload))
+        print(_json(payload))
     else:
         print(
             f"branch matrix for n = {args.n}, delta = {_fmt(ctx.delta)},"
             f" p = {_fmt(args.p)}, q = {_fmt(args.q)}"
         )
         cells = [
-            ["?" if z is None else _fmt(z.real) if abs(z.imag) <= ctx.tol else _fmt_complex(z) for z in row]
+            ["?" if z is None else _fmt(z.real) if abs(z.imag) <= NUMERIC_TOL else _fmt_complex(z) for z in row]
             for row in matrix.entries
         ]
         width = max(len(c) for row in cells for c in row)
@@ -255,7 +231,7 @@ def _cmd_qnum(args: argparse.Namespace) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     if args.format == "json":
-        print(json.dumps({"delta": _sig12(ctx.delta), "values": [_sig12(v) for v in values]}))
+        print(_json({"delta": ctx.delta, "values": values}))
     else:
         print(" ".join(_fmt(v) for v in values))
     return 0
@@ -264,8 +240,8 @@ def _cmd_qnum(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not args.tol > 0:
-        parser.error("--tol must be positive")
+    if args.command == "check" and not 0 < args.tol < math.inf:
+        parser.error("--tol must be positive and finite")
     handlers = {
         "check": _cmd_check,
         "ratios": _cmd_ratios,

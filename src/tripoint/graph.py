@@ -31,7 +31,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    DimensionSumMismatch,
     EigenvalueMismatch,
     InvalidGraph,
     NormMismatch,
@@ -39,7 +38,7 @@ from .errors import (
     ParseError,
     SupertransitivityMismatch,
 )
-from .qnum import QuantumContext
+from .qnum import NUMERIC_TOL, QuantumContext
 
 Edge = tuple[int, int, int]
 
@@ -271,7 +270,7 @@ def graph_norm(g: GradedBigraph) -> float:
 def dimension_vector(g: GradedBigraph, delta: float) -> DimensionAssignment:
     """Perron-Frobenius dimensions at eigenvalue ``delta``, root normalized to 1."""
     norm, vec = g._perron
-    if abs(delta - norm) > 1e-9:
+    if abs(delta - norm) > NUMERIC_TOL:
         raise EigenvalueMismatch(f"delta = {delta!r} is not the graph norm {norm!r}")
     root = vec[0]
     dims = {}
@@ -314,10 +313,10 @@ def _require_simple_triple_point(g: GradedBigraph, n: int, label: str) -> None:
 
 
 def _ordered_depth_n(
-    dims: DimensionAssignment, n: int, tol: float
+    dims: DimensionAssignment, n: int
 ) -> tuple[tuple[float, float], tuple[int, int], bool]:
     d0, d1 = dims[(n, 0)], dims[(n, 1)]
-    tie = abs(d0 - d1) <= tol * max(1.0, d0, d1)
+    tie = abs(d0 - d1) <= NUMERIC_TOL * max(1.0, d0, d1)
     if d1 > d0:
         return (d1, d0), (1, 0), tie
     return (d0, d1), (0, 1), tie
@@ -335,7 +334,7 @@ def extract_triple_point(
     """
     norm_p = graph_norm(principal)
     norm_d = graph_norm(dual)
-    if abs(norm_p - norm_d) > ctx.tol:
+    if abs(norm_p - norm_d) > NUMERIC_TOL:
         raise NormMismatch(f"graph norms differ: {norm_p!r} vs {norm_d!r}")
     s_p, branch_p = supertransitivity(principal)
     s_d, branch_d = supertransitivity(dual)
@@ -349,15 +348,9 @@ def extract_triple_point(
 
     dims_p = dimension_vector(principal, ctx.delta)
     dims_d = dimension_vector(dual, ctx.delta)
-    (p, q), _, tie = _ordered_depth_n(dims_p, n, ctx.tol)
-    (g2, g3), (idx2, idx3), _ = _ordered_depth_n(dims_d, n, ctx.tol)
-
-    target = ctx.qint(n + 1)
-    if abs(p + q - target) > 1e-6 * max(1.0, target):
-        raise DimensionSumMismatch(
-            f"p + q = {p + q!r} does not match [n+1] = {target!r};"
-            " context delta is inconsistent with the graph spectrum"
-        )
+    (p, q), _, tie = _ordered_depth_n(dims_p, n)
+    (g2, g3), (idx2, idx3), _ = _ordered_depth_n(dims_d, n)
+    ctx.check_dimension_sum(n, p, q)
     return TriplePointData(
         n=n,
         p=p,

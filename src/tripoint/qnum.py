@@ -5,10 +5,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidArgument, UnsupportedIndex
+from .errors import DimensionSumMismatch, InvalidArgument, UnsupportedIndex
 
-#: Default absolute tolerance for scalar comparisons.
-DEFAULT_TOL = 1e-9
+#: Absolute (or, where stated, relative) tolerance of every internal
+#: consistency check.  Obstruction verdicts use their own tolerance, see
+#: ``obstruct.DEFAULT_TRACE_TOL``.
+NUMERIC_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -17,16 +19,13 @@ class QuantumContext:
 
     ``delta`` is the value [2], so the index is delta squared, and ``nu``
     satisfies nu + 1/nu = delta with nu >= 1.  All arithmetic is double
-    precision; comparisons use the absolute tolerance ``tol``.
+    precision; consistency checks use ``NUMERIC_TOL``.
     """
 
     delta: float
     nu: float
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self) -> None:
-        if not self.tol > 0:
-            raise InvalidArgument("tol must be positive")
         if not (math.isfinite(self.delta) and math.isfinite(self.nu)):
             raise InvalidArgument("delta and nu must be finite")
         if self.delta < 2:
@@ -35,8 +34,17 @@ class QuantumContext:
             )
         if self.nu < 1:
             raise InvalidArgument(f"nu = {self.nu} must be >= 1")
-        if abs(self.nu + 1.0 / self.nu - self.delta) > self.tol:
+        if abs(self.nu + 1.0 / self.nu - self.delta) > NUMERIC_TOL:
             raise InvalidArgument("nu + 1/nu does not match delta")
+
+    def _require_finite(self, value: float, k: int) -> float:
+        # [k] grows with k for delta >= 2, so an overflow anywhere in the
+        # recurrence leaves the last value infinite or NaN
+        if not math.isfinite(value):
+            raise UnsupportedIndex(
+                f"[{k}] overflows double precision at delta = {self.delta}"
+            )
+        return value
 
     def qint(self, k: int) -> float:
         """The quantum integer [k].
@@ -52,7 +60,7 @@ class QuantumContext:
         prev, cur = 0.0, 1.0
         for _ in range(k - 1):
             prev, cur = cur, self.delta * cur - prev
-        return cur
+        return self._require_finite(cur, k)
 
     def qints(self, max_k: int) -> list[float]:
         """[0], [1], ..., [max_k] as a list."""
@@ -61,21 +69,34 @@ class QuantumContext:
         values = [0.0, 1.0]
         while len(values) <= max_k:
             values.append(self.delta * values[-1] - values[-2])
+        self._require_finite(values[max_k], max_k)
         return values[: max_k + 1]
 
+    def check_dimension_sum(self, n: int, p: float, q: float) -> None:
+        """Require p + q = [n+1] to ``NUMERIC_TOL``, relative to max(1, [n+1]).
 
-def nu_from_delta(delta: float, tol: float = DEFAULT_TOL) -> QuantumContext:
+        This is the eigenvalue equation at the branch vertex of depth n-1;
+        the trace formula and the unit modulus of lambda both rest on it.
+        """
+        target = self.qint(n + 1)
+        if abs(p + q - target) > NUMERIC_TOL * max(1.0, target):
+            raise DimensionSumMismatch(
+                f"p + q = {p + q!r} does not match [n+1] = {target!r}"
+            )
+
+
+def nu_from_delta(delta: float) -> QuantumContext:
     """Context for a given delta >= 2, solving nu + 1/nu = delta with nu >= 1.
 
-    Values within ``tol`` below 2 are clamped to 2, so spectral radii that
-    round a hair under the theoretical bound still construct.
+    Values within ``NUMERIC_TOL`` below 2 are clamped to 2, so spectral radii
+    that round a hair under the theoretical bound still construct.
     """
     if not math.isfinite(delta):
         raise InvalidArgument("delta must be finite")
-    if delta < 2 - tol:
+    if delta < 2 - NUMERIC_TOL:
         raise UnsupportedIndex(
             f"delta = {delta} < 2 means index < 4, outside the supported regime"
         )
     delta = max(delta, 2.0)
     nu = (delta + math.sqrt(delta * delta - 4.0)) / 2.0
-    return QuantumContext(delta=delta, nu=nu, tol=tol)
+    return QuantumContext(delta=delta, nu=nu)

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from tripoint.cli import main
@@ -114,6 +116,54 @@ def test_check_multiple_files_in_input_order(passing_file, even_depth_file, caps
     assert main(["check", passing_file, even_depth_file, "--format", "json"]) == 1
     lines = capsys.readouterr().out.strip().splitlines()
     assert [json.loads(line)["file"] for line in lines] == [passing_file, even_depth_file]
+
+
+def test_check_tiny_tol_never_exits_two(tmp_path, capsys):
+    # the lambda cross-check must not inherit a verdict tolerance below rounding
+    paths = []
+    for name, principal, dual in helpers.battery_corpus():
+        path = tmp_path / f"{name}.pair"
+        path.write_text(helpers.pair_text(principal, dual))
+        paths.append(str(path))
+    assert main(["check", *paths, "--tol", "1e-15"]) in (0, 1)
+    assert capsys.readouterr().err == ""
+
+
+FUZZ_BASES = [
+    helpers.pair_text(*helpers.two_rooted_pair(1)),
+    helpers.pair_text(*helpers.self_paired(helpers.branched_tree(3, (), (2, 1)))),
+]
+
+
+@st.composite
+def mutated_pair_text(draw):
+    """A valid pair file with one to three token-level mutations."""
+    lines = [line.split(" ") for line in draw(st.sampled_from(FUZZ_BASES)).splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        tokens = draw(st.sampled_from(lines))
+        if not tokens:
+            continue
+        i = draw(st.integers(0, len(tokens) - 1))
+        op = draw(st.sampled_from(("delete", "duplicate", "integer", "flip")))
+        if op == "delete":
+            del tokens[i]
+        elif op == "duplicate":
+            tokens.insert(i, tokens[i])
+        elif op == "integer":
+            tokens[i] = str(draw(st.integers(0, 9)))
+        elif tokens[i]:
+            j = draw(st.integers(0, len(tokens[i]) - 1))
+            char = draw(st.characters(min_codepoint=32, max_codepoint=126))
+            tokens[i] = tokens[i][:j] + char + tokens[i][j + 1 :]
+    return "\n".join(" ".join(tokens) for tokens in lines).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.one_of(st.binary(max_size=2048), mutated_pair_text()))
+def test_check_exit_contract_fuzz(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.pair"
+    path.write_bytes(data)
+    assert main(["check", str(path)]) in (0, 1, 2)
 
 
 def test_check_solves_each_graph_once(passing_file, monkeypatch):
@@ -235,6 +285,14 @@ def test_qnum_rejects_low_delta(capsys):
     assert capsys.readouterr().err
 
 
+def test_qnum_overflow_exits_two(capsys):
+    for fmt in ("text", "json"):
+        assert main(["qnum", "--delta", "2.5", "--max", "1100", "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "overflows" in captured.err
+
+
 def test_qnum_json(capsys):
     assert main(["qnum", "--delta", "2.5", "--max", "3", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -244,9 +302,21 @@ def test_qnum_json(capsys):
 # ---------------------------------------------------------------------------
 # global flags
 
-def test_tol_must_be_positive():
+def test_tol_must_be_positive(passing_file):
+    for tol in ("-1", "0", "inf", "nan"):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", passing_file, "--tol", tol])
+        assert exc.value.code == 2, tol
+
+
+@pytest.mark.parametrize("argv", [
+    ["ratios", "--n", "4", "--delta", "2.1"],
+    ["matrix", "--n", "4", "--delta", "2.1", "--p", "3.609", "--q", "3.609"],
+    ["qnum", "--delta", "2.5", "--max", "3"],
+])
+def test_tol_is_a_check_option(argv):
     with pytest.raises(SystemExit) as exc:
-        main(["qnum", "--delta", "2.5", "--max", "3", "--tol", "-1"])
+        main([*argv, "--tol", "1e-3"])
     assert exc.value.code == 2
 
 

@@ -10,7 +10,7 @@ import helpers
 from tripoint.branch import build_branch_matrix, extract_lambda
 from tripoint.cli import main
 from tripoint.errors import InvalidArgument, LambdaMismatch
-from tripoint.graph import TriplePointData, graph_norm
+from tripoint.graph import TriplePointData, extract_triple_point, graph_norm
 from tripoint.obstruct import (
     Verdict,
     allowed_ratios,
@@ -259,11 +259,20 @@ def test_battery_lambda_mismatch_raises_and_exits_two(monkeypatch, tmp_path):
 
 def test_battery_survives_missing_unitary_phase():
     # p - q > 1 here, so the branch matrix has no unitary phase; the battery
-    # must record the equivalent triple-single failure instead of raising
+    # must skip the lambda cross-check instead of raising
     report = battery_for(helpers.branched_tree(3, (), (4,)))
     assert report.p - report.q > 1.0
     assert report.verdicts["triple_single"] is Verdict.FAIL
     assert report.verdicts["rotational"] is Verdict.FAIL
+
+
+@pytest.mark.parametrize("tol", [1e-6, 0.5, 1.0])
+def test_battery_triple_single_is_the_plain_verdict(tol):
+    for name, principal, dual in helpers.battery_corpus():
+        ctx = nu_from_delta(graph_norm(principal))
+        tp = extract_triple_point(ctx, principal, dual)
+        report = run_battery(ctx, principal, dual, tol=tol)
+        assert report.verdicts["triple_single"] is triple_single(tp, tol), name
 
 
 def test_battery_skewed_pair_fails_rotational_only():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tripoint.errors import InvalidArgument, UnsupportedIndex
-from tripoint.qnum import QuantumContext, nu_from_delta
+from tripoint.qnum import NUMERIC_TOL, QuantumContext, nu_from_delta
 
 
 def direct_qint(delta: float, k: int) -> float:
@@ -36,7 +36,7 @@ def test_nu_at_sqrt_five_is_golden_ratio():
 def test_context_invariant():
     for delta in (2.0, 2.1, 2.25, math.sqrt(5.0), 2.5):
         ctx = nu_from_delta(delta)
-        assert abs(ctx.nu + 1.0 / ctx.nu - ctx.delta) <= ctx.tol
+        assert abs(ctx.nu + 1.0 / ctx.nu - ctx.delta) <= NUMERIC_TOL
         assert ctx.nu >= 1.0
 
 
@@ -86,6 +86,14 @@ def test_qints_prefix():
     assert ctx.qints(12) == [ctx.qint(k) for k in range(13)]
     with pytest.raises(InvalidArgument):
         ctx.qints(-1)
+
+
+def test_overflow_raises_unsupported_index():
+    ctx = nu_from_delta(2.5)
+    with pytest.raises(UnsupportedIndex, match="overflows"):
+        ctx.qint(1100)
+    with pytest.raises(UnsupportedIndex, match="overflows"):
+        ctx.qints(1100)
 
 
 @settings(max_examples=200, deadline=None)
