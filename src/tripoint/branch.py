@@ -50,9 +50,7 @@ class BranchMatrix:
                     raise InvalidArgument("first row and column must be positive reals")
 
 
-def solve_phases(
-    ctx: QuantumContext, n: int, p: float, q: float, im_sign: int = 1
-) -> tuple[complex, complex]:
+def solve_phases(p: float, q: float, im_sign: int = 1) -> tuple[complex, complex]:
     """Solve 1 + sigma*p + tau*q = 0 for unit phases sigma and tau.
 
     Unitarity forces Re(tau) = (p^2 - q^2 - 1)/(2q); the phase exists exactly
@@ -83,12 +81,10 @@ def build_branch_matrix(
     """Populate the seven known entries of the branch matrix."""
     if n < 2:
         raise InvalidArgument(f"n = {n} must be >= 2")
-    sigma, tau = solve_phases(ctx, n, p, q, im_sign)
+    sigma, tau = solve_phases(p, q, im_sign)
     qn_minus = ctx.qint(n - 1)
     qn = ctx.qint(n)
     qn_plus2 = ctx.qint(n + 2)
-    if min(qn_minus, qn, qn_plus2) <= 0:
-        raise InvalidArgument("quantum integers through [n+2] must be positive")
     dn = ctx.delta * qn
     entries: Entries = (
         (

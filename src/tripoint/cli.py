@@ -18,6 +18,10 @@ from .graph import graph_norm, parse_pair
 from .obstruct import DEFAULT_TRACE_TOL, ObstructionReport, allowed_ratios, run_battery
 from .qnum import NUMERIC_TOL, nu_from_delta
 
+#: Largest ``qnum --max``; far above any arm depth, and small enough to print
+#: at once even at delta = 2, where no [k] overflows.
+QNUM_MAX_K = 10_000
+
 
 def _json(payload: dict) -> str:
     """JSON text of ``payload`` with every float rounded to 12 significant digits."""
@@ -83,7 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_qnum = sub.add_parser("qnum", parents=[common], help="print quantum integers")
     p_qnum.add_argument("--delta", type=float, required=True)
-    p_qnum.add_argument("--max", dest="max_k", type=int, required=True)
+    p_qnum.add_argument(
+        "--max", dest="max_k", type=int, required=True, help=f"largest k (at most {QNUM_MAX_K})"
+    )
 
     return parser
 
@@ -224,6 +230,9 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 # qnum
 
 def _cmd_qnum(args: argparse.Namespace) -> int:
+    if args.max_k > QNUM_MAX_K:
+        print(f"--max {args.max_k} exceeds the limit of {QNUM_MAX_K}", file=sys.stderr)
+        return 2
     try:
         ctx = nu_from_delta(args.delta)
         values = ctx.qints(args.max_k)

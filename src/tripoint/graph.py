@@ -16,9 +16,11 @@ sections.
 Vertices are addressed as ``(depth, index)`` throughout.  Dimensions are the
 entries of the Perron-Frobenius eigenvector of the full adjacency matrix,
 normalized to 1 at the root; one dense symmetric eigensolve per graph yields
-both them and the graph norm.  Note that for an incomplete candidate graph
-these differ from the dimensions of any completion, so verdicts derived from
-a truncated graph are advisory.
+both them and the graph norm.  numpy is imported only when a graph is first
+solved (or its adjacency matrix is built), so importing this module, parsing
+and the non-spectral commands never load it.  Note that for an incomplete
+candidate graph these differ from the dimensions of any completion, so
+verdicts derived from a truncated graph are advisory.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
+from itertools import accumulate
+from typing import TYPE_CHECKING
 
 from .errors import (
     EigenvalueMismatch,
@@ -39,6 +41,9 @@ from .errors import (
     SupertransitivityMismatch,
 )
 from .qnum import NUMERIC_TOL, QuantumContext
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Edge = tuple[int, int, int]
 
@@ -70,14 +75,14 @@ class GradedBigraph:
                 raise InvalidGraph(f"edge {d}:{u}-{v} has an out-of-range vertex index")
         # Depth equals distance from the root, so every deeper vertex needs a
         # downward edge; together with the unique root this forces connectivity.
+        covered = {(d + 1, v) for d, _, v in edges}
         for d in range(1, len(counts)):
-            covered = {v for dd, _, v in edges if dd == d - 1}
-            missing = sorted(set(range(counts[d])) - covered)
-            if missing:
-                raise InvalidGraph(
-                    f"vertex {missing[0]} at depth {d} has no edge to depth {d - 1}"
-                    " (graph not graded)"
-                )
+            for i in range(counts[d]):
+                if (d, i) not in covered:
+                    raise InvalidGraph(
+                        f"vertex {i} at depth {d} has no edge to depth {d - 1}"
+                        " (graph not graded)"
+                    )
 
     @property
     def depth_count(self) -> int:
@@ -85,20 +90,26 @@ class GradedBigraph:
 
     @property
     def vertex_count(self) -> int:
-        return sum(self.vertex_counts)
+        return self._offsets[-1]
+
+    @cached_property
+    def _offsets(self) -> tuple[int, ...]:
+        """Index of the first vertex of each depth, then the vertex count."""
+        return tuple(accumulate(self.vertex_counts, initial=0))
 
     def vertex_offset(self, depth: int) -> int:
-        return sum(self.vertex_counts[:depth])
+        return self._offsets[depth]
 
     def adjacency(self) -> np.ndarray:
         """Symmetric adjacency matrix; entries count edge multiplicity."""
-        a = np.zeros((self.vertex_count, self.vertex_count))
-        for d, u, v in self.edges:
-            i = self.vertex_offset(d) + u
-            j = self.vertex_offset(d + 1) + v
-            a[i, j] += 1.0
-            a[j, i] += 1.0
-        return a
+        import numpy as np
+
+        offsets = self._offsets
+        rows = np.array([offsets[d] + u for d, u, _ in self.edges], dtype=np.intp)
+        cols = np.array([offsets[d + 1] + v for d, _, v in self.edges], dtype=np.intp)
+        upper = np.zeros((self.vertex_count, self.vertex_count))
+        np.add.at(upper, (rows, cols), 1.0)
+        return upper + upper.T
 
     @cached_property
     def _perron(self) -> tuple[float, np.ndarray]:
@@ -108,20 +119,35 @@ class GradedBigraph:
         last one of the ascending spectrum, even though a graded (bipartite)
         graph also has -delta as an eigenvalue.
         """
+        import numpy as np
+
         w, v = np.linalg.eigh(self.adjacency())
         vec = np.abs(v[:, -1])
         vec.setflags(write=False)  # shared by every reader of this graph
         return float(w[-1]), vec
 
+    @cached_property
+    def _incidence(self) -> tuple[dict[tuple[int, int], dict[int, int]], Counter, Counter]:
+        """Up-multiplicities, up-degrees and down-degrees, keyed by vertex."""
+        ups: dict[tuple[int, int], dict[int, int]] = {}
+        up_degrees: Counter = Counter()
+        down_degrees: Counter = Counter()
+        for d, u, v in self.edges:
+            row = ups.setdefault((d, u), {})
+            row[v] = row.get(v, 0) + 1
+            up_degrees[(d, u)] += 1
+            down_degrees[(d + 1, v)] += 1
+        return ups, up_degrees, down_degrees
+
     def up_multiplicities(self, depth: int, index: int) -> dict[int, int]:
         """Multiplicity of edges from ``(depth, index)`` to each depth+1 vertex."""
-        return dict(Counter(v for d, u, v in self.edges if d == depth and u == index))
+        return dict(self._incidence[0].get((depth, index), {}))
 
     def down_degree(self, depth: int, index: int) -> int:
-        return sum(1 for d, _, v in self.edges if d == depth - 1 and v == index)
+        return self._incidence[2][(depth, index)]
 
     def up_degree(self, depth: int, index: int) -> int:
-        return sum(1 for d, u, _ in self.edges if d == depth and u == index)
+        return self._incidence[1][(depth, index)]
 
     def valence(self, depth: int, index: int) -> int:
         """Number of incident edges, counted with multiplicity."""
@@ -272,13 +298,8 @@ def dimension_vector(g: GradedBigraph, delta: float) -> DimensionAssignment:
     norm, vec = g._perron
     if abs(delta - norm) > NUMERIC_TOL:
         raise EigenvalueMismatch(f"delta = {delta!r} is not the graph norm {norm!r}")
-    root = vec[0]
-    dims = {}
-    for d in range(g.depth_count):
-        offset = g.vertex_offset(d)
-        for i in range(g.vertex_counts[d]):
-            dims[(d, i)] = float(vec[offset + i] / root)
-    return DimensionAssignment(delta=delta, dims=dims)
+    vertices = [(d, i) for d, count in enumerate(g.vertex_counts) for i in range(count)]
+    return DimensionAssignment(delta=delta, dims=dict(zip(vertices, (vec / vec[0]).tolist())))
 
 
 def supertransitivity(g: GradedBigraph) -> tuple[int, bool]:

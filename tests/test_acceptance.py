@@ -135,7 +135,7 @@ def test_phase_existence_equivalence():
         total = ctx.qint(n + 1)
         p, q = (total + gap) / 2.0, (total - gap) / 2.0
         try:
-            solve_phases(ctx, n, p, q)
+            solve_phases(p, q)
             solvable = True
         except NoUnitaryPhase:
             solvable = False

@@ -30,7 +30,7 @@ def test_phases_are_unit_and_orthogonal():
     ctx = nu_from_delta(2.1)
     for gap in (0.0, 0.3, 0.7, 1.0):
         p, q = pq_from_gap(ctx, 4, gap)
-        sigma, tau = solve_phases(ctx, 4, p, q)
+        sigma, tau = solve_phases(p, q)
         assert abs(abs(sigma) - 1.0) <= 1e-12
         assert abs(abs(tau) - 1.0) <= 1e-12
         assert abs(1.0 + sigma * p + tau * q) <= 1e-12 * (1.0 + p + q)
@@ -39,7 +39,7 @@ def test_phases_are_unit_and_orthogonal():
 def test_phase_real_parts_match_closed_forms():
     ctx = nu_from_delta(2.2)
     p, q = pq_from_gap(ctx, 6, 0.6)
-    sigma, tau = solve_phases(ctx, 6, p, q)
+    sigma, tau = solve_phases(p, q)
     assert tau.real == pytest.approx((p * p - q * q - 1.0) / (2.0 * q), abs=1e-12)
     assert sigma.real == pytest.approx((q * q - p * p - 1.0) / (2.0 * p), abs=1e-12)
 
@@ -47,7 +47,7 @@ def test_phase_real_parts_match_closed_forms():
 def test_equal_dimensions_give_equal_real_parts():
     ctx = nu_from_delta(2.3)
     p, q = pq_from_gap(ctx, 4, 0.0)
-    sigma, tau = solve_phases(ctx, 4, p, q)
+    sigma, tau = solve_phases(p, q)
     assert tau.real == pytest.approx(-1.0 / (2.0 * q), abs=1e-12)
     assert sigma.real == pytest.approx(tau.real, abs=1e-12)
 
@@ -55,24 +55,22 @@ def test_equal_dimensions_give_equal_real_parts():
 def test_boundary_gap_one_is_solvable():
     ctx = nu_from_delta(2.05)
     p, q = pq_from_gap(ctx, 4, 1.0)
-    sigma, tau = solve_phases(ctx, 4, p, q)
+    sigma, tau = solve_phases(p, q)
     assert tau == pytest.approx(1.0 + 0.0j, abs=1e-9)
     assert sigma == pytest.approx(-1.0 + 0.0j, abs=1e-9)
 
 
 def test_no_unitary_phase_for_wide_gap():
     # Re tau = (6.25 - 1 - 1)/2 = 2.125 > 1
-    ctx = nu_from_delta(2.5)
     with pytest.raises(NoUnitaryPhase):
-        solve_phases(ctx, 4, 2.5, 1.0)
+        solve_phases(2.5, 1.0)
 
 
 def test_solve_phases_argument_checks():
-    ctx = nu_from_delta(2.5)
     with pytest.raises(InvalidArgument):
-        solve_phases(ctx, 4, 1.0, 2.0)  # p < q
+        solve_phases(1.0, 2.0)  # p < q
     with pytest.raises(InvalidArgument):
-        solve_phases(ctx, 4, 2.0, 1.0, im_sign=0)
+        solve_phases(2.0, 1.0, im_sign=0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -88,7 +86,7 @@ def test_solvability_is_exactly_gap_at_most_one(delta, n, gap):
     ctx = nu_from_delta(delta)
     p, q = pq_from_gap(ctx, n, gap)
     try:
-        solve_phases(ctx, n, p, q)
+        solve_phases(p, q)
         solvable = True
     except NoUnitaryPhase:
         solvable = False
@@ -102,7 +100,7 @@ def test_sigma_minus_tau_norm_identity():
         for n in (2, 4, 8):
             for gap in (0.0, 0.25, 0.5, 0.9, 1.0):
                 p, q = pq_from_gap(ctx, n, gap)
-                sigma, tau = solve_phases(ctx, n, p, q)
+                sigma, tau = solve_phases(p, q)
                 expected = ctx.qint(n) * ctx.qint(n + 2) / (p * q)
                 assert abs(sigma - tau) ** 2 == pytest.approx(expected, rel=1e-9)
 

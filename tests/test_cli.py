@@ -1,6 +1,11 @@
 """Command line interface: exit codes, output formats, round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from tripoint.cli import main
+import tripoint
+from tripoint.cli import QNUM_MAX_K, main
 from tripoint.graph import graph_norm
 from tripoint.obstruct import run_battery
 from tripoint.qnum import nu_from_delta
@@ -179,6 +185,43 @@ def test_check_solves_each_graph_once(passing_file, monkeypatch):
     assert len(calls) == 2
 
 
+NUMPY_PROBE = """
+import io, json, sys
+from contextlib import redirect_stdout
+
+import tripoint.cli
+
+loaded = {"import tripoint.cli": "numpy" in sys.modules}
+for argv in json.loads(sys.argv[1]):
+    with redirect_stdout(io.StringIO()):
+        code = tripoint.cli.main(argv)
+    loaded[" ".join(argv)] = ("numpy" in sys.modules, code)
+print(json.dumps(loaded))
+"""
+
+
+def test_numpy_loads_only_when_a_graph_is_solved(passing_file):
+    half = repr(nu_from_delta(2.1).qint(5) / 2.0)
+    commands = [
+        ["qnum", "--delta", "2.5", "--max", "8"],
+        ["ratios", "--n", "4", "--index", "4.41", "--format", "json"],
+        ["matrix", "--n", "4", "--delta", "2.1", "--p", half, "--q", half],
+        ["check", passing_file],
+    ]
+    src = str(Path(tripoint.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, json.dumps(commands)],
+        capture_output=True, text=True, env=env, check=True, timeout=60,
+    )
+    loaded = json.loads(proc.stdout)
+    assert loaded.pop("import tripoint.cli") is False
+    *plain, check = (loaded[" ".join(argv)] for argv in commands)
+    assert plain == [[False, 0]] * 3
+    assert check == [True, 0]  # the probe does see numpy once a graph is solved
+
+
 # ---------------------------------------------------------------------------
 # ratios
 
@@ -291,6 +334,17 @@ def test_qnum_overflow_exits_two(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "overflows" in captured.err
+
+
+def test_qnum_max_is_capped(capsys):
+    start = time.perf_counter()
+    assert main(["qnum", "--delta", "2", "--max", "100000000"]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(QNUM_MAX_K) in captured.err
+    assert main(["qnum", "--delta", "2", "--max", str(QNUM_MAX_K)]) == 0
+    assert capsys.readouterr().out.split()[-1] == str(QNUM_MAX_K)
 
 
 def test_qnum_json(capsys):

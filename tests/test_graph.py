@@ -1,10 +1,13 @@
 """Graded graphs: parsing, spectra, supertransitivity, triple point extraction."""
 
 import math
+from collections import Counter
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from tripoint.errors import (
@@ -132,6 +135,62 @@ def test_invalid_graph_ungraded_vertex():
         parse_graph("depths: 3\ncounts: 1 2 1\nedges: 0:0-0 1:0-0 1:1-0")
 
 
+@st.composite
+def graded_candidates(draw):
+    """Vertex counts and an edge list (with repeats) between consecutive depths.
+
+    Half the draws give every deeper vertex a downward edge, so they are
+    graded; the rest usually are not.
+    """
+    counts = [1] + draw(st.lists(st.integers(1, 4), max_size=5))
+    pairs = [(d, u, v) for d in range(len(counts) - 1)
+             for u in range(counts[d]) for v in range(counts[d + 1])]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
+    if draw(st.booleans()):
+        edges += [(d - 1, draw(st.integers(0, counts[d - 1] - 1)), v)
+                  for d in range(1, len(counts)) for v in range(counts[d])]
+    return tuple(counts), draw(st.permutations(edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidate=graded_candidates())
+def test_lookups_match_edge_scans(candidate):
+    counts, edges = candidate
+    # straight-line definitions, scanning the whole edge list each time
+    not_graded = None
+    for d in range(1, len(counts)):
+        missing = sorted(set(range(counts[d])) - {v for dd, _, v in edges if dd == d - 1})
+        if missing:
+            not_graded = (
+                f"vertex {missing[0]} at depth {d} has no edge to depth {d - 1} (graph not graded)"
+            )
+            break
+    if not_graded is not None:
+        with pytest.raises(InvalidGraph) as excinfo:
+            GradedBigraph(counts, edges)
+        assert str(excinfo.value) == not_graded
+        return
+
+    g = GradedBigraph(counts, edges)
+    for depth in range(len(counts) + 1):
+        assert g.vertex_offset(depth) == sum(counts[:depth])
+    expected = np.zeros((sum(counts), sum(counts)))
+    for d, u, v in edges:
+        i, j = sum(counts[:d]) + u, sum(counts[: d + 1]) + v
+        expected[i, j] += 1.0
+        expected[j, i] += 1.0
+    assert np.array_equal(g.adjacency(), expected)
+    for d, count in enumerate(counts):
+        for i in range(count):
+            up = sum(1 for dd, u, _ in edges if dd == d and u == i)
+            down = sum(1 for dd, _, v in edges if dd == d - 1 and v == i)
+            assert g.up_degree(d, i) == up
+            assert g.down_degree(d, i) == down
+            assert g.valence(d, i) == up + down
+            ups = Counter(v for dd, u, v in edges if dd == d and u == i)
+            assert g.up_multiplicities(d, i) == dict(ups)
+
+
 def test_invalid_graph_constructor_edge_range():
     with pytest.raises(InvalidGraph, match="out-of-range"):
         GradedBigraph((1, 1), ((0, 0, 5),))
@@ -197,6 +256,43 @@ def test_spectrum_matches_30_digit_mpmath_on_small_corpus():
             for k, value in enumerate(got):
                 expected = float(v[k, top] / v[0, top])
                 assert value == pytest.approx(expected, rel=1e-10), (name, k)
+
+
+def mpmath_perron(g: GradedBigraph, digits: int = 50) -> list:
+    """Root-normalized Perron vector by shifted inverse iteration at ``digits`` digits.
+
+    The shift starts at the program's norm and is refined by Rayleigh
+    quotients; a tiny residual and a vector of one sign certify the result as
+    the Perron vector whatever the start.
+    """
+    with mpmath.workdps(digits):
+        a = mpmath.matrix(g.adjacency().tolist())
+        eye = mpmath.eye(g.vertex_count)
+        mu = mpmath.mpf(graph_norm(g))
+        x = mpmath.matrix([1] * g.vertex_count)
+        for _ in range(5):
+            x = mpmath.lu_solve(a - mu * eye, x)
+            x /= mpmath.norm(x)
+            mu = (x.T * a * x)[0]
+        assert mpmath.norm(a * x - mu * x) < mpmath.mpf(10) ** (10 - digits)
+        assert all(entry * x[0] > 0 for entry in x)
+        return [x[k] / x[0] for k in range(g.vertex_count)]
+
+
+@pytest.mark.parametrize("tail", [10, 20, 30])
+def test_branch_dimensions_match_50_digit_inverse_iteration(tail):
+    """Long doubled tails: the full eigensolve keeps p and q to 1e-9.
+
+    A half-size bipartite solve (eigh of B B^T) loses about 1e-8 here at
+    tail 30, so this pins the solver as well as the code around it.
+    """
+    g = helpers.grade_tree(helpers.branched_tree(3, (), (tail,), doubled_tail=True), "p0")
+    exact = mpmath_perron(g)
+    dims = dimension_vector(g, graph_norm(g))
+    for d in (3, 4):  # the branch vertex, then p and q
+        for i in range(g.vertex_counts[d]):
+            expected = float(exact[g.vertex_offset(d) + i])
+            assert dims[(d, i)] == pytest.approx(expected, rel=1e-9), (tail, d, i)
 
 
 def test_dimension_vector_root_is_one():
