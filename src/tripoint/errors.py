@@ -10,7 +10,7 @@ class InvalidArgument(TripointError):
 
 
 class UnsupportedIndex(TripointError):
-    """Outside the supported regime: delta < 2, or [k] beyond double precision."""
+    """Outside the supported regime: delta < 2, or [k] or dimensions beyond double precision."""
 
 
 class ParseError(TripointError):

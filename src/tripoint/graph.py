@@ -16,16 +16,23 @@ sections.
 Vertices are addressed as ``(depth, index)`` throughout.  Dimensions are the
 entries of the Perron-Frobenius eigenvector of the full adjacency matrix,
 normalized to 1 at the root; one dense symmetric eigensolve per graph yields
-both them and the graph norm.  numpy is imported only when a graph is first
-solved (or its adjacency matrix is built), so importing this module, parsing
-and the non-spectral commands never load it.  Note that for an incomplete
-candidate graph these differ from the dimensions of any completion, so
-verdicts derived from a truncated graph are advisory.
+both them and the graph norm.  Note that for an incomplete candidate graph
+these differ from the dimensions of any completion, so verdicts derived from
+a truncated graph are advisory.  Root normalization needs the root entry of
+the unit eigenvector to lie above double-precision resolution; a graph whose
+dimensions grow past that raises ``UnsupportedIndex``.
+
+A self-dual pair file, whose two sections describe the same graph, yields one
+graph object for both sections, so it is parsed and solved once.  numpy is
+imported only when a graph is first solved (or its adjacency matrix is
+built), so importing this module, parsing and the non-spectral commands never
+load it.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -39,6 +46,7 @@ from .errors import (
     NotATriplePoint,
     ParseError,
     SupertransitivityMismatch,
+    UnsupportedIndex,
 )
 from .qnum import NUMERIC_TOL, QuantumContext
 
@@ -261,7 +269,12 @@ def parse_graph(text: str) -> GradedBigraph:
 
 
 def parse_pair(text: str) -> tuple[GradedBigraph, GradedBigraph]:
-    """Parse a graph pair file with [principal] and [dual] sections."""
+    """Parse a graph pair file with [principal] and [dual] sections.
+
+    A self-dual pair, whose two sections describe the same graph (up to edge
+    order, spacing and comments), comes back as one object twice, so its
+    adjacency is built and solved once and every reader shares the result.
+    """
     lines = _content_lines(text)
     if not lines or lines[0][1] != "[principal]":
         lineno = lines[0][0] if lines else None
@@ -271,8 +284,10 @@ def parse_pair(text: str) -> tuple[GradedBigraph, GradedBigraph]:
     except StopIteration:
         raise ParseError("missing [dual] section") from None
     principal = _parse_block_exact(lines[1:split_at])
+    if [t for _, t in lines[1:split_at]] == [t for _, t in lines[split_at + 1 :]]:
+        return principal, principal
     dual = _parse_block_exact(lines[split_at + 1 :])
-    return principal, dual
+    return principal, principal if dual == principal else dual
 
 
 def serialize_graph(g: GradedBigraph) -> str:
@@ -298,6 +313,11 @@ def dimension_vector(g: GradedBigraph, delta: float) -> DimensionAssignment:
     norm, vec = g._perron
     if abs(delta - norm) > NUMERIC_TOL:
         raise EigenvalueMismatch(f"delta = {delta!r} is not the graph norm {norm!r}")
+    if not vec[0] > sys.float_info.epsilon * vec.max():
+        raise UnsupportedIndex(
+            "root-normalized dimensions exceed double precision"
+            " (the root entry of the Perron vector is below its resolution)"
+        )
     vertices = [(d, i) for d, count in enumerate(g.vertex_counts) for i in range(count)]
     return DimensionAssignment(delta=delta, dims=dict(zip(vertices, (vec / vec[0]).tolist())))
 

@@ -172,7 +172,7 @@ def test_check_exit_contract_fuzz(tmp_path_factory, data):
     assert main(["check", str(path)]) in (0, 1, 2)
 
 
-def test_check_solves_each_graph_once(passing_file, monkeypatch):
+def count_eigh_calls(monkeypatch) -> list:
     eigh = np.linalg.eigh
     calls = []
 
@@ -181,8 +181,54 @@ def test_check_solves_each_graph_once(passing_file, monkeypatch):
         return eigh(a)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return calls
+
+
+def test_check_solves_each_graph_once(passing_file, monkeypatch):
+    calls = count_eigh_calls(monkeypatch)
     assert main(["check", passing_file]) == 0
     assert len(calls) == 2
+
+
+def test_check_solves_a_self_dual_graph_once(tmp_path, monkeypatch):
+    graph = helpers.grade_tree(helpers.branched_tree(3, (1,), (2,)), "p0")
+    path = tmp_path / "self_dual.pair"
+    path.write_text(helpers.pair_text(graph, graph))
+    calls = count_eigh_calls(monkeypatch)
+    assert main(["check", str(path)]) == 0
+    assert calls == [(graph.vertex_count,) * 2]
+
+
+def subprocess_env() -> dict:
+    """Environment in which a child interpreter imports this tripoint."""
+    src = str(Path(tripoint.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def run_cli(*argv: str) -> subprocess.CompletedProcess:
+    """Run ``python -m tripoint.cli`` in a fresh process, so numpy warnings reach stderr."""
+    return subprocess.run(
+        [sys.executable, "-m", "tripoint.cli", *argv],
+        capture_output=True, text=True, env=subprocess_env(), timeout=60,
+    )
+
+
+def test_check_dimensions_beyond_double_precision_exit_two(tmp_path):
+    principal, dual = helpers.self_paired(
+        helpers.branched_tree(3, (), (120,), doubled_tail=True)
+    )
+    path = tmp_path / "deep.pair"
+    path.write_text(helpers.pair_text(principal, dual))
+    proc = run_cli("check", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        f"{path}: root-normalized dimensions exceed double precision"
+        " (the root entry of the Perron vector is below its resolution)"
+    ]
+    message = proc.stderr.replace(str(path), "")
+    assert "RuntimeWarning" not in message and "inf" not in message
 
 
 NUMPY_PROBE = """
@@ -208,12 +254,9 @@ def test_numpy_loads_only_when_a_graph_is_solved(passing_file):
         ["matrix", "--n", "4", "--delta", "2.1", "--p", half, "--q", half],
         ["check", passing_file],
     ]
-    src = str(Path(tripoint.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
         [sys.executable, "-c", NUMPY_PROBE, json.dumps(commands)],
-        capture_output=True, text=True, env=env, check=True, timeout=60,
+        capture_output=True, text=True, env=subprocess_env(), check=True, timeout=60,
     )
     loaded = json.loads(proc.stdout)
     assert loaded.pop("import tripoint.cli") is False

@@ -1,6 +1,7 @@
 """Graded graphs: parsing, spectra, supertransitivity, triple point extraction."""
 
 import math
+import warnings
 from collections import Counter
 
 import mpmath
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from tripoint import graph as graph_module
 from tripoint.errors import (
     EigenvalueMismatch,
     InvalidGraph,
@@ -17,6 +19,7 @@ from tripoint.errors import (
     NotATriplePoint,
     ParseError,
     SupertransitivityMismatch,
+    UnsupportedIndex,
 )
 from tripoint.graph import (
     GradedBigraph,
@@ -116,6 +119,7 @@ def test_parse_pair_and_sections():
     back_p, back_d = parse_pair(text)
     assert back_p == principal
     assert back_d == dual
+    assert back_p is not back_d
 
 
 def test_parse_pair_requires_sections():
@@ -123,6 +127,49 @@ def test_parse_pair_requires_sections():
         parse_pair(BRANCHED_TEXT)
     with pytest.raises(ParseError, match="dual"):
         parse_pair("[principal]\n" + BRANCHED_TEXT)
+
+
+def test_parse_pair_identical_sections_share_one_graph(monkeypatch):
+    g = parse_graph(BRANCHED_TEXT)
+    parsed = []
+    parse_block = graph_module._parse_block_exact
+    monkeypatch.setattr(
+        graph_module, "_parse_block_exact", lambda lines: parsed.append(lines) or parse_block(lines)
+    )
+    principal, dual = parse_pair(serialize_pair(g, g))
+    assert principal is dual
+    assert principal == g
+    assert len(parsed) == 1  # the dual section is not parsed again
+
+
+@pytest.mark.parametrize(
+    "dual_text",
+    [
+        "# the same lines, indented and commented\n\n  depths: 5\n  counts: 1 1 1 1 2\n"
+        "  edges: 0:0-0 1:0-0 2:0-0 3:0-0 3:0-1  \n",
+        "depths: 5\ncounts: 1 1 1 1 2\nedges: 3:0-1 0:0-0 2:0-0 3:0-0 1:0-0\n",
+        "depths:   5\n# a comment\ncounts: 1 1  1 1 2\nedges: 0:0-0 1:0-0  2:0-0 3:0-0 3:0-1\n",
+    ],
+    ids=["indent-and-comments", "reordered-edges", "inner-spacing"],
+)
+def test_parse_pair_self_dual_rewrites_share_one_graph(dual_text):
+    principal, dual = parse_pair(f"[principal]\n{BRANCHED_TEXT}\n[dual]\n{dual_text}")
+    assert principal is dual
+    assert principal == parse_graph(BRANCHED_TEXT)
+
+
+def test_parse_pair_same_spectrum_graphs_stay_distinct():
+    pair = helpers.two_rooted_pair(0)
+    principal, dual = parse_pair(serialize_pair(*pair))
+    assert principal is not dual
+    assert (principal, dual) == pair
+
+
+def test_parse_pair_bad_dual_token_reports_dual_line():
+    text = f"[principal]\n{BRANCHED_TEXT}\n[dual]\n{BRANCHED_TEXT.replace('3:0-1', '3:0+1')}\n"
+    with pytest.raises(ParseError, match="line 8: bad edge token '3:0\\+1'") as info:
+        parse_pair(text)
+    assert info.value.line == 8
 
 
 def test_invalid_graph_root_count():
@@ -335,6 +382,15 @@ def test_dimension_vector_satisfies_eigen_relation_everywhere():
         assert np.all(vec > 0), name
         residual = a @ vec - delta * vec
         assert np.all(np.abs(residual) <= 1e-9 * delta * np.maximum(vec, 1.0)), name
+
+
+def test_dimension_vector_rejects_root_below_double_resolution():
+    """A tail of 120 puts the root entry of the unit Perron vector at 0.0."""
+    g = helpers.grade_tree(helpers.branched_tree(3, (), (120,), doubled_tail=True), "p0")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnsupportedIndex, match="exceed double precision"):
+            dimension_vector(g, graph_norm(g))
 
 
 def test_dimension_vector_rejects_wrong_delta():
