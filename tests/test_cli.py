@@ -172,31 +172,39 @@ def test_check_exit_contract_fuzz(tmp_path_factory, data):
     assert main(["check", str(path)]) in (0, 1, 2)
 
 
-def count_eigh_calls(monkeypatch) -> list:
-    eigh = np.linalg.eigh
-    calls = []
+def count_solves(monkeypatch) -> dict[str, list]:
+    """Record the matrix shape of every ``eigvalsh`` (one per solve) and ``eigh`` call."""
+    calls: dict[str, list] = {"eigvalsh": [], "eigh": []}
 
-    def counting_eigh(a):
-        calls.append(a.shape)
-        return eigh(a)
+    def counting(name):
+        real = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        def call(a, *args, **kwargs):
+            calls[name].append(a.shape)
+            return real(a, *args, **kwargs)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name))
     return calls
 
 
 def test_check_solves_each_graph_once(passing_file, monkeypatch):
-    calls = count_eigh_calls(monkeypatch)
+    calls = count_solves(monkeypatch)
     assert main(["check", passing_file]) == 0
-    assert len(calls) == 2
+    assert len(calls["eigvalsh"]) == 2
+    assert calls["eigh"] == []
 
 
 def test_check_solves_a_self_dual_graph_once(tmp_path, monkeypatch):
     graph = helpers.grade_tree(helpers.branched_tree(3, (1,), (2,)), "p0")
     path = tmp_path / "self_dual.pair"
     path.write_text(helpers.pair_text(graph, graph))
-    calls = count_eigh_calls(monkeypatch)
+    calls = count_solves(monkeypatch)
     assert main(["check", str(path)]) == 0
-    assert calls == [(graph.vertex_count,) * 2]
+    even_side = sum(graph.vertex_counts[::2])
+    assert calls == {"eigvalsh": [(even_side, even_side)], "eigh": []}
 
 
 def subprocess_env() -> dict:
@@ -229,6 +237,30 @@ def test_check_dimensions_beyond_double_precision_exit_two(tmp_path):
     ]
     message = proc.stderr.replace(str(path), "")
     assert "RuntimeWarning" not in message and "inf" not in message
+
+
+def test_check_long_doubled_tail_prints_exact_dimensions(tmp_path, capsys):
+    """At tail 58 p and q must print at their limits 91/9 and 10/3, not drift by 6e-4."""
+    principal, dual = helpers.self_paired(
+        helpers.branched_tree(3, (), (58,), doubled_tail=True)
+    )
+    path = tmp_path / "tail58.pair"
+    path.write_text(helpers.pair_text(principal, dual))
+    assert main(["check", str(path), "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["p"] == pytest.approx(91 / 9, rel=1e-11)
+    assert payload["q"] == pytest.approx(10 / 3, rel=1e-11)
+
+
+def test_check_solver_failure_exits_two(passing_file, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", fail)
+    assert main(["check", passing_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"{passing_file}: Perron solve failed: Singular matrix"]
 
 
 NUMPY_PROBE = """

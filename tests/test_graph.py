@@ -19,6 +19,7 @@ from tripoint.errors import (
     NotATriplePoint,
     ParseError,
     SupertransitivityMismatch,
+    TripointError,
     UnsupportedIndex,
 )
 from tripoint.graph import (
@@ -44,7 +45,7 @@ def path_graph(vertices: int) -> GradedBigraph:
 
 
 def eigh_perron(g: GradedBigraph) -> tuple[float, np.ndarray]:
-    """Spectral oracle via a dense symmetric eigensolver, as the program uses."""
+    """Spectral oracle via a dense eigensolve of the full adjacency matrix."""
     w, v = np.linalg.eigh(g.adjacency())
     vec = np.abs(v[:, -1])
     return float(w[-1]), vec / vec[0]
@@ -326,12 +327,16 @@ def mpmath_perron(g: GradedBigraph, digits: int = 50) -> list:
         return [x[k] / x[0] for k in range(g.vertex_count)]
 
 
-@pytest.mark.parametrize("tail", [10, 20, 30])
+@pytest.mark.parametrize("tail", [10, 20, 30, 50])
 def test_branch_dimensions_match_50_digit_inverse_iteration(tail):
-    """Long doubled tails: the full eigensolve keeps p and q to 1e-9.
+    """Long doubled tails: the solver keeps the branch dimensions to 1e-12.
 
-    A half-size bipartite solve (eigh of B B^T) loses about 1e-8 here at
-    tail 30, so this pins the solver as well as the code around it.
+    The Perron vector of these graphs is concentrated at the far end of the
+    tail, so the root entry is small.  A dense eigensolver gives that entry
+    an absolute error of about eps, which root normalization turns into a
+    relative error of 8.6e-6 in p at tail 50; a single inverse-iteration step
+    is off by 9e-3 there.  So this pins the solver, not only the code around
+    it.
     """
     g = helpers.grade_tree(helpers.branched_tree(3, (), (tail,), doubled_tail=True), "p0")
     exact = mpmath_perron(g)
@@ -339,7 +344,45 @@ def test_branch_dimensions_match_50_digit_inverse_iteration(tail):
     for d in (3, 4):  # the branch vertex, then p and q
         for i in range(g.vertex_counts[d]):
             expected = float(exact[g.vertex_offset(d) + i])
-            assert dims[(d, i)] == pytest.approx(expected, rel=1e-9), (tail, d, i)
+            assert dims[(d, i)] == pytest.approx(expected, rel=1e-12), (tail, d, i)
+
+
+def test_long_doubled_tails_give_limit_dimensions_or_refuse():
+    """Tails of 30..62 give p and q at their limits; longer tails raise a TripointError.
+
+    As the tail grows, delta^2 tends to 16/3 and the branch dimensions to
+    p = 91/9 and q = 10/3, which they reach to double precision by tail 30.
+    From tail 63 the root entry of the unit Perron vector falls below eps
+    times its largest entry, and root normalization is refused.
+    """
+    for tail in range(30, 121):
+        g = helpers.grade_tree(helpers.branched_tree(3, (), (tail,), doubled_tail=True), "p0")
+        if tail > 62:
+            with pytest.raises(TripointError):
+                extract_triple_point(nu_from_delta(graph_norm(g)), g, g)
+            continue
+        tp = extract_triple_point(nu_from_delta(graph_norm(g)), g, g)
+        assert tp.p == pytest.approx(91 / 9, rel=1e-12), tail
+        assert tp.q == pytest.approx(10 / 3, rel=1e-12), tail
+
+
+@pytest.mark.parametrize("routine", ["eigvalsh", "solve"])
+def test_solver_linalg_error_is_unsupported_index(monkeypatch, routine):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, routine, fail)
+    with pytest.raises(UnsupportedIndex, match="Perron solve failed: Singular matrix"):
+        graph_norm(path_graph(5))
+
+
+def test_solver_refuses_a_vector_that_is_not_one_signed(monkeypatch):
+    """A shift inside the spectrum makes inverse iteration find a sign-changing vector."""
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: eigvalsh(g) / 2)
+    g = helpers.grade_tree(helpers.branched_tree(3, (), (4,)), "p0")
+    with pytest.raises(UnsupportedIndex, match="not strictly positive"):
+        graph_norm(g)
 
 
 def test_dimension_vector_root_is_one():
@@ -368,24 +411,22 @@ def test_dimension_vector_initial_string_is_quantum_integers():
 
 
 def test_dimension_vector_satisfies_eigen_relation_everywhere():
-    for name, principal, _ in helpers.battery_corpus():
-        delta = graph_norm(principal)
-        dims = dimension_vector(principal, delta)
-        a = principal.adjacency()
-        vec = np.array(
-            [
-                dims[(d, i)]
-                for d in range(principal.depth_count)
-                for i in range(principal.vertex_counts[d])
-            ]
-        )
-        assert np.all(vec > 0), name
-        residual = a @ vec - delta * vec
-        assert np.all(np.abs(residual) <= 1e-9 * delta * np.maximum(vec, 1.0)), name
+    """Every dimension of every corpus graph is finite, positive and satisfies A v = delta v."""
+    for name, principal, dual in helpers.battery_corpus():
+        for g in (principal, dual):
+            delta = graph_norm(g)
+            dims = dimension_vector(g, delta)
+            a = g.adjacency()
+            vec = np.array(
+                [dims[(d, i)] for d in range(g.depth_count) for i in range(g.vertex_counts[d])]
+            )
+            assert np.all(np.isfinite(vec)) and np.all(vec > 0), name
+            residual = a @ vec - delta * vec
+            assert np.all(np.abs(residual) <= 1e-9 * delta * np.maximum(vec, 1.0)), name
 
 
 def test_dimension_vector_rejects_root_below_double_resolution():
-    """A tail of 120 puts the root entry of the unit Perron vector at 0.0."""
+    """A tail of 120 puts the root entry of the unit Perron vector near 1e-29 of its largest."""
     g = helpers.grade_tree(helpers.branched_tree(3, (), (120,), doubled_tail=True), "p0")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -432,6 +473,20 @@ def test_extract_flags_and_sum():
     assert tp.p == pytest.approx(dims[0], abs=1e-9)
     assert tp.q == pytest.approx(dims[1], abs=1e-9)
     assert tp.p + tp.q == pytest.approx(ctx.qint(5), abs=1e-8)
+
+
+def test_extract_reads_a_self_dual_graph_once(monkeypatch):
+    principal, dual = helpers.self_paired(helpers.branched_tree(3, (), (4,)))
+    calls = []
+
+    def counting(g, delta):
+        calls.append(g)
+        return dimension_vector(g, delta)
+
+    monkeypatch.setattr(graph_module, "dimension_vector", counting)
+    tp = extract_triple_point(nu_from_delta(graph_norm(principal)), principal, dual)
+    assert calls == [principal]
+    assert tp.dual_dims == (tp.p, tp.q)
 
 
 def test_extract_sum_matches_quantum_integer_across_corpus():
