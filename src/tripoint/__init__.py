@@ -9,7 +9,6 @@ battery of obstruction tests built from those pieces.
 from . import errors
 from .branch import BranchMatrix, apply_to_perp_vector, build_branch_matrix, extract_lambda, solve_phases
 from .graph import (
-    DimensionAssignment,
     GradedBigraph,
     TriplePointData,
     dimension_vector,
@@ -40,7 +39,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BranchMatrix",
-    "DimensionAssignment",
     "DEFAULT_TRACE_TOL",
     "GradedBigraph",
     "ObstructionReport",

@@ -61,8 +61,8 @@ def solve_phases(p: float, q: float, im_sign: int = 1) -> tuple[complex, complex
     """
     if im_sign not in (1, -1):
         raise InvalidArgument("im_sign must be +1 or -1")
-    if not (q > 0 and p >= q):
-        raise InvalidArgument("dimensions must satisfy p >= q > 0")
+    if not 0 < q <= p < math.inf:
+        raise InvalidArgument("dimensions must be finite and satisfy p >= q > 0")
     re_tau = (p * p - q * q - 1.0) / (2.0 * q)
     if abs(re_tau) > 1.0 + NUMERIC_TOL:
         raise NoUnitaryPhase(

@@ -14,13 +14,14 @@ from pathlib import Path
 
 from .branch import build_branch_matrix, extract_lambda
 from .errors import NoUnitaryPhase, TripointError
-from .graph import graph_norm, parse_pair
+from .graph import parse_pair
 from .obstruct import DEFAULT_TRACE_TOL, ObstructionReport, allowed_ratios, run_battery
 from .qnum import NUMERIC_TOL, nu_from_delta
 
-#: Largest ``qnum --max``; far above any arm depth, and small enough to print
-#: at once even at delta = 2, where no [k] overflows.
-QNUM_MAX_K = 10_000
+#: Largest ``qnum --max``, ``ratios --n`` and ``matrix --n``; far above any
+#: arm depth, and small enough to compute and print at once even at delta = 2,
+#: where no [k] overflows.
+SIZE_LIMIT = 10_000
 
 
 def _json(payload: dict) -> str:
@@ -72,7 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ratios = sub.add_parser(
         "ratios", parents=[common], help="tabulate admissible dimension ratios"
     )
-    p_ratios.add_argument("--n", type=int, required=True, help="arm depth (even, >= 2)")
+    p_ratios.add_argument(
+        "--n", type=int, required=True, help=f"arm depth (even, >= 2, at most {SIZE_LIMIT})"
+    )
     which = p_ratios.add_mutually_exclusive_group(required=True)
     which.add_argument("--delta", type=float, help="graph norm (>= 2)")
     which.add_argument("--index", type=float, help="index delta^2 (>= 4)")
@@ -80,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_matrix = sub.add_parser(
         "matrix", parents=[common], help="print the branch matrix, phases and lambda"
     )
-    p_matrix.add_argument("--n", type=int, required=True)
+    p_matrix.add_argument("--n", type=int, required=True, help=f"arm depth (at most {SIZE_LIMIT})")
     p_matrix.add_argument("--delta", type=float, required=True)
     p_matrix.add_argument("--p", type=float, required=True)
     p_matrix.add_argument("--q", type=float, required=True)
@@ -88,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_qnum = sub.add_parser("qnum", parents=[common], help="print quantum integers")
     p_qnum.add_argument("--delta", type=float, required=True)
     p_qnum.add_argument(
-        "--max", dest="max_k", type=int, required=True, help=f"largest k (at most {QNUM_MAX_K})"
+        "--max", dest="max_k", type=int, required=True, help=f"largest k (at most {SIZE_LIMIT})"
     )
 
     return parser
@@ -98,10 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
 # check
 
 def _check_one(path: str, tol: float) -> ObstructionReport:
-    text = Path(path).read_text(encoding="utf-8")
-    principal, dual = parse_pair(text)
-    ctx = nu_from_delta(graph_norm(principal))
-    return run_battery(ctx, principal, dual, tol=tol)
+    principal, dual = parse_pair(Path(path).read_text(encoding="utf-8"))
+    return run_battery(principal, dual, tol=tol)
 
 
 def _render_report_text(path: str, report: ObstructionReport) -> str:
@@ -141,12 +142,19 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 1 if had_failure else 0
 
 
+def _exceeds_limit(flag: str, value: int) -> bool:
+    """Report on stderr, and return True, when ``value`` is above ``SIZE_LIMIT``."""
+    if value <= SIZE_LIMIT:
+        return False
+    print(f"{flag} {value} exceeds the limit of {SIZE_LIMIT}", file=sys.stderr)
+    return True
+
+
 # ---------------------------------------------------------------------------
 # ratios
 
 def _cmd_ratios(args: argparse.Namespace) -> int:
-    if args.n < 2 or args.n % 2 != 0:
-        print(f"n = {args.n} must be even and >= 2", file=sys.stderr)
+    if _exceeds_limit("--n", args.n):
         return 2
     if args.delta is not None:
         delta = args.delta
@@ -179,6 +187,8 @@ def _cmd_ratios(args: argparse.Namespace) -> int:
 # matrix
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
+    if _exceeds_limit("--n", args.n):
+        return 2
     try:
         ctx = nu_from_delta(args.delta)
         matrix = build_branch_matrix(ctx, args.n, args.p, args.q)
@@ -230,8 +240,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 # qnum
 
 def _cmd_qnum(args: argparse.Namespace) -> int:
-    if args.max_k > QNUM_MAX_K:
-        print(f"--max {args.max_k} exceeds the limit of {QNUM_MAX_K}", file=sys.stderr)
+    if _exceeds_limit("--max", args.max_k):
         return 2
     try:
         ctx = nu_from_delta(args.delta)

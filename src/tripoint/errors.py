@@ -27,10 +27,6 @@ class InvalidGraph(TripointError):
     """Graph data violates a structural invariant."""
 
 
-class EigenvalueMismatch(TripointError):
-    """A supplied eigenvalue is not the spectral radius of the graph."""
-
-
 class NormMismatch(TripointError):
     """Principal and dual graph norms disagree."""
 

@@ -27,6 +27,10 @@ normalization needs the root entry of the unit eigenvector to lie above
 double-precision resolution; a graph whose dimensions grow past that raises
 ``UnsupportedIndex``.
 
+The norm of a pair's principal graph is the pair's delta.  Extraction builds
+the quantum context from it and stores it with the triple-point data, so no
+caller supplies delta and every test of the pair reads the same one.
+
 A self-dual pair file, whose two sections describe the same graph, yields one
 graph object for both sections, so it is parsed and solved once.  numpy is
 imported only when a graph is first solved (or its adjacency matrix is
@@ -46,7 +50,6 @@ from itertools import accumulate
 from typing import TYPE_CHECKING
 
 from .errors import (
-    EigenvalueMismatch,
     InvalidGraph,
     NormMismatch,
     NotATriplePoint,
@@ -54,7 +57,7 @@ from .errors import (
     SupertransitivityMismatch,
     UnsupportedIndex,
 )
-from .qnum import NUMERIC_TOL, QuantumContext
+from .qnum import NUMERIC_TOL, QuantumContext, nu_from_delta
 
 if TYPE_CHECKING:
     import numpy as np
@@ -214,34 +217,24 @@ class GradedBigraph:
 
 
 @dataclass(frozen=True)
-class DimensionAssignment:
-    """Perron-Frobenius dimensions: vertex ``(depth, index)`` -> positive real."""
-
-    delta: float
-    dims: dict[tuple[int, int], float]
-
-    def __getitem__(self, vertex: tuple[int, int]) -> float:
-        return self.dims[vertex]
-
-
-@dataclass(frozen=True)
 class TriplePointData:
     """Branch data consumed by the obstruction battery.
 
-    ``n`` is the depth of the two branch arms (the branch vertex sits at
-    depth n-1), ``p >= q`` are the principal-graph dimensions at depth n and
-    ``dual_dims`` the dual-graph ones, ordered the same way.  ``dim_tie``
-    flags p and q agreeing within tolerance, in which case the ordering is
-    conventional.
+    ``ctx`` evaluates quantum integers at the pair's delta, the norm of its
+    principal graph.  ``n`` is the depth of the two branch arms (the branch
+    vertex sits at depth n-1), ``p >= q`` are the principal-graph dimensions
+    at depth n and ``dual_dims`` the dual-graph ones, ordered the same way.
+    ``dim_tie`` flags p and q agreeing within tolerance, in which case the
+    ordering is conventional.
     """
 
+    ctx: QuantumContext
     n: int
     p: float
     q: float
     dual_dims: tuple[float, float]
     gamma3_univalent: bool
     gamma2_trivalent: bool
-    branch_depth_odd: bool
     dim_tie: bool = False
 
     def __post_init__(self) -> None:
@@ -250,6 +243,10 @@ class TriplePointData:
         g2, g3 = self.dual_dims
         if not (g3 > 0 and g2 >= g3):
             raise InvalidGraph("dual branch dimensions must be positive and ordered")
+
+    @property
+    def branch_depth_odd(self) -> bool:
+        return (self.n - 1) % 2 == 1
 
 
 # ---------------------------------------------------------------------------
@@ -359,18 +356,16 @@ def graph_norm(g: GradedBigraph) -> float:
     return g._perron[0]
 
 
-def dimension_vector(g: GradedBigraph, delta: float) -> DimensionAssignment:
-    """Perron-Frobenius dimensions at eigenvalue ``delta``, root normalized to 1."""
-    norm, vec = g._perron
-    if abs(delta - norm) > NUMERIC_TOL:
-        raise EigenvalueMismatch(f"delta = {delta!r} is not the graph norm {norm!r}")
+def dimension_vector(g: GradedBigraph) -> dict[tuple[int, int], float]:
+    """Perron-Frobenius dimensions, vertex ``(depth, index)`` -> value, root normalized to 1."""
+    vec = g._perron[1]
     if not vec[0] > sys.float_info.epsilon * vec.max():
         raise UnsupportedIndex(
             "root-normalized dimensions exceed double precision"
             " (the root entry of the Perron vector is below its resolution)"
         )
     vertices = [(d, i) for d, count in enumerate(g.vertex_counts) for i in range(count)]
-    return DimensionAssignment(delta=delta, dims=dict(zip(vertices, (vec / vec[0]).tolist())))
+    return dict(zip(vertices, (vec / vec[0]).tolist()))
 
 
 def supertransitivity(g: GradedBigraph) -> tuple[int, bool]:
@@ -405,7 +400,7 @@ def _require_simple_triple_point(g: GradedBigraph, n: int, label: str) -> None:
 
 
 def _ordered_depth_n(
-    dims: DimensionAssignment, n: int
+    dims: dict[tuple[int, int], float], n: int
 ) -> tuple[tuple[float, float], tuple[int, int], bool]:
     d0, d1 = dims[(n, 0)], dims[(n, 1)]
     tie = abs(d0 - d1) <= NUMERIC_TOL * max(1.0, d0, d1)
@@ -414,17 +409,18 @@ def _ordered_depth_n(
     return (d0, d1), (0, 1), tie
 
 
-def extract_triple_point(
-    ctx: QuantumContext, principal: GradedBigraph, dual: GradedBigraph
-) -> TriplePointData:
+def extract_triple_point(principal: GradedBigraph, dual: GradedBigraph) -> TriplePointData:
     """Locate the initial triple point of a graph pair and collect its data.
 
-    Both graphs must share their norm and supertransitivity, and each must
-    branch into a simple triple point (three single edges: one down, two up).
-    Larger-dimension vertices come first in the (p, q) and dual orderings;
-    exact ties keep the input index order and are flagged.
+    delta is the principal graph's norm (see ``qnum.nu_from_delta`` for the
+    clamp at 2), and the dual's norm must agree with it.  Both graphs must
+    share their supertransitivity, and each must branch into a simple triple
+    point (three single edges: one down, two up).  Larger-dimension vertices
+    come first in the (p, q) and dual orderings; exact ties keep the input
+    index order and are flagged.
     """
     norm_p = graph_norm(principal)
+    ctx = nu_from_delta(norm_p)
     norm_d = norm_p if dual is principal else graph_norm(dual)
     if abs(norm_p - norm_d) > NUMERIC_TOL:
         raise NormMismatch(f"graph norms differ: {norm_p!r} vs {norm_d!r}")
@@ -438,18 +434,18 @@ def extract_triple_point(
     _require_simple_triple_point(principal, n, "principal")
     _require_simple_triple_point(dual, n, "dual")
 
-    dims_p = dimension_vector(principal, ctx.delta)
-    dims_d = dims_p if dual is principal else dimension_vector(dual, ctx.delta)
+    dims_p = dimension_vector(principal)
+    dims_d = dims_p if dual is principal else dimension_vector(dual)
     (p, q), _, tie = _ordered_depth_n(dims_p, n)
     (g2, g3), (idx2, idx3), _ = _ordered_depth_n(dims_d, n)
     ctx.check_dimension_sum(n, p, q)
     return TriplePointData(
+        ctx=ctx,
         n=n,
         p=p,
         q=q,
         dual_dims=(g2, g3),
         gamma3_univalent=dual.valence(n, idx3) == 1,
         gamma2_trivalent=dual.valence(n, idx2) == 3,
-        branch_depth_odd=(n - 1) % 2 == 1,
         dim_tie=tie,
     )

@@ -91,10 +91,8 @@ def triple_single(tp: TriplePointData, tol: float = DEFAULT_TRACE_TOL) -> Verdic
     return Verdict.PASS if tp.p - tp.q <= 1.0 + tol else Verdict.FAIL
 
 
-def _trace_and_candidates(
-    ctx: QuantumContext, tp: TriplePointData
-) -> tuple[float, tuple[RootCandidate, ...]]:
-    big = ctx.qint(tp.n) * ctx.qint(tp.n + 2)
+def _trace_and_candidates(tp: TriplePointData) -> tuple[float, tuple[RootCandidate, ...]]:
+    big = tp.ctx.qint(tp.n) * tp.ctx.qint(tp.n + 2)
     trace = (tp.p - tp.q) ** 2 * big / (tp.p * tp.q) - 2.0
     candidates = sorted(
         (
@@ -107,7 +105,7 @@ def _trace_and_candidates(
 
 
 def rotational_test(
-    ctx: QuantumContext, tp: TriplePointData, tol: float = DEFAULT_TRACE_TOL
+    tp: TriplePointData, tol: float = DEFAULT_TRACE_TOL
 ) -> tuple[Verdict, float, tuple[RootCandidate, ...]]:
     """Test that lambda + 1/lambda lands on the trace of an n-th root of unity.
 
@@ -116,7 +114,7 @@ def rotational_test(
     to n // 2.  Applicable when the dual branch vertex is 1-valent and the
     branch depth is odd; the trace and candidate list are reported either way.
     """
-    trace, candidates = _trace_and_candidates(ctx, tp)
+    trace, candidates = _trace_and_candidates(tp)
     if not (tp.gamma3_univalent and tp.branch_depth_odd):
         return Verdict.INAPPLICABLE, trace, candidates
     in_range = -2.0 - tol <= trace <= 2.0 + tol
@@ -126,9 +124,7 @@ def rotational_test(
     return verdict, trace, candidates
 
 
-def qt_test(
-    ctx: QuantumContext, tp: TriplePointData, tol: float = DEFAULT_TRACE_TOL
-) -> Verdict:
+def qt_test(tp: TriplePointData, tol: float = DEFAULT_TRACE_TOL) -> Verdict:
     """The historical form of the rotational test, needing a 3-valent gamma2.
 
     Same computation as :func:`rotational_test`, reported separately so users
@@ -136,7 +132,7 @@ def qt_test(
     """
     if not (tp.gamma3_univalent and tp.gamma2_trivalent):
         return Verdict.INAPPLICABLE
-    verdict, _, _ = rotational_test(ctx, tp, tol)
+    verdict, _, _ = rotational_test(tp, tol)
     return verdict
 
 
@@ -176,29 +172,28 @@ def allowed_ratios(ctx: QuantumContext, n: int) -> list[RatioRow]:
 
 
 def run_battery(
-    ctx: QuantumContext,
-    principal: GradedBigraph,
-    dual: GradedBigraph,
-    tol: float = DEFAULT_TRACE_TOL,
+    principal: GradedBigraph, dual: GradedBigraph, tol: float = DEFAULT_TRACE_TOL
 ) -> ObstructionReport:
     """Extract the triple point of a pair and run every obstruction test.
 
-    ``tol`` sets the verdicts only.  When the rotational test applies and a
-    unitary phase exists, lambda is also recovered through the branch matrix
-    and checked against the trace formula at the fixed ``DEFAULT_TRACE_TOL``.
-    Without a phase (p - q > 1) the check is skipped: that fact is the
-    triple-single test's, judged at ``tol``.
+    Every test is evaluated at the pair's own delta, the principal graph's
+    norm (see :func:`graph.extract_triple_point`).  ``tol`` sets the verdicts
+    only.  When the rotational test applies and a unitary phase exists,
+    lambda is also recovered through the branch matrix and checked against
+    the trace formula at the fixed ``DEFAULT_TRACE_TOL``.  Without a phase
+    (p - q > 1) the check is skipped: that fact is the triple-single test's,
+    judged at ``tol``.
     """
-    tp = extract_triple_point(ctx, principal, dual)
+    tp = extract_triple_point(principal, dual)
     verdicts = {"ocneanu_parity": ocneanu_parity(tp.n - 1)}
     verdicts["triple_single"] = triple_single(tp, tol)
-    verdicts["quadratic_tangles"] = qt_test(ctx, tp, tol)
-    rotational, trace, candidates = rotational_test(ctx, tp, tol)
+    verdicts["quadratic_tangles"] = qt_test(tp, tol)
+    rotational, trace, candidates = rotational_test(tp, tol)
     verdicts["rotational"] = rotational
 
     if tp.gamma3_univalent and tp.branch_depth_odd:
         try:
-            matrix = build_branch_matrix(ctx, tp.n, tp.p, tp.q)
+            matrix = build_branch_matrix(tp.ctx, tp.n, tp.p, tp.q)
         except NoUnitaryPhase:
             pass
         else:
@@ -211,7 +206,7 @@ def run_battery(
 
     return ObstructionReport(
         n=tp.n,
-        delta=ctx.delta,
+        delta=tp.ctx.delta,
         p=tp.p,
         q=tp.q,
         r=tp.p / tp.q,

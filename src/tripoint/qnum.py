@@ -1,4 +1,9 @@
-"""Quantum integer arithmetic driven by the index parameter delta = [2]."""
+"""Quantum integer arithmetic driven by the index parameter delta = [2].
+
+A context holds delta alone and validates it on construction; nu, the root
+nu >= 1 of nu + 1/nu = delta, is derived from it.  A graph pair's context is
+built from its principal graph's norm by ``graph.extract_triple_point``.
+"""
 
 from __future__ import annotations
 
@@ -17,25 +22,28 @@ NUMERIC_TOL = 1e-9
 class QuantumContext:
     """Evaluation context for quantum integers.
 
-    ``delta`` is the value [2], so the index is delta squared, and ``nu``
-    satisfies nu + 1/nu = delta with nu >= 1.  All arithmetic is double
-    precision; consistency checks use ``NUMERIC_TOL``.
+    ``delta`` is the value [2], so the index is delta squared; it must be
+    finite and at least 2.  All arithmetic is double precision; consistency
+    checks use ``NUMERIC_TOL``.
     """
 
     delta: float
-    nu: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.delta) and math.isfinite(self.nu)):
-            raise InvalidArgument("delta and nu must be finite")
+        if not math.isfinite(self.delta):
+            raise InvalidArgument("delta must be finite")
         if self.delta < 2:
             raise UnsupportedIndex(
                 f"delta = {self.delta} < 2 means index < 4, outside the supported regime"
             )
-        if self.nu < 1:
-            raise InvalidArgument(f"nu = {self.nu} must be >= 1")
-        if abs(self.nu + 1.0 / self.nu - self.delta) > NUMERIC_TOL:
-            raise InvalidArgument("nu + 1/nu does not match delta")
+
+    @property
+    def nu(self) -> float:
+        """The root nu >= 1 of nu + 1/nu = delta."""
+        half = self.delta / 2.0
+        # the square root is split so that it neither overflows for huge delta
+        # nor cancels near delta = 2
+        return half + math.sqrt(half - 1.0) * math.sqrt(half + 1.0)
 
     def _require_finite(self, value: float, k: int) -> float:
         # [k] grows with k for delta >= 2, so an overflow anywhere in the
@@ -86,17 +94,11 @@ class QuantumContext:
 
 
 def nu_from_delta(delta: float) -> QuantumContext:
-    """Context for a given delta >= 2, solving nu + 1/nu = delta with nu >= 1.
+    """Context for a given delta >= 2.
 
     Values within ``NUMERIC_TOL`` below 2 are clamped to 2, so spectral radii
     that round a hair under the theoretical bound still construct.
     """
-    if not math.isfinite(delta):
-        raise InvalidArgument("delta must be finite")
-    if delta < 2 - NUMERIC_TOL:
-        raise UnsupportedIndex(
-            f"delta = {delta} < 2 means index < 4, outside the supported regime"
-        )
-    delta = max(delta, 2.0)
-    nu = (delta + math.sqrt(delta * delta - 4.0)) / 2.0
-    return QuantumContext(delta=delta, nu=nu)
+    if 2.0 - NUMERIC_TOL <= delta < 2.0:
+        delta = 2.0
+    return QuantumContext(delta)

@@ -196,7 +196,7 @@ def test_perron_frobenius_oracle():
         )
         norm = graph_norm(g)
         worst_norm = max(worst_norm, abs(norm - 2.0 * math.cos(math.pi / (m + 1))))
-        dims = dimension_vector(g, norm)
+        dims = dimension_vector(g)
         scale = math.sin(math.pi / (m + 1))
         for d in range(m):
             expected = math.sin((d + 1) * math.pi / (m + 1)) / scale
@@ -206,7 +206,7 @@ def test_perron_frobenius_oracle():
     ctx = nu_from_delta(graph_norm(principal))
     from tripoint.graph import extract_triple_point
 
-    tp = extract_triple_point(ctx, principal, dual)
+    tp = extract_triple_point(principal, dual)
     sum_err = abs(tp.p + tp.q - ctx.qint(tp.n + 1))
     ok = worst_norm <= 1e-10 and worst_dim <= 1e-9 and sum_err <= 1e-8
     report(
@@ -285,8 +285,7 @@ def test_battery_against_straight_line_oracle():
     start = time.perf_counter()
     mismatches = []
     for name, principal, dual in corpus:
-        ctx = nu_from_delta(graph_norm(principal))
-        got = {k: v.value for k, v in run_battery(ctx, principal, dual).verdicts.items()}
+        got = {k: v.value for k, v in run_battery(principal, dual).verdicts.items()}
         expected = _oracle_verdicts(principal, dual)
         if got != expected:
             mismatches.append((name, got, expected))
@@ -319,7 +318,7 @@ def test_cli_contract(tmp_path, capsys):
     assert main(["check", str(passing), "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     principal, dual = parse_pair(passing.read_text())
-    reference = run_battery(nu_from_delta(graph_norm(principal)), principal, dual)
+    reference = run_battery(principal, dual)
     round_trips = (
         payload["verdicts"] == {k: v.value for k, v in reference.verdicts.items()}
         and payload["n"] == reference.n

@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 
 import helpers
 import tripoint
-from tripoint.cli import QNUM_MAX_K, main
-from tripoint.graph import graph_norm
+from tripoint.cli import SIZE_LIMIT, main
 from tripoint.obstruct import run_battery
 from tripoint.qnum import nu_from_delta
 
@@ -93,8 +92,7 @@ def test_check_json_round_trips(passing_file, capsys):
     payload = json.loads(capsys.readouterr().out)
 
     principal, dual = helpers.two_rooted_pair(0)
-    ctx = nu_from_delta(graph_norm(principal))
-    report = run_battery(ctx, principal, dual)
+    report = run_battery(principal, dual)
 
     assert payload["file"] == passing_file
     assert payload["n"] == report.n
@@ -318,6 +316,23 @@ def test_ratios_overflow_exits_two(capsys):
     assert "overflows" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ratios", "--delta", "2"],
+        ["matrix", "--delta", "2", "--p", str(SIZE_LIMIT // 2 + 1), "--q", str(SIZE_LIMIT // 2)],
+    ],
+)
+def test_n_is_capped(argv, capsys):
+    start = time.perf_counter()
+    assert main([*argv, "--n", "100000000"]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"--n 100000000 exceeds the limit of {SIZE_LIMIT}\n"
+    assert main([*argv, "--n", str(SIZE_LIMIT)]) == 0
+
+
 def test_ratios_json(capsys):
     assert main(["ratios", "--n", "6", "--delta", "2.1", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -380,6 +395,13 @@ def test_matrix_without_unitary_phase_exits_one(capsys):
     assert "no unitary phase: p - q > 1" in capsys.readouterr().out
 
 
+def test_matrix_infinite_dimension_is_an_input_error(capsys):
+    assert main(["matrix", "--n", "4", "--delta", "2.1", "--p", "inf", "--q", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
 def test_matrix_rejects_inconsistent_sum(capsys):
     assert main(["matrix", "--n", "4", "--delta", "2.1", "--p", "3.0", "--q", "2.5"]) == 2
     assert "[n+1]" in capsys.readouterr().err
@@ -403,6 +425,11 @@ def test_qnum_rejects_low_delta(capsys):
     assert capsys.readouterr().err
 
 
+def test_qnum_huge_finite_delta(capsys):
+    assert main(["qnum", "--delta", "1e200", "--max", "2"]) == 0
+    assert capsys.readouterr().out == "0 1 1e+200\n"
+
+
 def test_qnum_overflow_exits_two(capsys):
     for fmt in ("text", "json"):
         assert main(["qnum", "--delta", "2.5", "--max", "1100", "--format", fmt]) == 2
@@ -417,9 +444,9 @@ def test_qnum_max_is_capped(capsys):
     assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert str(QNUM_MAX_K) in captured.err
-    assert main(["qnum", "--delta", "2", "--max", str(QNUM_MAX_K)]) == 0
-    assert capsys.readouterr().out.split()[-1] == str(QNUM_MAX_K)
+    assert str(SIZE_LIMIT) in captured.err
+    assert main(["qnum", "--delta", "2", "--max", str(SIZE_LIMIT)]) == 0
+    assert capsys.readouterr().out.split()[-1] == str(SIZE_LIMIT)
 
 
 def test_qnum_json(capsys):

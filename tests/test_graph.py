@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import helpers
 from tripoint import graph as graph_module
 from tripoint.errors import (
-    EigenvalueMismatch,
     InvalidGraph,
     NormMismatch,
     NotATriplePoint,
@@ -299,7 +298,7 @@ def test_spectrum_matches_30_digit_mpmath_on_small_corpus():
             top = g.vertex_count - 1
             norm = graph_norm(g)
             assert abs(norm - w[top]) <= 1e-12, name
-            dims = dimension_vector(g, norm)
+            dims = dimension_vector(g)
             got = [dims[(d, i)] for d in range(g.depth_count) for i in range(g.vertex_counts[d])]
             for k, value in enumerate(got):
                 expected = float(v[k, top] / v[0, top])
@@ -340,7 +339,7 @@ def test_branch_dimensions_match_50_digit_inverse_iteration(tail):
     """
     g = helpers.grade_tree(helpers.branched_tree(3, (), (tail,), doubled_tail=True), "p0")
     exact = mpmath_perron(g)
-    dims = dimension_vector(g, graph_norm(g))
+    dims = dimension_vector(g)
     for d in (3, 4):  # the branch vertex, then p and q
         for i in range(g.vertex_counts[d]):
             expected = float(exact[g.vertex_offset(d) + i])
@@ -359,9 +358,9 @@ def test_long_doubled_tails_give_limit_dimensions_or_refuse():
         g = helpers.grade_tree(helpers.branched_tree(3, (), (tail,), doubled_tail=True), "p0")
         if tail > 62:
             with pytest.raises(TripointError):
-                extract_triple_point(nu_from_delta(graph_norm(g)), g, g)
+                extract_triple_point(g, g)
             continue
-        tp = extract_triple_point(nu_from_delta(graph_norm(g)), g, g)
+        tp = extract_triple_point(g, g)
         assert tp.p == pytest.approx(91 / 9, rel=1e-12), tail
         assert tp.q == pytest.approx(10 / 3, rel=1e-12), tail
 
@@ -387,14 +386,14 @@ def test_solver_refuses_a_vector_that_is_not_one_signed(monkeypatch):
 
 def test_dimension_vector_root_is_one():
     g = helpers.grade_tree(helpers.branched_tree(3, (), (4,)), "p0")
-    dims = dimension_vector(g, graph_norm(g))
+    dims = dimension_vector(g)
     assert dims[(0, 0)] == 1.0
 
 
 def test_dimension_vector_path_closed_form():
     for m in range(2, 13):
         g = path_graph(m)
-        dims = dimension_vector(g, graph_norm(g))
+        dims = dimension_vector(g)
         scale = math.sin(math.pi / (m + 1))
         for d in range(m):
             expected = math.sin((d + 1) * math.pi / (m + 1)) / scale
@@ -405,7 +404,7 @@ def test_dimension_vector_initial_string_is_quantum_integers():
     g = helpers.grade_tree(helpers.branched_tree(3, (), (4,)), "p0")
     delta = graph_norm(g)
     ctx = nu_from_delta(delta)
-    dims = dimension_vector(g, delta)
+    dims = dimension_vector(g)
     for d in range(4):
         assert dims[(d, 0)] == pytest.approx(ctx.qint(d + 1), abs=1e-8)
 
@@ -415,7 +414,7 @@ def test_dimension_vector_satisfies_eigen_relation_everywhere():
     for name, principal, dual in helpers.battery_corpus():
         for g in (principal, dual):
             delta = graph_norm(g)
-            dims = dimension_vector(g, delta)
+            dims = dimension_vector(g)
             a = g.adjacency()
             vec = np.array(
                 [dims[(d, i)] for d in range(g.depth_count) for i in range(g.vertex_counts[d])]
@@ -431,13 +430,7 @@ def test_dimension_vector_rejects_root_below_double_resolution():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(UnsupportedIndex, match="exceed double precision"):
-            dimension_vector(g, graph_norm(g))
-
-
-def test_dimension_vector_rejects_wrong_delta():
-    g = path_graph(4)
-    with pytest.raises(EigenvalueMismatch):
-        dimension_vector(g, graph_norm(g) + 1e-3)
+            dimension_vector(g)
 
 
 def test_supertransitivity_path():
@@ -461,7 +454,7 @@ def test_extract_flags_and_sum():
     principal, dual = helpers.self_paired(edges)
     delta = graph_norm(principal)
     ctx = nu_from_delta(delta)
-    tp = extract_triple_point(ctx, principal, dual)
+    tp = extract_triple_point(principal, dual)
     assert tp.n == 4
     assert tp.branch_depth_odd
     assert tp.gamma3_univalent
@@ -475,16 +468,31 @@ def test_extract_flags_and_sum():
     assert tp.p + tp.q == pytest.approx(ctx.qint(5), abs=1e-8)
 
 
+def test_extract_carries_the_principal_norm_as_delta():
+    for name, principal, dual in helpers.battery_corpus():
+        assert extract_triple_point(principal, dual).ctx.delta == graph_norm(principal), name
+
+
+def test_extract_clamps_a_norm_just_below_two(monkeypatch):
+    """Affine D5 graded from a leaf has norm 2; a norm a hair under 2 is clamped to it."""
+    edges = [("a", "b"), ("a2", "b"), ("b", "c"), ("c", "d"), ("c", "d2")]
+    g = helpers.grade_tree(edges, "a")
+    monkeypatch.setattr(graph_module, "graph_norm", lambda g: 2.0 - 1e-12)
+    tp = extract_triple_point(g, g)
+    assert tp.ctx.delta == 2.0
+    assert (tp.n, tp.p, tp.q) == (2, pytest.approx(2.0), pytest.approx(1.0))
+
+
 def test_extract_reads_a_self_dual_graph_once(monkeypatch):
     principal, dual = helpers.self_paired(helpers.branched_tree(3, (), (4,)))
     calls = []
 
-    def counting(g, delta):
+    def counting(g):
         calls.append(g)
-        return dimension_vector(g, delta)
+        return dimension_vector(g)
 
     monkeypatch.setattr(graph_module, "dimension_vector", counting)
-    tp = extract_triple_point(nu_from_delta(graph_norm(principal)), principal, dual)
+    tp = extract_triple_point(principal, dual)
     assert calls == [principal]
     assert tp.dual_dims == (tp.p, tp.q)
 
@@ -492,7 +500,7 @@ def test_extract_reads_a_self_dual_graph_once(monkeypatch):
 def test_extract_sum_matches_quantum_integer_across_corpus():
     for name, principal, dual in helpers.battery_corpus():
         ctx = nu_from_delta(graph_norm(principal))
-        tp = extract_triple_point(ctx, principal, dual)
+        tp = extract_triple_point(principal, dual)
         expected = ctx.qint(tp.n + 1)
         assert tp.p + tp.q == pytest.approx(expected, abs=1e-8 * max(1.0, expected)), name
 
@@ -502,7 +510,7 @@ def test_extract_univalent_dual_dimensions():
     edges = helpers.branched_tree(3, (), (4,))
     principal, dual = helpers.self_paired(edges)
     ctx = nu_from_delta(graph_norm(principal))
-    tp = extract_triple_point(ctx, principal, dual)
+    tp = extract_triple_point(principal, dual)
     g2, g3 = tp.dual_dims
     assert g3 == pytest.approx(ctx.qint(4) / ctx.delta, abs=1e-8)
     assert g2 == pytest.approx(ctx.qint(6) / ctx.delta, abs=1e-8)
@@ -511,8 +519,7 @@ def test_extract_univalent_dual_dimensions():
 def test_extract_even_branch_depth():
     edges = helpers.branched_tree(4, (), (3,))
     principal, dual = helpers.self_paired(edges)
-    ctx = nu_from_delta(graph_norm(principal))
-    tp = extract_triple_point(ctx, principal, dual)
+    tp = extract_triple_point(principal, dual)
     assert tp.n == 5
     assert not tp.branch_depth_odd
 
@@ -520,16 +527,14 @@ def test_extract_even_branch_depth():
 def test_extract_trivalent_gamma2():
     edges = helpers.branched_tree(3, (), (1, 1))
     principal, dual = helpers.self_paired(edges)
-    ctx = nu_from_delta(graph_norm(principal))
-    tp = extract_triple_point(ctx, principal, dual)
+    tp = extract_triple_point(principal, dual)
     assert tp.gamma3_univalent
     assert tp.gamma2_trivalent
 
 
 def test_extract_dimension_tie_flagged():
     principal, dual = helpers.two_rooted_pair(0)
-    ctx = nu_from_delta(graph_norm(principal))
-    tp = extract_triple_point(ctx, principal, dual)
+    tp = extract_triple_point(principal, dual)
     assert tp.dim_tie
     assert tp.p == pytest.approx(tp.q, rel=1e-12)
 
@@ -537,9 +542,8 @@ def test_extract_dimension_tie_flagged():
 def test_extract_norm_mismatch():
     principal, _ = helpers.self_paired(helpers.branched_tree(3, (), (4,)))
     dual, _ = helpers.self_paired(helpers.branched_tree(3, (), (5,)))
-    ctx = nu_from_delta(graph_norm(principal))
     with pytest.raises(NormMismatch):
-        extract_triple_point(ctx, principal, dual)
+        extract_triple_point(principal, dual)
 
 
 def test_extract_supertransitivity_mismatch():
@@ -547,39 +551,34 @@ def test_extract_supertransitivity_mismatch():
     edges = helpers.two_rooted_tree()
     principal = helpers.grade_tree(edges, "a")
     dual = helpers.grade_tree(edges, "L")
-    ctx = nu_from_delta(graph_norm(principal))
     with pytest.raises(SupertransitivityMismatch):
-        extract_triple_point(ctx, principal, dual)
+        extract_triple_point(principal, dual)
 
 
 def test_extract_rejects_pure_path():
     g = path_graph(5)
-    ctx = nu_from_delta(2.0)
-    with pytest.raises(NotATriplePoint):
-        extract_triple_point(ctx, g, g)
+    with pytest.raises(UnsupportedIndex, match="index < 4"):
+        extract_triple_point(g, g)
 
 
 def test_extract_rejects_quadruple_point():
     path = [("p0", "p1"), ("p1", "p2"), ("p2", "p3")]
     edges = path + [("p3", "A"), ("p3", "B"), ("p3", "C"), ("C", "C1"), ("C1", "C2")]
     g = helpers.grade_tree(edges, "p0")
-    ctx = nu_from_delta(graph_norm(g))
     with pytest.raises(NotATriplePoint, match="valence"):
-        extract_triple_point(ctx, g, g)
+        extract_triple_point(g, g)
 
 
 def test_extract_rejects_double_edge_at_branch():
     path = [("p0", "p1"), ("p1", "p2"), ("p2", "p3")]
     edges = path + [("p3", "A"), ("p3", "A"), ("A", "A1"), ("A1", "A2"), ("A2", "A3")]
     g = helpers.grade_tree(edges, "p0")
-    ctx = nu_from_delta(graph_norm(g))
     with pytest.raises(NotATriplePoint, match="multiple edge"):
-        extract_triple_point(ctx, g, g)
+        extract_triple_point(g, g)
 
 
 def test_extract_rejects_branch_at_root():
     edges = [("p0", "A"), ("p0", "A"), ("A", "A1"), ("A1", "A2")]
     g = helpers.grade_tree(edges, "p0")
-    ctx = nu_from_delta(graph_norm(g))
     with pytest.raises(NotATriplePoint):
-        extract_triple_point(ctx, g, g)
+        extract_triple_point(g, g)

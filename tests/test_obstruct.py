@@ -10,7 +10,7 @@ import helpers
 from tripoint.branch import build_branch_matrix, extract_lambda
 from tripoint.cli import main
 from tripoint.errors import InvalidArgument, LambdaMismatch
-from tripoint.graph import TriplePointData, extract_triple_point, graph_norm
+from tripoint.graph import TriplePointData, extract_triple_point
 from tripoint.obstruct import (
     Verdict,
     allowed_ratios,
@@ -23,18 +23,18 @@ from tripoint.obstruct import (
 from tripoint.qnum import nu_from_delta
 
 
-def make_tp(ctx, n, gap, univalent=True, trivalent=False, odd=None):
+def make_tp(ctx, n, gap, univalent=True, trivalent=False):
     """Synthetic triple-point data with p + q = [n+1] and p - q = gap."""
     total = ctx.qint(n + 1)
     p, q = (total + gap) / 2.0, (total - gap) / 2.0
     return TriplePointData(
+        ctx=ctx,
         n=n,
         p=p,
         q=q,
         dual_dims=(ctx.qint(n + 2) / ctx.delta, ctx.qint(n) / ctx.delta),
         gamma3_univalent=univalent,
         gamma2_trivalent=trivalent,
-        branch_depth_odd=(n - 1) % 2 == 1 if odd is None else odd,
     )
 
 
@@ -59,7 +59,7 @@ def test_triple_single_verdicts():
 
 def test_rotational_equal_dims():
     ctx = nu_from_delta(2.2)
-    verdict, trace, candidates = rotational_test(ctx, make_tp(ctx, 4, 0.0))
+    verdict, trace, candidates = rotational_test(make_tp(ctx, 4, 0.0))
     assert verdict is Verdict.PASS
     assert trace == pytest.approx(-2.0, abs=1e-12)
     assert candidates[0].k == 2  # k = n/2
@@ -68,7 +68,7 @@ def test_rotational_equal_dims():
 
 def test_rotational_gap_one():
     ctx = nu_from_delta(2.2)
-    verdict, trace, candidates = rotational_test(ctx, make_tp(ctx, 6, 1.0))
+    verdict, trace, candidates = rotational_test(make_tp(ctx, 6, 1.0))
     assert verdict is Verdict.PASS
     assert trace == pytest.approx(2.0, abs=1e-9)
     assert candidates[0].k == 0
@@ -77,7 +77,7 @@ def test_rotational_gap_one():
 def test_rotational_off_root_fails():
     ctx = nu_from_delta(2.1)
     tp = make_tp(ctx, 4, 0.9)
-    verdict, trace, candidates = rotational_test(ctx, tp)
+    verdict, trace, candidates = rotational_test(tp)
     # independent oracle: brute-force distance scan over the allowed traces
     expected_trace = 0.81 * ctx.qint(4) * ctx.qint(6) / (tp.p * tp.q) - 2.0
     assert trace == pytest.approx(expected_trace, rel=1e-12)
@@ -92,16 +92,16 @@ def test_rotational_off_root_fails():
 
 def test_rotational_inapplicable_cases():
     ctx = nu_from_delta(2.2)
-    verdict, _, _ = rotational_test(ctx, make_tp(ctx, 4, 0.0, univalent=False))
+    verdict, _, _ = rotational_test(make_tp(ctx, 4, 0.0, univalent=False))
     assert verdict is Verdict.INAPPLICABLE
-    verdict, _, _ = rotational_test(ctx, make_tp(ctx, 5, 0.0, odd=False))
+    verdict, _, _ = rotational_test(make_tp(ctx, 5, 0.0))
     assert verdict is Verdict.INAPPLICABLE
 
 
 def test_rotational_candidate_list_shape():
     ctx = nu_from_delta(2.2)
     for n in (4, 6, 8, 10):
-        _, _, candidates = rotational_test(ctx, make_tp(ctx, n, 0.3))
+        _, _, candidates = rotational_test(make_tp(ctx, n, 0.3))
         assert sorted(c.k for c in candidates) == list(range(n // 2 + 1))
         distances = [c.distance for c in candidates]
         assert distances == sorted(distances)
@@ -110,14 +110,14 @@ def test_rotational_candidate_list_shape():
 
 def test_qt_needs_both_valence_hypotheses():
     ctx = nu_from_delta(2.2)
-    assert qt_test(ctx, make_tp(ctx, 4, 0.0, trivalent=True)) is Verdict.PASS
-    assert qt_test(ctx, make_tp(ctx, 4, 0.0, trivalent=False)) is Verdict.INAPPLICABLE
+    assert qt_test(make_tp(ctx, 4, 0.0, trivalent=True)) is Verdict.PASS
+    assert qt_test(make_tp(ctx, 4, 0.0, trivalent=False)) is Verdict.INAPPLICABLE
     assert (
-        qt_test(ctx, make_tp(ctx, 4, 0.0, univalent=False, trivalent=True))
+        qt_test(make_tp(ctx, 4, 0.0, univalent=False, trivalent=True))
         is Verdict.INAPPLICABLE
     )
     # rotational still runs when gamma2 is not trivalent
-    verdict, _, _ = rotational_test(ctx, make_tp(ctx, 4, 0.0, trivalent=False))
+    verdict, _, _ = rotational_test(make_tp(ctx, 4, 0.0, trivalent=False))
     assert verdict is Verdict.PASS
 
 
@@ -126,8 +126,8 @@ def test_qt_agrees_with_rotational_when_both_apply():
     for n in (4, 6):
         for gap in (0.0, 0.5, 1.0, 1.5):
             tp = make_tp(ctx, n, gap, trivalent=True)
-            rot, _, _ = rotational_test(ctx, tp)
-            assert qt_test(ctx, tp) is rot
+            rot, _, _ = rotational_test(tp)
+            assert qt_test(tp) is rot
 
 
 @settings(max_examples=300, deadline=None)
@@ -139,7 +139,7 @@ def test_qt_agrees_with_rotational_when_both_apply():
 def test_rotational_pass_implies_triple_single_pass(delta, n, gap):
     ctx = nu_from_delta(delta)
     tp = make_tp(ctx, n, gap)
-    rot, _, _ = rotational_test(ctx, tp)
+    rot, _, _ = rotational_test(tp)
     if rot is Verdict.PASS:
         assert triple_single(tp) is Verdict.PASS
 
@@ -176,15 +176,15 @@ def test_ratio_rows_round_trip_through_rotational():
         for n in (4, 6, 10):
             for row in allowed_ratios(ctx, n):
                 tp = TriplePointData(
+                    ctx=ctx,
                     n=n,
                     p=row.p,
                     q=row.q,
                     dual_dims=(ctx.qint(n + 2) / ctx.delta, ctx.qint(n) / ctx.delta),
                     gamma3_univalent=True,
                     gamma2_trivalent=False,
-                    branch_depth_odd=True,
                 )
-                verdict, trace, candidates = rotational_test(ctx, tp)
+                verdict, trace, candidates = rotational_test(tp)
                 assert verdict is Verdict.PASS
                 assert candidates[0].k == row.k
                 assert candidates[0].distance <= 1e-10
@@ -215,8 +215,7 @@ def battery_for(edges_or_pair):
         principal, dual = edges_or_pair
     else:
         principal, dual = helpers.self_paired(edges_or_pair)
-    ctx = nu_from_delta(graph_norm(principal))
-    return run_battery(ctx, principal, dual)
+    return run_battery(principal, dual)
 
 
 def test_battery_symmetric_pair_all_pass():
@@ -251,7 +250,7 @@ def test_battery_lambda_mismatch_raises_and_exits_two(monkeypatch, tmp_path):
     principal, dual = helpers.two_rooted_pair(0)
     monkeypatch.setattr("tripoint.obstruct.extract_lambda", lambda matrix: complex(1.0, 0.0))
     with pytest.raises(LambdaMismatch):
-        run_battery(nu_from_delta(graph_norm(principal)), principal, dual)
+        run_battery(principal, dual)
     path = tmp_path / "pair.pair"
     path.write_text(helpers.pair_text(principal, dual))
     assert main(["check", str(path)]) == 2
@@ -269,9 +268,8 @@ def test_battery_survives_missing_unitary_phase():
 @pytest.mark.parametrize("tol", [1e-6, 0.5, 1.0])
 def test_battery_triple_single_is_the_plain_verdict(tol):
     for name, principal, dual in helpers.battery_corpus():
-        ctx = nu_from_delta(graph_norm(principal))
-        tp = extract_triple_point(ctx, principal, dual)
-        report = run_battery(ctx, principal, dual, tol=tol)
+        tp = extract_triple_point(principal, dual)
+        report = run_battery(principal, dual, tol=tol)
         assert report.verdicts["triple_single"] is triple_single(tp, tol), name
 
 
@@ -284,8 +282,7 @@ def test_battery_skewed_pair_fails_rotational_only():
 
 def test_battery_report_fields_consistent():
     for name, principal, dual in helpers.battery_corpus():
-        ctx = nu_from_delta(graph_norm(principal))
-        report = run_battery(ctx, principal, dual)
+        report = run_battery(principal, dual)
         assert report.r >= 1.0, name
         assert report.r == pytest.approx(report.p / report.q, rel=1e-12), name
         assert sorted(c.k for c in report.root_candidates) == list(

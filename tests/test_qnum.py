@@ -44,7 +44,19 @@ def test_delta_below_two_rejected():
     with pytest.raises(UnsupportedIndex):
         nu_from_delta(1.5)
     with pytest.raises(UnsupportedIndex):
-        QuantumContext(delta=1.9, nu=1.0)
+        QuantumContext(1.9)
+
+
+def test_context_validates_delta_directly():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidArgument, match="delta must be finite"):
+            QuantumContext(bad)
+    with pytest.raises(UnsupportedIndex, match="index < 4"):
+        QuantumContext(1.9)
+    for delta in (2.0, 2.0 + 1e-12, 2.1, math.sqrt(5.0), 2.5, 1e200):
+        ctx = QuantumContext(delta)
+        assert ctx.nu >= 1.0
+        assert ctx.nu + 1.0 / ctx.nu == pytest.approx(delta, rel=1e-15)
 
 
 def test_delta_must_be_finite():
