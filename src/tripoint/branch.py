@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DimensionSumMismatch, InvalidArgument, NoUnitaryPhase
+from .errors import DimensionSumMismatch, InvalidArgument, NoUnitaryPhase, UnsupportedIndex
 from .qnum import NUMERIC_TOL, QuantumContext
 
 Entries = tuple[tuple[complex | None, ...], ...]
@@ -64,6 +64,8 @@ def solve_phases(p: float, q: float, im_sign: int = 1) -> tuple[complex, complex
     if not 0 < q <= p < math.inf:
         raise InvalidArgument("dimensions must be finite and satisfy p >= q > 0")
     re_tau = (p * p - q * q - 1.0) / (2.0 * q)
+    if not math.isfinite(re_tau):
+        raise UnsupportedIndex(f"p^2 - q^2 overflows double precision at p = {p!r}, q = {q!r}")
     if abs(re_tau) > 1.0 + NUMERIC_TOL:
         raise NoUnitaryPhase(
             f"|Re tau| = {abs(re_tau)!r} exceeds 1: no unitary phase exists (p - q > 1)"
@@ -86,6 +88,8 @@ def build_branch_matrix(
     qn = ctx.qint(n)
     qn_plus2 = ctx.qint(n + 2)
     dn = ctx.delta * qn
+    if math.isinf(dn * qn):  # the third-row entry would come out 0 or NaN
+        raise UnsupportedIndex(f"branch matrix entries for n = {n} overflow double precision")
     entries: Entries = (
         (
             complex(1.0 / qn),
@@ -126,6 +130,8 @@ def extract_lambda(u: BranchMatrix) -> complex:
     ctx = u.ctx
     ctx.check_dimension_sum(u.n, u.p, u.q)
     lam = (u.sigma - u.tau) ** 2 * (u.p * u.q) / (ctx.qint(u.n) * ctx.qint(u.n + 2))
+    if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
+        raise UnsupportedIndex(f"lambda for n = {u.n} overflows double precision")
     # unitary phases give |lambda| = ((p+q)^2 - 1)/([n+1]^2 - 1), so a relative
     # p + q error e moves |lambda| by at most 2.25 e (n >= 2)
     if abs(abs(lam) - 1.0) > 10.0 * NUMERIC_TOL:

@@ -1,9 +1,11 @@
 """Shared builders for synthetic graph-pair fixtures.
 
-All fixtures are trees (occasionally with doubled edges) built on string
-labels and then graded by BFS distance from a chosen root.  Grading a tree
-from two different roots yields two graphs with exactly the same spectrum,
-which is how pairs with matching norms but different shapes are made.
+Fixtures are built on string labels and then graded by BFS distance from a
+chosen root.  Most are trees (occasionally with doubled edges), which the
+program solves without numpy; ``reconverging_arms`` builds graphs with a
+cycle, which take its dense solve.  Grading a tree from two different roots
+yields two graphs with exactly the same spectrum, which is how pairs with
+matching norms but different shapes are made.
 """
 
 from __future__ import annotations
@@ -81,6 +83,25 @@ def branched_tree(
                 prev = node
     if doubled_tail:
         edges.append(edges[-1])
+    return edges
+
+
+def reconverging_arms(branch_depth: int, tail: int = 1) -> list[LabeledEdge]:
+    """A string of ``branch_depth`` edges whose two arms meet again: a graph with a cycle.
+
+    The arms ``s_b - a`` and ``s_b - b`` both continue to ``c``, closing a
+    square; ``a`` also carries a leaf ``x`` and ``c`` a chain of ``tail``
+    edges.  Graded from ``s0`` the triple point sits at depth
+    ``branch_depth``; at depth 3 with tail 1 the norm is 2.362 and the
+    self-paired graph passes ``check``.
+    """
+    string = [f"s{i}" for i in range(branch_depth + 1)]
+    edges = [(string[i], string[i + 1]) for i in range(branch_depth)]
+    edges += [(string[-1], "a"), (string[-1], "b"), ("a", "c"), ("b", "c"), ("a", "x")]
+    prev = "c"
+    for i in range(tail):
+        edges.append((prev, f"t{i}"))
+        prev = f"t{i}"
     return edges
 
 

@@ -4,7 +4,7 @@ import cmath
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tripoint.branch import (
@@ -13,7 +13,13 @@ from tripoint.branch import (
     extract_lambda,
     solve_phases,
 )
-from tripoint.errors import DimensionSumMismatch, InvalidArgument, NoUnitaryPhase
+from tripoint.errors import (
+    DimensionSumMismatch,
+    InvalidArgument,
+    NoUnitaryPhase,
+    TripointError,
+    UnsupportedIndex,
+)
 from tripoint.qnum import nu_from_delta
 
 
@@ -164,6 +170,62 @@ def test_build_rejects_small_n():
     ctx = nu_from_delta(2.5)
     with pytest.raises(InvalidArgument):
         build_branch_matrix(ctx, 1, 2.0, 1.5)
+
+
+def test_phases_refuse_an_overflowing_square():
+    """p^2 - q^2 is inf - inf = NaN here, which no comparison would catch."""
+    with pytest.raises(UnsupportedIndex, match="overflows double precision"):
+        solve_phases(1e200, 1e200)
+
+
+def test_build_refuses_an_overflowing_entry():
+    """At n = 800 and delta 2.5 the third-row entry is inf / inf."""
+    with pytest.raises(UnsupportedIndex, match="entries for n = 800 overflow"):
+        build_branch_matrix(nu_from_delta(2.5), 800, 1.0, 1.0)
+
+
+def test_lambda_refuses_an_overflowing_denominator():
+    """At n = 369 and delta 3, [n][n+2] overflows while p^2 does not: lambda is inf / inf."""
+    ctx = nu_from_delta(3.0)
+    half = ctx.qint(370) / 2.0
+    matrix = build_branch_matrix(ctx, 369, half, half)
+    with pytest.raises(UnsupportedIndex, match="lambda for n = 369 overflows"):
+        extract_lambda(matrix)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    delta=st.floats(2.0, 3.0),
+    n=st.integers(2, 1200),
+    p_exp=st.floats(0.0, 300.0),
+    ratio=st.floats(0.0, 1.0),
+    admissible=st.booleans(),
+)
+@example(delta=2.5, n=512, p_exp=0.0, ratio=0.0, admissible=True)
+@example(delta=3.0, n=369, p_exp=0.0, ratio=0.0, admissible=True)
+def test_matrix_and_lambda_are_finite_or_refused(delta, n, p_exp, ratio, admissible):
+    """Whatever the inputs, every phase, entry and lambda is finite, or a TripointError says why.
+
+    Admissible draws satisfy p + q = [n+1] with p - q = ratio <= 1, so they
+    reach lambda unless something overflows first.
+    """
+    ctx = nu_from_delta(delta)
+    try:
+        if admissible:
+            p, q = pq_from_gap(ctx, n, ratio)
+        else:
+            p = 10.0 ** p_exp
+            q = max(p * ratio, 1e-300)
+        matrix = build_branch_matrix(ctx, n, p, q)
+    except TripointError:
+        return
+    known = [z for row in matrix.entries for z in row if z is not None]
+    assert all(cmath.isfinite(z) for z in (matrix.sigma, matrix.tau, *known))
+    try:
+        lam = extract_lambda(matrix)
+    except TripointError:
+        return
+    assert cmath.isfinite(lam)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import helpers
 import tripoint
+from tripoint import graph as graph_module
 from tripoint.cli import SIZE_LIMIT, main
 from tripoint.obstruct import run_battery
 from tripoint.qnum import nu_from_delta
@@ -30,6 +31,18 @@ def passing_file(tmp_path):
 def even_depth_file(tmp_path):
     principal, dual = helpers.self_paired(helpers.branched_tree(4, (), (3,)))
     path = tmp_path / "even.pair"
+    path.write_text(helpers.pair_text(principal, dual))
+    return str(path)
+
+
+@pytest.fixture
+def cycle_file(tmp_path):
+    """Two distinct graphs with a cycle and one spectrum: the arms' vertices swap indices."""
+    edges = helpers.reconverging_arms(3)
+    swapped = [tuple({"a": "b", "b": "a"}.get(x, x) for x in edge) for edge in edges]
+    principal, dual = helpers.grade_tree(edges, "s0"), helpers.grade_tree(swapped, "s0")
+    assert principal != dual
+    path = tmp_path / "cycle.pair"
     path.write_text(helpers.pair_text(principal, dual))
     return str(path)
 
@@ -171,8 +184,13 @@ def test_check_exit_contract_fuzz(tmp_path_factory, data):
 
 
 def count_solves(monkeypatch) -> dict[str, list]:
-    """Record the matrix shape of every ``eigvalsh`` (one per solve) and ``eigh`` call."""
-    calls: dict[str, list] = {"eigvalsh": [], "eigh": []}
+    """Record each tree solve (its vertex count) and ``eigvalsh`` or ``eigh`` call (its shape)."""
+    calls: dict[str, list] = {"tree": [], "eigvalsh": [], "eigh": []}
+    tree_perron = graph_module._tree_perron
+
+    def tree_solve(tree):
+        calls["tree"].append(tree.n)
+        return tree_perron(tree)
 
     def counting(name):
         real = getattr(np.linalg, name)
@@ -183,16 +201,18 @@ def count_solves(monkeypatch) -> dict[str, list]:
 
         return call
 
-    for name in calls:
+    monkeypatch.setattr(graph_module, "_tree_perron", tree_solve)
+    for name in ("eigvalsh", "eigh"):
         monkeypatch.setattr(np.linalg, name, counting(name))
     return calls
 
 
 def test_check_solves_each_graph_once(passing_file, monkeypatch):
+    principal, dual = helpers.two_rooted_pair(0)
     calls = count_solves(monkeypatch)
     assert main(["check", passing_file]) == 0
-    assert len(calls["eigvalsh"]) == 2
-    assert calls["eigh"] == []
+    sizes = [principal.vertex_count, dual.vertex_count]
+    assert calls == {"tree": sizes, "eigvalsh": [], "eigh": []}
 
 
 def test_check_solves_a_self_dual_graph_once(tmp_path, monkeypatch):
@@ -201,8 +221,25 @@ def test_check_solves_a_self_dual_graph_once(tmp_path, monkeypatch):
     path.write_text(helpers.pair_text(graph, graph))
     calls = count_solves(monkeypatch)
     assert main(["check", str(path)]) == 0
+    assert calls == {"tree": [graph.vertex_count], "eigvalsh": [], "eigh": []}
+
+
+def test_check_solves_each_graph_with_a_cycle_once_on_its_even_side(cycle_file, monkeypatch):
+    calls = count_solves(monkeypatch)
+    assert main(["check", cycle_file]) == 0
+    graph = helpers.grade_tree(helpers.reconverging_arms(3), "s0")
     even_side = sum(graph.vertex_counts[::2])
-    assert calls == {"eigvalsh": [(even_side, even_side)], "eigh": []}
+    assert calls == {"tree": [], "eigvalsh": [(even_side, even_side)] * 2, "eigh": []}
+
+
+def test_check_solves_a_self_dual_graph_with_a_cycle_once(tmp_path, monkeypatch):
+    graph = helpers.grade_tree(helpers.reconverging_arms(3), "s0")
+    path = tmp_path / "cycle_self_dual.pair"
+    path.write_text(helpers.pair_text(graph, graph))
+    calls = count_solves(monkeypatch)
+    assert main(["check", str(path)]) == 0
+    even_side = sum(graph.vertex_counts[::2])
+    assert calls == {"tree": [], "eigvalsh": [(even_side, even_side)], "eigh": []}
 
 
 def subprocess_env() -> dict:
@@ -250,49 +287,84 @@ def test_check_long_doubled_tail_prints_exact_dimensions(tmp_path, capsys):
     assert payload["q"] == pytest.approx(10 / 3, rel=1e-11)
 
 
-def test_check_solver_failure_exits_two(passing_file, monkeypatch, capsys):
+def test_check_solver_failure_exits_two(cycle_file, monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(np.linalg, "solve", fail)
+    assert main(["check", cycle_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"{cycle_file}: Perron solve failed: Singular matrix"]
+
+
+def test_check_tree_solve_at_its_pass_cap_exits_two(passing_file, monkeypatch, capsys):
+    monkeypatch.setattr(graph_module, "TREE_PASSES", 2)
     assert main(["check", passing_file]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == [f"{passing_file}: Perron solve failed: Singular matrix"]
+    assert captured.err.splitlines() == [
+        f"{passing_file}: Perron solve failed: no convergence in 2 passes"
+    ]
+
+
+def test_check_tree_vector_that_is_not_one_signed_exits_two(passing_file, monkeypatch, capsys):
+    tree_norm = graph_module._tree_norm
+    monkeypatch.setattr(graph_module, "_tree_norm", lambda tree: tree_norm(tree) / 2)
+    assert main(["check", passing_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"{passing_file}: Perron vector is not strictly positive in double precision"
+    ]
 
 
 NUMPY_PROBE = """
 import io, json, sys
 from contextlib import redirect_stdout
 
+if sys.argv[2] == "blocked":
+    sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+
 import tripoint.cli
 
 loaded = {"import tripoint.cli": "numpy" in sys.modules}
 for argv in json.loads(sys.argv[1]):
-    with redirect_stdout(io.StringIO()):
+    with redirect_stdout(io.StringIO()) as out:
         code = tripoint.cli.main(argv)
-    loaded[" ".join(argv)] = ("numpy" in sys.modules, code)
+    loaded[" ".join(argv)] = (sys.modules.get("numpy") is not None, code, out.getvalue())
 print(json.dumps(loaded))
 """
 
 
-def test_numpy_loads_only_when_a_graph_is_solved(passing_file):
+def probe_numpy(commands: list[list[str]], numpy: str = "allowed") -> dict:
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, json.dumps(commands), numpy],
+        capture_output=True, text=True, env=subprocess_env(), check=True, timeout=60,
+    )
+    return json.loads(proc.stdout)
+
+
+def test_numpy_loads_only_when_a_graph_is_solved(passing_file, cycle_file):
+    """Only a graph with a cycle loads numpy; trees and the other commands never do."""
     half = repr(nu_from_delta(2.1).qint(5) / 2.0)
     commands = [
         ["qnum", "--delta", "2.5", "--max", "8"],
         ["ratios", "--n", "4", "--index", "4.41", "--format", "json"],
         ["matrix", "--n", "4", "--delta", "2.1", "--p", half, "--q", half],
         ["check", passing_file],
+        ["check", cycle_file],
     ]
-    proc = subprocess.run(
-        [sys.executable, "-c", NUMPY_PROBE, json.dumps(commands)],
-        capture_output=True, text=True, env=subprocess_env(), check=True, timeout=60,
-    )
-    loaded = json.loads(proc.stdout)
+    loaded = probe_numpy(commands)
     assert loaded.pop("import tripoint.cli") is False
-    *plain, check = (loaded[" ".join(argv)] for argv in commands)
-    assert plain == [[False, 0]] * 3
-    assert check == [True, 0]  # the probe does see numpy once a graph is solved
+    *plain, tree_check, cycle_check = (loaded[" ".join(argv)] for argv in commands)
+    assert [entry[:2] for entry in plain] == [[False, 0]] * 3
+    assert tree_check[:2] == [False, 0]
+    assert cycle_check[:2] == [True, 0]  # the probe does see numpy once a cycle is solved
+
+    blocked = probe_numpy([["check", passing_file]], numpy="blocked")
+    assert blocked[f"check {passing_file}"] == [False, 0, tree_check[2]]
+    assert tree_check[2].startswith(f"file: {passing_file}")
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +472,50 @@ def test_matrix_infinite_dimension_is_an_input_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "finite" in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_matrix_phase_overflow_is_an_error_not_nan(fmt, capsys):
+    """p = q = [801]/2 at delta 2.5 satisfy p + q = [n+1], but p^2 - q^2 overflows to NaN."""
+    half = repr(nu_from_delta(2.5).qint(801) / 2.0)
+    argv = ["matrix", "--n", "800", "--delta", "2.5", "--p", half, "--q", half, "--format", fmt]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"p^2 - q^2 overflows double precision at p = {half}, q = {half}"
+    ]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("n, admissible", [(512, True), (800, False)])
+def test_matrix_entry_overflow_is_an_error_not_nan(n, admissible, fmt, capsys):
+    """delta [n]^2 overflows in the third-row entry.
+
+    At n = 512, with admissible p = q = [n+1]/2, that entry is finite / inf,
+    which would come out as 0 and fail the positive-gauge check for the
+    wrong reason.  At n = 800 it is inf / inf; there p = q = 1, because
+    admissible dimensions would overflow p^2 first.
+    """
+    dim = repr(nu_from_delta(2.5).qint(n + 1) / 2.0) if admissible else "1"
+    argv = ["matrix", "--n", str(n), "--delta", "2.5", "--p", dim, "--q", dim, "--format", fmt]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"branch matrix entries for n = {n} overflow double precision"
+    ]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_matrix_lambda_overflow_is_an_error_not_nan(fmt, capsys):
+    """At n = 369 and delta 3 every entry is finite, but [n][n+2] overflows in lambda."""
+    half = repr(nu_from_delta(3.0).qint(370) / 2.0)
+    argv = ["matrix", "--n", "369", "--delta", "3", "--p", half, "--q", half, "--format", fmt]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["lambda for n = 369 overflows double precision"]
 
 
 def test_matrix_rejects_inconsistent_sum(capsys):

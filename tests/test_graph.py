@@ -50,6 +50,19 @@ def eigh_perron(g: GradedBigraph) -> tuple[float, np.ndarray]:
     return float(w[-1]), vec / vec[0]
 
 
+def cycle_graphs() -> dict[GradedBigraph, str]:
+    """Graded graphs with a cycle, which take the dense solve, graded from several roots."""
+    graphs = {}
+    for branch_depth, tail in ((2, 0), (3, 1), (3, 3), (4, 2)):
+        edges = helpers.reconverging_arms(branch_depth, tail)
+        for root in ("s0", "x", "c"):
+            graphs[helpers.grade_tree(edges, root)] = f"arms{branch_depth}-tail{tail}@{root}"
+    return graphs
+
+
+CYCLE_GRAPH = helpers.grade_tree(helpers.reconverging_arms(3), "s0")
+
+
 # ---------------------------------------------------------------------------
 # parsing
 
@@ -243,6 +256,40 @@ def test_invalid_graph_constructor_edge_range():
         GradedBigraph((1, 1), ((0, 0, 5),))
 
 
+def test_tree_classifier_allows_multiple_edges_and_rejects_cycles():
+    doubled = helpers.grade_tree(helpers.branched_tree(3, (), (2,), doubled_tail=True), "p0")
+    assert doubled._tree is not None
+    assert max(m for _, _, m, _ in doubled._tree.links) == 2.0
+    assert CYCLE_GRAPH._tree is None
+    for g in cycle_graphs():
+        assert g._tree is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidate=graded_candidates())
+def test_tree_classifier_and_both_solves_agree(candidate):
+    """A graph is a tree when no vertex has two distinct neighbours one depth up.
+
+    For trees the standard-library solve must match the dense one, which is
+    the only solver for graphs with a cycle.
+    """
+    counts, edges = candidate
+    try:
+        g = GradedBigraph(counts, edges)
+    except InvalidGraph:
+        return
+    lower = {}
+    for d, u, v in edges:
+        lower.setdefault((d + 1, v), set()).add(u)
+    assert (g._tree is None) == any(len(ups) > 1 for ups in lower.values())
+    if g._tree is None or g.vertex_count == 1:
+        return
+    delta, vec = graph_module._tree_perron(g._tree)
+    dense_delta, dense_vec = graph_module._dense_perron(g)
+    assert delta == pytest.approx(dense_delta, rel=1e-14)
+    assert vec == pytest.approx(dense_vec, abs=1e-12)
+
+
 def test_round_trip_identity():
     graphs = [
         path_graph(2),
@@ -285,13 +332,20 @@ def test_norm_matches_dense_solver_on_corpus():
 
 
 def test_spectrum_matches_30_digit_mpmath_on_small_corpus():
-    """Method-independent oracle: an mpmath eigensolve at 30 digits."""
+    """Method-independent oracle: an mpmath eigensolve at 30 digits.
+
+    The corpus trees take the standard-library solve, the graphs with a
+    cycle the dense one.
+    """
     graphs = {
         g: name
         for name, principal, dual in helpers.battery_corpus()
         for g in (principal, dual)
         if g.vertex_count <= 13
     }
+    small_cycles = {g: name for g, name in cycle_graphs().items() if g.vertex_count <= 13}
+    assert len(small_cycles) >= 6
+    graphs.update(small_cycles)
     with mpmath.workdps(30):
         for g, name in graphs.items():
             w, v = mpmath.eigsy(mpmath.matrix(g.adjacency().tolist()))
@@ -365,6 +419,79 @@ def test_long_doubled_tails_give_limit_dimensions_or_refuse():
         assert tp.q == pytest.approx(10 / 3, rel=1e-12), tail
 
 
+def tree_pivot_norm(g: GradedBigraph, digits: int = 50):
+    """The norm of a tree to ``digits`` digits, by bisection on positive definiteness.
+
+    Written from the edge list alone: ``sigma I - A`` is positive definite,
+    that is sigma lies above the norm, exactly when every pivot
+    ``sigma - sum m^2 / pivot(child)`` of its elimination from the deepest
+    vertex up is positive.
+    """
+    parent, mult = {}, Counter()
+    for d, u, v in g.edges:
+        parent[(d + 1, v)] = (d, u)
+        mult[(d + 1, v)] += 1
+    order = sorted(parent, reverse=True)
+
+    def above_norm(sigma) -> bool:
+        pivot = {vertex: sigma for vertex in [(0, 0), *order]}
+        for vertex in order:
+            if pivot[vertex] <= 0:
+                return False
+            pivot[parent[vertex]] -= mult[vertex] ** 2 / pivot[vertex]
+        return pivot[(0, 0)] > 0
+
+    with mpmath.workdps(digits + 10):
+        lo, hi = (mpmath.mpf(graph_norm(g)) * (1 + k * mpmath.mpf(1e-13)) for k in (-1, 1))
+        assert above_norm(hi) and not above_norm(lo)
+        while hi - lo > mpmath.mpf(10) ** -digits:
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if above_norm(mid) else (mid, hi)
+        return hi
+
+
+def test_tree_norm_is_within_one_ulp_of_50_digit_pivot_root():
+    """Every corpus tree's norm lies within one ulp of its 50-digit value.
+
+    The dense half-size solve is off by up to 4.6 ulps on the bench corpus;
+    the tree solve's Newton iteration, stopped at a step under half an ulp,
+    stays within one, also on doubled tails whose root pivot has a pole a
+    few ulps below the norm.
+    """
+    graphs = {g for _, principal, dual in helpers.battery_corpus() for g in (principal, dual)}
+    graphs |= {path_graph(m) for m in range(2, 13)}
+    graphs |= {
+        helpers.grade_tree(helpers.branched_tree(3, (), (t,), doubled_tail=True), "p0")
+        for t in (10, 30, 50)
+    }
+    for g in graphs:
+        assert g._tree is not None
+        norm = graph_norm(g)
+        assert abs(norm - tree_pivot_norm(g)) <= math.ulp(norm), serialize_graph(g)
+
+
+def test_tree_solve_stops_at_its_pass_cap(monkeypatch):
+    monkeypatch.setattr(graph_module, "TREE_PASSES", 2)
+    g = helpers.grade_tree(helpers.branched_tree(3, (), (4,)), "p0")
+    with pytest.raises(UnsupportedIndex, match="Perron solve failed: no convergence in 2 passes"):
+        graph_norm(g)
+
+
+def test_tree_solve_refuses_a_vector_that_is_not_one_signed(monkeypatch):
+    """A shift inside the spectrum makes inverse iteration find a sign-changing vector."""
+    tree_norm = graph_module._tree_norm
+    monkeypatch.setattr(graph_module, "_tree_norm", lambda tree: tree_norm(tree) / 2)
+    g = helpers.grade_tree(helpers.branched_tree(3, (), (4,)), "p0")
+    with pytest.raises(UnsupportedIndex, match="not strictly positive"):
+        graph_norm(g)
+
+
+def test_tree_solve_refuses_a_zero_pivot(monkeypatch):
+    monkeypatch.setattr(graph_module, "_tree_norm", lambda tree: 0.0)
+    with pytest.raises(UnsupportedIndex, match="Perron solve failed: zero pivot"):
+        graph_norm(path_graph(5))
+
+
 @pytest.mark.parametrize("routine", ["eigvalsh", "solve"])
 def test_solver_linalg_error_is_unsupported_index(monkeypatch, routine):
     def fail(*args, **kwargs):
@@ -372,16 +499,15 @@ def test_solver_linalg_error_is_unsupported_index(monkeypatch, routine):
 
     monkeypatch.setattr(np.linalg, routine, fail)
     with pytest.raises(UnsupportedIndex, match="Perron solve failed: Singular matrix"):
-        graph_norm(path_graph(5))
+        graph_norm(CYCLE_GRAPH)
 
 
 def test_solver_refuses_a_vector_that_is_not_one_signed(monkeypatch):
     """A shift inside the spectrum makes inverse iteration find a sign-changing vector."""
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: eigvalsh(g) / 2)
-    g = helpers.grade_tree(helpers.branched_tree(3, (), (4,)), "p0")
     with pytest.raises(UnsupportedIndex, match="not strictly positive"):
-        graph_norm(g)
+        graph_norm(CYCLE_GRAPH)
 
 
 def test_dimension_vector_root_is_one():
