@@ -11,16 +11,14 @@ the middle coordinate of the image exposes the rotational eigenvalue lambda.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DimensionSumMismatch, InvalidArgument, NoUnitaryPhase, UnsupportedIndex
-from .qnum import NUMERIC_TOL, QuantumContext
+from .qnum import NUMERIC_TOL, Frozen, QuantumContext
 
 Entries = tuple[tuple[complex | None, ...], ...]
 
 
-@dataclass(frozen=True)
-class BranchMatrix:
+class BranchMatrix(Frozen):
     """Known entries of the branch matrix in the positive gauge.
 
     ``entries`` is row-major with ``None`` for the two entries that play no
@@ -29,6 +27,7 @@ class BranchMatrix:
     conjugates everything the matrix produces.
     """
 
+    _fields = ("n", "ctx", "p", "q", "sigma", "tau", "entries", "im_sign")
     n: int
     ctx: QuantumContext
     p: float
@@ -38,16 +37,27 @@ class BranchMatrix:
     entries: Entries
     im_sign: int
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        n: int,
+        ctx: QuantumContext,
+        p: float,
+        q: float,
+        sigma: complex,
+        tau: complex,
+        entries: Entries,
+        im_sign: int,
+    ) -> None:
         tol = NUMERIC_TOL
-        if abs(abs(self.sigma) - 1.0) > tol or abs(abs(self.tau) - 1.0) > tol:
+        if abs(abs(sigma) - 1.0) > tol or abs(abs(tau) - 1.0) > tol:
             raise InvalidArgument("sigma and tau must be unit phases")
-        if abs(1.0 + self.sigma * self.p + self.tau * self.q) > tol * (1.0 + self.p + self.q):
+        if abs(1.0 + sigma * p + tau * q) > tol * (1.0 + p + q):
             raise InvalidArgument("phases do not satisfy 1 + sigma*p + tau*q = 0")
         for i in range(3):
-            for entry in (self.entries[0][i], self.entries[i][0]):
+            for entry in (entries[0][i], entries[i][0]):
                 if entry is None or abs(entry.imag) > tol or entry.real <= 0:
                     raise InvalidArgument("first row and column must be positive reals")
+        self._freeze(n, ctx, p, q, sigma, tau, entries, im_sign)
 
 
 def solve_phases(p: float, q: float, im_sign: int = 1) -> tuple[complex, complex]:

@@ -49,8 +49,8 @@ from __future__ import annotations
 import math
 import re
 import sys
+from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from typing import TYPE_CHECKING, NamedTuple
@@ -63,7 +63,7 @@ from .errors import (
     SupertransitivityMismatch,
     UnsupportedIndex,
 )
-from .qnum import NUMERIC_TOL, QuantumContext, nu_from_delta
+from .qnum import NUMERIC_TOL, Frozen, QuantumContext, nu_from_delta
 
 if TYPE_CHECKING:
     import numpy as np
@@ -73,18 +73,20 @@ Edge = tuple[int, int, int]
 _EDGE_RE = re.compile(r"^(\d+):(\d+)-(\d+)$")
 
 
-@dataclass(frozen=True)
-class GradedBigraph:
-    """A connected graph graded by distance from a unique root vertex."""
+class GradedBigraph(Frozen):
+    """A connected graph graded by distance from a unique root vertex.
 
+    Counts and edge endpoints are stored as ints and the edges sorted, so two
+    descriptions of one graph compare and hash equal.
+    """
+
+    _fields = ("vertex_counts", "edges")
     vertex_counts: tuple[int, ...]
     edges: tuple[Edge, ...]
 
-    def __post_init__(self) -> None:
-        counts = tuple(int(c) for c in self.vertex_counts)
-        edges = tuple(sorted((int(d), int(u), int(v)) for d, u, v in self.edges))
-        object.__setattr__(self, "vertex_counts", counts)
-        object.__setattr__(self, "edges", edges)
+    def __init__(self, vertex_counts: tuple[int, ...], edges: tuple[Edge, ...]) -> None:
+        counts = tuple(int(c) for c in vertex_counts)
+        edges = tuple(sorted((int(d), int(u), int(v)) for d, u, v in edges))
         if not counts:
             raise InvalidGraph("graph must have at least one depth")
         if counts[0] != 1:
@@ -106,6 +108,7 @@ class GradedBigraph:
                         f"vertex {i} at depth {d} has no edge to depth {d - 1}"
                         " (graph not graded)"
                     )
+        self._freeze(counts, edges)
 
     @property
     def depth_count(self) -> int:
@@ -194,36 +197,31 @@ class GradedBigraph:
             raise UnsupportedIndex("Perron vector is not strictly positive in double precision")
         return delta, tuple(vec)
 
-    @cached_property
-    def _incidence(self) -> tuple[dict[tuple[int, int], dict[int, int]], Counter, Counter]:
-        """Up-multiplicities, up-degrees and down-degrees, keyed by vertex."""
-        ups: dict[tuple[int, int], dict[int, int]] = {}
-        up_degrees: Counter = Counter()
-        down_degrees: Counter = Counter()
-        for d, u, v in self.edges:
-            row = ups.setdefault((d, u), {})
-            row[v] = row.get(v, 0) + 1
-            up_degrees[(d, u)] += 1
-            down_degrees[(d + 1, v)] += 1
-        return ups, up_degrees, down_degrees
+    def _edge_range(self, depth: int, index: int) -> tuple[int, int]:
+        """Slice of the sorted ``edges`` that leave ``(depth, index)`` upwards."""
+        lo = bisect_left(self.edges, (depth, index))
+        return lo, bisect_left(self.edges, (depth, index + 1), lo)
 
     def up_multiplicities(self, depth: int, index: int) -> dict[int, int]:
         """Multiplicity of edges from ``(depth, index)`` to each depth+1 vertex."""
-        return dict(self._incidence[0].get((depth, index), {}))
+        lo, hi = self._edge_range(depth, index)
+        return dict(Counter(v for _, _, v in self.edges[lo:hi]))
 
     def down_degree(self, depth: int, index: int) -> int:
-        return self._incidence[2][(depth, index)]
+        lo = bisect_left(self.edges, (depth - 1,))
+        hi = bisect_left(self.edges, (depth,), lo)
+        return sum(v == index for _, _, v in self.edges[lo:hi])
 
     def up_degree(self, depth: int, index: int) -> int:
-        return self._incidence[1][(depth, index)]
+        lo, hi = self._edge_range(depth, index)
+        return hi - lo
 
     def valence(self, depth: int, index: int) -> int:
         """Number of incident edges, counted with multiplicity."""
         return self.down_degree(depth, index) + self.up_degree(depth, index)
 
 
-@dataclass(frozen=True)
-class TriplePointData:
+class TriplePointData(Frozen):
     """Branch data consumed by the obstruction battery.
 
     ``ctx`` evaluates quantum integers at the pair's delta, the norm of its
@@ -234,6 +232,9 @@ class TriplePointData:
     ordering is conventional.
     """
 
+    _fields = (
+        "ctx", "n", "p", "q", "dual_dims", "gamma3_univalent", "gamma2_trivalent", "dim_tie"
+    )
     ctx: QuantumContext
     n: int
     p: float
@@ -241,14 +242,25 @@ class TriplePointData:
     dual_dims: tuple[float, float]
     gamma3_univalent: bool
     gamma2_trivalent: bool
-    dim_tie: bool = False
+    dim_tie: bool
 
-    def __post_init__(self) -> None:
-        if not (self.q > 0 and self.p >= self.q):
+    def __init__(
+        self,
+        ctx: QuantumContext,
+        n: int,
+        p: float,
+        q: float,
+        dual_dims: tuple[float, float],
+        gamma3_univalent: bool,
+        gamma2_trivalent: bool,
+        dim_tie: bool = False,
+    ) -> None:
+        if not (q > 0 and p >= q):
             raise InvalidGraph("branch dimensions must satisfy p >= q > 0")
-        g2, g3 = self.dual_dims
+        g2, g3 = dual_dims
         if not (g3 > 0 and g2 >= g3):
             raise InvalidGraph("dual branch dimensions must be positive and ordered")
+        self._freeze(ctx, n, p, q, dual_dims, gamma3_univalent, gamma2_trivalent, dim_tie)
 
     @property
     def branch_depth_odd(self) -> bool:

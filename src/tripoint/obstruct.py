@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .branch import build_branch_matrix, extract_lambda
@@ -44,8 +43,7 @@ class RatioRow(NamedTuple):
     q: float
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     n: int
     delta: float
     p: float

@@ -8,7 +8,6 @@ built from its principal graph's norm by ``graph.extract_triple_point``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DimensionSumMismatch, InvalidArgument, UnsupportedIndex
 
@@ -18,8 +17,46 @@ from .errors import DimensionSumMismatch, InvalidArgument, UnsupportedIndex
 NUMERIC_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class QuantumContext:
+class Frozen:
+    """Base of the package's immutable values, in place of a frozen dataclass.
+
+    A subclass lists its fields in ``_fields`` and its ``__init__`` validates
+    them and then sets them, in that order, with ``_freeze``.  From then on
+    assigning or deleting an attribute raises ``AttributeError``, and
+    equality, hashing and ``repr`` go by the fields.  ``functools.
+    cached_property`` still works, since it writes the instance dict directly.
+    ``dataclasses`` is not used: importing it loads ``inspect`` and ``ast``,
+    which take longer than importing the whole CLI without them.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _freeze(self, *values: object) -> None:
+        vars(self).update(zip(self._fields, values, strict=True))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class QuantumContext(Frozen):
     """Evaluation context for quantum integers.
 
     ``delta`` is the value [2], so the index is delta squared; it must be
@@ -27,15 +64,17 @@ class QuantumContext:
     checks use ``NUMERIC_TOL``.
     """
 
+    _fields = ("delta",)
     delta: float
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.delta):
+    def __init__(self, delta: float) -> None:
+        if not math.isfinite(delta):
             raise InvalidArgument("delta must be finite")
-        if self.delta < 2:
+        if delta < 2:
             raise UnsupportedIndex(
-                f"delta = {self.delta} < 2 means index < 4, outside the supported regime"
+                f"delta = {delta} < 2 means index < 4, outside the supported regime"
             )
+        self._freeze(delta)
 
     @property
     def nu(self) -> float:

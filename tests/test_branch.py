@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tripoint.branch import (
+    BranchMatrix,
     apply_to_perp_vector,
     build_branch_matrix,
     extract_lambda,
@@ -158,6 +159,43 @@ def test_matrix_matches_display_formulas():
     assert u.entries[2][0] == pytest.approx(math.sqrt(qn1 * qn2 / (dn * qn)), rel=1e-12)
     assert u.entries[1][1] == pytest.approx(u.sigma * math.sqrt(p / dn), rel=1e-12)
     assert u.entries[1][2] == pytest.approx(u.tau * math.sqrt(q / dn), rel=1e-12)
+
+
+def negate_entry(entries, row, col):
+    rows = [list(r) for r in entries]
+    rows[row][col] = -rows[row][col]
+    return tuple(tuple(r) for r in rows)
+
+
+@pytest.mark.parametrize(
+    "field, change, message",
+    [
+        ("sigma", lambda z: 2 * z, "sigma and tau must be unit phases"),
+        ("tau", lambda z: z / 2, "sigma and tau must be unit phases"),
+        ("tau", lambda z: z.conjugate(), "phases do not satisfy 1 + sigma*p + tau*q = 0"),
+        ("p", lambda p: p + 0.5, "phases do not satisfy 1 + sigma*p + tau*q = 0"),
+        ("entries", lambda e: negate_entry(e, 0, 2), "first row and column must be positive reals"),
+        ("entries", lambda e: negate_entry(e, 2, 0), "first row and column must be positive reals"),
+        (
+            "entries",
+            lambda e: ((e[0][0], None, e[0][2]), *e[1:]),
+            "first row and column must be positive reals",
+        ),
+    ],
+)
+def test_branch_matrix_checks_its_fields(field, change, message):
+    ctx = nu_from_delta(2.2)
+    p, q = pq_from_gap(ctx, 6, 0.8)
+    u = build_branch_matrix(ctx, 6, p, q)
+    fields = {
+        name: getattr(u, name)
+        for name in ("n", "ctx", "p", "q", "sigma", "tau", "entries", "im_sign")
+    }
+    assert BranchMatrix(**fields) == u
+    fields[field] = change(fields[field])
+    with pytest.raises(InvalidArgument) as excinfo:
+        BranchMatrix(**fields)
+    assert str(excinfo.value) == message
 
 
 def test_build_propagates_no_unitary_phase():

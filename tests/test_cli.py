@@ -367,6 +367,35 @@ def test_numpy_loads_only_when_a_graph_is_solved(passing_file, cycle_file):
     assert tree_check[2].startswith(f"file: {passing_file}")
 
 
+START_UP_PROBE = """
+import sys
+
+before = set(sys.modules)
+import tripoint.cli
+
+imported = set(sys.modules) - before
+code = tripoint.cli.main(["check", sys.argv[1]])
+checked = set(sys.modules) - before
+import json
+
+print(json.dumps({"import": sorted(imported), "check": sorted(checked), "code": code}))
+"""
+
+
+def test_start_up_loads_no_dataclasses_machinery(passing_file):
+    """Neither the import of the CLI nor a tree check loads dataclasses or what it pulls in."""
+    proc = subprocess.run(
+        [sys.executable, "-c", START_UP_PROBE, passing_file],
+        capture_output=True, text=True, env=subprocess_env(), check=True, timeout=60,
+    )
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded["code"] == 0
+    assert "tripoint.cli" in loaded["import"]  # the probe does see what the import loads
+    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    assert heavy.intersection(loaded["import"]) == set()
+    assert heavy.intersection(loaded["check"]) == set()
+
+
 # ---------------------------------------------------------------------------
 # ratios
 

@@ -23,6 +23,7 @@ from tripoint.errors import (
 )
 from tripoint.graph import (
     GradedBigraph,
+    TriplePointData,
     dimension_vector,
     extract_triple_point,
     graph_norm,
@@ -254,6 +255,20 @@ def test_lookups_match_edge_scans(candidate):
 def test_invalid_graph_constructor_edge_range():
     with pytest.raises(InvalidGraph, match="out-of-range"):
         GradedBigraph((1, 1), ((0, 0, 5),))
+
+
+def test_equal_graphs_hash_equal_whatever_their_edge_order():
+    edges = ((0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (3, 0, 1))
+    g = GradedBigraph((1, 1, 1, 1, 2), edges)
+    shuffled = GradedBigraph(
+        np.array([1, 1, 1, 1, 2]), [tuple(np.int64(x) for x in e) for e in reversed(edges)]
+    )
+    assert g.edges == shuffled.edges == edges
+    assert all(type(x) is int for x in shuffled.vertex_counts + sum(shuffled.edges, ()))
+    assert g == shuffled
+    assert hash(g) == hash(shuffled)
+    assert len({g, shuffled}) == 1
+    assert g != GradedBigraph((1, 1, 1, 1, 2), edges + ((3, 0, 1),))
 
 
 def test_tree_classifier_allows_multiple_edges_and_rejects_cycles():
@@ -663,6 +678,30 @@ def test_extract_dimension_tie_flagged():
     tp = extract_triple_point(principal, dual)
     assert tp.dim_tie
     assert tp.p == pytest.approx(tp.q, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "p, q, dual_dims, message",
+    [
+        (1.0, 2.0, (2.0, 1.0), "branch dimensions must satisfy p >= q > 0"),
+        (2.0, 0.0, (2.0, 1.0), "branch dimensions must satisfy p >= q > 0"),
+        (2.0, -1.0, (2.0, 1.0), "branch dimensions must satisfy p >= q > 0"),
+        (2.0, 1.0, (1.0, 2.0), "dual branch dimensions must be positive and ordered"),
+        (2.0, 1.0, (2.0, 0.0), "dual branch dimensions must be positive and ordered"),
+    ],
+)
+def test_triple_point_data_checks_its_dimensions(p, q, dual_dims, message):
+    ctx = nu_from_delta(2.5)
+    with pytest.raises(InvalidGraph) as excinfo:
+        TriplePointData(ctx, 4, p, q, dual_dims, True, False)
+    assert str(excinfo.value) == message
+
+
+def test_triple_point_data_ties_default_to_false():
+    ctx = nu_from_delta(2.5)
+    tp = TriplePointData(ctx, 4, 2.0, 1.0, (2.0, 1.0), True, False)
+    assert tp.dim_tie is False
+    assert TriplePointData(ctx, 4, 2.0, 1.0, (2.0, 1.0), True, False, dim_tie=True).dim_tie
 
 
 def test_extract_norm_mismatch():

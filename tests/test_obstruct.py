@@ -23,6 +23,36 @@ from tripoint.obstruct import (
 from tripoint.qnum import nu_from_delta
 
 
+@pytest.mark.parametrize(
+    "kind, field",
+    [
+        ("QuantumContext", "delta"),
+        ("GradedBigraph", "edges"),
+        ("TriplePointData", "p"),
+        ("BranchMatrix", "sigma"),
+        ("ObstructionReport", "verdicts"),
+    ],
+)
+def test_values_refuse_assignment_and_deletion(kind, field):
+    principal, dual = helpers.two_rooted_pair(0)
+    tp = extract_triple_point(principal, dual)
+    value = {
+        "QuantumContext": tp.ctx,
+        "GradedBigraph": principal,
+        "TriplePointData": tp,
+        "BranchMatrix": build_branch_matrix(tp.ctx, tp.n, tp.p, tp.q),
+        "ObstructionReport": run_battery(principal, dual),
+    }[kind]
+    assert type(value).__name__ == kind
+    before = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, before)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    assert getattr(value, field) is before
+    assert repr(value).startswith(f"{kind}(")
+
+
 def make_tp(ctx, n, gap, univalent=True, trivalent=False):
     """Synthetic triple-point data with p + q = [n+1] and p - q = gap."""
     total = ctx.qint(n + 1)
