@@ -6,6 +6,8 @@ unknown phases sigma and tau.  In the canonical gauge (positive first row and
 column) the matrix acts on the coefficient vector (0, sqrt(q), -sqrt(p)) of
 the one-dimensional complement of the trivial part of the n-box space, and
 the middle coordinate of the image exposes the rotational eigenvalue lambda.
+Im(tau) is taken >= 0: the other root conjugates lambda and leaves
+lambda + 1/lambda, the only value the battery reads, unchanged.
 """
 
 from __future__ import annotations
@@ -23,11 +25,9 @@ class BranchMatrix(Frozen):
 
     ``entries`` is row-major with ``None`` for the two entries that play no
     role; the first row and column are real and strictly positive.
-    ``im_sign`` records the chosen sign of Im(tau); the opposite choice
-    conjugates everything the matrix produces.
     """
 
-    _fields = ("n", "ctx", "p", "q", "sigma", "tau", "entries", "im_sign")
+    _fields = ("n", "ctx", "p", "q", "sigma", "tau", "entries")
     n: int
     ctx: QuantumContext
     p: float
@@ -35,7 +35,6 @@ class BranchMatrix(Frozen):
     sigma: complex
     tau: complex
     entries: Entries
-    im_sign: int
 
     def __init__(
         self,
@@ -46,7 +45,6 @@ class BranchMatrix(Frozen):
         sigma: complex,
         tau: complex,
         entries: Entries,
-        im_sign: int,
     ) -> None:
         tol = NUMERIC_TOL
         if abs(abs(sigma) - 1.0) > tol or abs(abs(tau) - 1.0) > tol:
@@ -57,10 +55,10 @@ class BranchMatrix(Frozen):
             for entry in (entries[0][i], entries[i][0]):
                 if entry is None or abs(entry.imag) > tol or entry.real <= 0:
                     raise InvalidArgument("first row and column must be positive reals")
-        self._freeze(n, ctx, p, q, sigma, tau, entries, im_sign)
+        self._freeze(n, ctx, p, q, sigma, tau, entries)
 
 
-def solve_phases(p: float, q: float, im_sign: int = 1) -> tuple[complex, complex]:
+def solve_phases(p: float, q: float) -> tuple[complex, complex]:
     """Solve 1 + sigma*p + tau*q = 0 for unit phases sigma and tau.
 
     Unitarity forces Re(tau) = (p^2 - q^2 - 1)/(2q); the phase exists exactly
@@ -69,8 +67,6 @@ def solve_phases(p: float, q: float, im_sign: int = 1) -> tuple[complex, complex
     +-1, so rounding-level undershoot would otherwise smear the meaningful
     boundary case p - q = 1 into a spurious imaginary part of order 1e-7.
     """
-    if im_sign not in (1, -1):
-        raise InvalidArgument("im_sign must be +1 or -1")
     if not 0 < q <= p < math.inf:
         raise InvalidArgument("dimensions must be finite and satisfy p >= q > 0")
     re_tau = (p * p - q * q - 1.0) / (2.0 * q)
@@ -82,18 +78,16 @@ def solve_phases(p: float, q: float, im_sign: int = 1) -> tuple[complex, complex
         )
     if abs(re_tau) > 1.0 - NUMERIC_TOL:
         re_tau = math.copysign(1.0, re_tau)
-    tau = complex(re_tau, im_sign * math.sqrt(1.0 - re_tau * re_tau))
+    tau = complex(re_tau, math.sqrt(1.0 - re_tau * re_tau))
     sigma = -(1.0 + tau * q) / p
     return sigma, tau
 
 
-def build_branch_matrix(
-    ctx: QuantumContext, n: int, p: float, q: float, im_sign: int = 1
-) -> BranchMatrix:
+def build_branch_matrix(ctx: QuantumContext, n: int, p: float, q: float) -> BranchMatrix:
     """Populate the seven known entries of the branch matrix."""
     if n < 2:
         raise InvalidArgument(f"n = {n} must be >= 2")
-    sigma, tau = solve_phases(p, q, im_sign)
+    sigma, tau = solve_phases(p, q)
     qn_minus = ctx.qint(n - 1)
     qn = ctx.qint(n)
     qn_plus2 = ctx.qint(n + 2)
@@ -113,9 +107,7 @@ def build_branch_matrix(
         ),
         (complex(math.sqrt(qn_minus * qn_plus2 / (dn * qn))), None, None),
     )
-    return BranchMatrix(
-        n=n, ctx=ctx, p=p, q=q, sigma=sigma, tau=tau, entries=entries, im_sign=im_sign
-    )
+    return BranchMatrix(n=n, ctx=ctx, p=p, q=q, sigma=sigma, tau=tau, entries=entries)
 
 
 def apply_to_perp_vector(u: BranchMatrix) -> tuple[complex, complex, None]:

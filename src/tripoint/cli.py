@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 all applicable tests pass, 1 some obstruction fails, 2 on
-usage or input errors.
+usage or input errors.  ``main`` turns a ``TripointError`` into one stderr
+line and exit 2; only ``check``, which reports each file, catches its own.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .branch import build_branch_matrix, extract_lambda
-from .errors import NoUnitaryPhase, TripointError
+from .errors import InvalidArgument, NoUnitaryPhase, TripointError
 from .graph import parse_pair
 from .obstruct import DEFAULT_TRACE_TOL, ObstructionReport, allowed_ratios, run_battery
 from .qnum import NUMERIC_TOL, nu_from_delta
@@ -142,34 +143,25 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 1 if had_failure else 0
 
 
-def _exceeds_limit(flag: str, value: int) -> bool:
-    """Report on stderr, and return True, when ``value`` is above ``SIZE_LIMIT``."""
-    if value <= SIZE_LIMIT:
-        return False
-    print(f"{flag} {value} exceeds the limit of {SIZE_LIMIT}", file=sys.stderr)
-    return True
+def _check_limit(flag: str, value: int) -> None:
+    """Raise ``InvalidArgument`` when ``value`` is above ``SIZE_LIMIT``."""
+    if value > SIZE_LIMIT:
+        raise InvalidArgument(f"{flag} {value} exceeds the limit of {SIZE_LIMIT}")
 
 
 # ---------------------------------------------------------------------------
 # ratios
 
 def _cmd_ratios(args: argparse.Namespace) -> int:
-    if _exceeds_limit("--n", args.n):
-        return 2
+    _check_limit("--n", args.n)
     if args.delta is not None:
         delta = args.delta
     else:
         if args.index < 4:
-            print(f"index = {args.index} must be >= 4", file=sys.stderr)
-            return 2
+            raise InvalidArgument(f"index = {args.index} must be >= 4")
         delta = math.sqrt(args.index)
-    try:
-        ctx = nu_from_delta(delta)
-        rows = allowed_ratios(ctx, args.n)
-    except TripointError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-
+    ctx = nu_from_delta(delta)
+    rows = allowed_ratios(ctx, args.n)
     if args.format == "json":
         print(_json({"n": args.n, "delta": ctx.delta, "rows": [r._asdict() for r in rows]}))
     else:
@@ -187,19 +179,14 @@ def _cmd_ratios(args: argparse.Namespace) -> int:
 # matrix
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
-    if _exceeds_limit("--n", args.n):
-        return 2
+    _check_limit("--n", args.n)
+    ctx = nu_from_delta(args.delta)
     try:
-        ctx = nu_from_delta(args.delta)
         matrix = build_branch_matrix(ctx, args.n, args.p, args.q)
-        lam = extract_lambda(matrix)
     except NoUnitaryPhase:
         print("no unitary phase: p - q > 1")
         return 1
-    except TripointError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-
+    lam = extract_lambda(matrix)
     trace = 2.0 * lam.real
     if args.format == "json":
         payload = {
@@ -240,14 +227,9 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 # qnum
 
 def _cmd_qnum(args: argparse.Namespace) -> int:
-    if _exceeds_limit("--max", args.max_k):
-        return 2
-    try:
-        ctx = nu_from_delta(args.delta)
-        values = ctx.qints(args.max_k)
-    except TripointError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    _check_limit("--max", args.max_k)
+    ctx = nu_from_delta(args.delta)
+    values = ctx.qints(args.max_k)
     if args.format == "json":
         print(_json({"delta": ctx.delta, "values": values}))
     else:
@@ -266,7 +248,11 @@ def main(argv: list[str] | None = None) -> int:
         "matrix": _cmd_matrix,
         "qnum": _cmd_qnum,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except TripointError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

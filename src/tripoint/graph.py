@@ -36,6 +36,9 @@ double-precision resolution; a graph whose dimensions grow past that raises
 The norm of a pair's principal graph is the pair's delta.  Extraction builds
 the quantum context from it and stores it with the triple-point data, so no
 caller supplies delta and every test of the pair reads the same one.
+Extraction reads only the facts the obstructions use: the norms, the initial
+string, the branch vertices' edges and two depth-n dimensions per graph,
+root-normalized straight from the cached Perron vector.
 
 A self-dual pair file, whose two sections describe the same graph, yields one
 graph object for both sections, so it is parsed and solved once.  numpy is
@@ -50,7 +53,6 @@ import math
 import re
 import sys
 from bisect import bisect_left
-from collections import Counter
 from functools import cached_property
 from itertools import accumulate
 from typing import TYPE_CHECKING, NamedTuple
@@ -205,7 +207,8 @@ class GradedBigraph(Frozen):
     def up_multiplicities(self, depth: int, index: int) -> dict[int, int]:
         """Multiplicity of edges from ``(depth, index)`` to each depth+1 vertex."""
         lo, hi = self._edge_range(depth, index)
-        return dict(Counter(v for _, _, v in self.edges[lo:hi]))
+        targets = [v for _, _, v in self.edges[lo:hi]]
+        return {v: targets.count(v) for v in targets}
 
     def down_degree(self, depth: int, index: int) -> int:
         lo = bisect_left(self.edges, (depth - 1,))
@@ -289,7 +292,7 @@ def _take_key(lines: list[tuple[int, str]], key: str) -> tuple[int, list[str]]:
     return lineno, text[len(key) + 1 :].split()
 
 
-def _parse_block(lines: list[tuple[int, str]]) -> GradedBigraph:
+def _parse_block_exact(lines: list[tuple[int, str]]) -> GradedBigraph:
     lineno, tokens = _take_key(lines, "depths")
     if len(tokens) != 1 or not tokens[0].isdigit() or int(tokens[0]) < 1:
         raise ParseError("'depths:' needs a single positive integer", lineno)
@@ -319,11 +322,7 @@ def _parse_block(lines: list[tuple[int, str]]) -> GradedBigraph:
         if u >= counts[d] or v >= counts[d + 1]:
             raise ParseError(f"edge {token!r}: vertex index out of range", lineno)
         edges.append((d, u, v))
-    return GradedBigraph(counts, tuple(edges))
-
-
-def _parse_block_exact(lines: list[tuple[int, str]]) -> GradedBigraph:
-    graph = _parse_block(lines)
+    graph = GradedBigraph(counts, tuple(edges))
     if lines:
         raise ParseError(f"unexpected content {lines[0][1]!r}", lines[0][0])
     return graph
@@ -538,8 +537,8 @@ def graph_norm(g: GradedBigraph) -> float:
     return g._perron[0]
 
 
-def dimension_vector(g: GradedBigraph) -> dict[tuple[int, int], float]:
-    """Perron-Frobenius dimensions, vertex ``(depth, index)`` -> value, root normalized to 1."""
+def _dimensions(g: GradedBigraph, first: int, stop: int) -> list[float]:
+    """Root-normalized Perron entries of the vertices ``first..stop-1``, in flat order."""
     vec = g._perron[1]
     root = vec[0]
     if not root > sys.float_info.epsilon * max(vec):
@@ -547,8 +546,13 @@ def dimension_vector(g: GradedBigraph) -> dict[tuple[int, int], float]:
             "root-normalized dimensions exceed double precision"
             " (the root entry of the Perron vector is below its resolution)"
         )
+    return [x / root for x in vec[first:stop]]
+
+
+def dimension_vector(g: GradedBigraph) -> dict[tuple[int, int], float]:
+    """Dimensions of every vertex, ``(depth, index)`` -> value, root normalized to 1."""
     vertices = [(d, i) for d, count in enumerate(g.vertex_counts) for i in range(count)]
-    return dict(zip(vertices, [x / root for x in vec]))
+    return dict(zip(vertices, _dimensions(g, 0, g.vertex_count)))
 
 
 def supertransitivity(g: GradedBigraph) -> tuple[int, bool]:
@@ -557,15 +561,11 @@ def supertransitivity(g: GradedBigraph) -> tuple[int, bool]:
     Returns the largest ``s`` such that depths 0..s form a simple path with
     single edges.  ``has_branch`` is true when some vertex at depth s has two
     or more continuations into depth s+1 (counting multiplicity), i.e. the
-    graph is not just a path.
+    graph is not just a path.  Each string vertex is alone at its depth, so
+    its up-degree is its level's edge count.
     """
-    level_multiplicity = Counter(d for d, _, _ in g.edges)
     s = 0
-    while (
-        s + 1 < g.depth_count
-        and g.vertex_counts[s + 1] == 1
-        and level_multiplicity[s] == 1
-    ):
+    while s + 1 < g.depth_count and g.vertex_counts[s + 1] == 1 and g.up_degree(s, 0) == 1:
         s += 1
     return s, s + 1 < g.depth_count
 
@@ -583,9 +583,10 @@ def _require_simple_triple_point(g: GradedBigraph, n: int, label: str) -> None:
 
 
 def _ordered_depth_n(
-    dims: dict[tuple[int, int], float], n: int
+    g: GradedBigraph, n: int
 ) -> tuple[tuple[float, float], tuple[int, int], bool]:
-    d0, d1 = dims[(n, 0)], dims[(n, 1)]
+    first = g.vertex_offset(n)
+    d0, d1 = _dimensions(g, first, first + 2)
     tie = abs(d0 - d1) <= NUMERIC_TOL * max(1.0, d0, d1)
     if d1 > d0:
         return (d1, d0), (1, 0), tie
@@ -600,11 +601,12 @@ def extract_triple_point(principal: GradedBigraph, dual: GradedBigraph) -> Tripl
     share their supertransitivity, and each must branch into a simple triple
     point (three single edges: one down, two up).  Larger-dimension vertices
     come first in the (p, q) and dual orderings; exact ties keep the input
-    index order and are flagged.
+    index order and are flagged.  Each graph is solved once, however often
+    it is passed, and only its two depth-n dimensions are root-normalized.
     """
     norm_p = graph_norm(principal)
     ctx = nu_from_delta(norm_p)
-    norm_d = norm_p if dual is principal else graph_norm(dual)
+    norm_d = graph_norm(dual)
     if abs(norm_p - norm_d) > NUMERIC_TOL:
         raise NormMismatch(f"graph norms differ: {norm_p!r} vs {norm_d!r}")
     s_p, branch_p = supertransitivity(principal)
@@ -617,10 +619,8 @@ def extract_triple_point(principal: GradedBigraph, dual: GradedBigraph) -> Tripl
     _require_simple_triple_point(principal, n, "principal")
     _require_simple_triple_point(dual, n, "dual")
 
-    dims_p = dimension_vector(principal)
-    dims_d = dims_p if dual is principal else dimension_vector(dual)
-    (p, q), _, tie = _ordered_depth_n(dims_p, n)
-    (g2, g3), (idx2, idx3), _ = _ordered_depth_n(dims_d, n)
+    (p, q), _, tie = _ordered_depth_n(principal, n)
+    (g2, g3), (idx2, idx3), _ = _ordered_depth_n(dual, n)
     ctx.check_dimension_sum(n, p, q)
     return TriplePointData(
         ctx=ctx,

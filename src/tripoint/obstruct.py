@@ -189,7 +189,7 @@ def run_battery(
     rotational, trace, candidates = rotational_test(tp, tol)
     verdicts["rotational"] = rotational
 
-    if tp.gamma3_univalent and tp.branch_depth_odd:
+    if rotational is not Verdict.INAPPLICABLE:
         try:
             matrix = build_branch_matrix(tp.ctx, tp.n, tp.p, tp.q)
         except NoUnitaryPhase:

@@ -76,8 +76,6 @@ def test_no_unitary_phase_for_wide_gap():
 def test_solve_phases_argument_checks():
     with pytest.raises(InvalidArgument):
         solve_phases(1.0, 2.0)  # p < q
-    with pytest.raises(InvalidArgument):
-        solve_phases(2.0, 1.0, im_sign=0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -189,7 +187,7 @@ def test_branch_matrix_checks_its_fields(field, change, message):
     u = build_branch_matrix(ctx, 6, p, q)
     fields = {
         name: getattr(u, name)
-        for name in ("n", "ctx", "p", "q", "sigma", "tau", "entries", "im_sign")
+        for name in ("n", "ctx", "p", "q", "sigma", "tau", "entries")
     }
     assert BranchMatrix(**fields) == u
     fields[field] = change(fields[field])
@@ -335,22 +333,6 @@ def test_lambda_is_unimodular_and_trace_matches():
             assert abs(abs(lam) - 1.0) <= 1e-10
             expected_trace = gap * gap * ctx.qint(n) * ctx.qint(n + 2) / (p * q) - 2.0
             assert 2.0 * lam.real == pytest.approx(expected_trace, abs=1e-8)
-
-
-def test_flipping_im_sign_conjugates_lambda():
-    ctx = nu_from_delta(2.3)
-    p, q = pq_from_gap(ctx, 6, 0.7)
-    lam_plus = extract_lambda(build_branch_matrix(ctx, 6, p, q, im_sign=1))
-    lam_minus = extract_lambda(build_branch_matrix(ctx, 6, p, q, im_sign=-1))
-    assert lam_minus == pytest.approx(lam_plus.conjugate(), abs=1e-12)
-    # invariants of the root-of-unity test do not see the flip
-    assert abs(lam_plus - 1.0) == pytest.approx(abs(lam_minus - 1.0), abs=1e-12)
-    n = 6
-    for k in range(n // 2 + 1):
-        root = cmath.exp(2j * math.pi * k / n)
-        d_plus = min(abs(lam_plus - root), abs(lam_plus - root.conjugate()))
-        d_minus = min(abs(lam_minus - root), abs(lam_minus - root.conjugate()))
-        assert d_plus == pytest.approx(d_minus, abs=1e-12)
 
 
 def test_lambda_requires_dimension_sum():

@@ -250,6 +250,11 @@ def test_lookups_match_edge_scans(candidate):
             assert g.valence(d, i) == up + down
             ups = Counter(v for dd, u, v in edges if dd == d and u == i)
             assert g.up_multiplicities(d, i) == dict(ups)
+    level_edges = Counter(d for d, _, _ in edges)
+    s = 0
+    while s + 1 < len(counts) and counts[s + 1] == 1 and level_edges[s] == 1:
+        s += 1
+    assert supertransitivity(g) == (s, s + 1 < len(counts))
 
 
 def test_invalid_graph_constructor_edge_range():
@@ -413,6 +418,27 @@ def test_branch_dimensions_match_50_digit_inverse_iteration(tail):
         for i in range(g.vertex_counts[d]):
             expected = float(exact[g.vertex_offset(d) + i])
             assert dims[(d, i)] == pytest.approx(expected, rel=1e-12), (tail, d, i)
+
+
+@pytest.mark.parametrize("tail", [10, 20, 30])
+def test_dense_solve_matches_50_digit_inverse_iteration_everywhere(tail):
+    """A graph with a cycle and its Perron vector far from the root: every entry to 1e-12.
+
+    Eight leaves on the last tail vertex put the largest dimension at 7.5e5
+    (tail 10) to 2.1e14 (tail 30), so the root entry is that much smaller
+    than the largest.  These graphs take the dense half-size solve, whose
+    inverse-iteration steps must keep every entry, the root's included, to
+    a few ulps relative.
+    """
+    edges = helpers.reconverging_arms(3, tail) + [(f"t{tail - 1}", f"leaf{i}") for i in range(8)]
+    g = helpers.grade_tree(edges, "s0")
+    assert g._tree is None
+    exact = mpmath_perron(g)
+    dims = dimension_vector(g)
+    got = [dims[(d, i)] for d in range(g.depth_count) for i in range(g.vertex_counts[d])]
+    assert max(got) > 7e5
+    for k, value in enumerate(got):
+        assert value == pytest.approx(float(exact[k]), rel=1e-12), (tail, k)
 
 
 def test_long_doubled_tails_give_limit_dimensions_or_refuse():
@@ -625,16 +651,20 @@ def test_extract_clamps_a_norm_just_below_two(monkeypatch):
 
 
 def test_extract_reads_a_self_dual_graph_once(monkeypatch):
+    """One solve for a graph passed as both sides, and no dimension dictionary."""
     principal, dual = helpers.self_paired(helpers.branched_tree(3, (), (4,)))
-    calls = []
+    solves = []
+    tree_perron = graph_module._tree_perron
+    monkeypatch.setattr(
+        graph_module, "_tree_perron", lambda tree: solves.append(tree) or tree_perron(tree)
+    )
 
-    def counting(g):
-        calls.append(g)
-        return dimension_vector(g)
+    def refuse(g):
+        raise AssertionError("extraction built the dimension dictionary")
 
-    monkeypatch.setattr(graph_module, "dimension_vector", counting)
+    monkeypatch.setattr(graph_module, "dimension_vector", refuse)
     tp = extract_triple_point(principal, dual)
-    assert calls == [principal]
+    assert len(solves) == 1
     assert tp.dual_dims == (tp.p, tp.q)
 
 
