@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-from pathlib import Path
 
 from .branch import build_branch_matrix, extract_lambda
 from .errors import InvalidArgument, NoUnitaryPhase, TripointError
@@ -102,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
 # check
 
 def _check_one(path: str, tol: float) -> ObstructionReport:
-    principal, dual = parse_pair(Path(path).read_text(encoding="utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        principal, dual = parse_pair(fh.read())
     return run_battery(principal, dual, tol=tol)
 
 

@@ -40,11 +40,13 @@ Extraction reads only the facts the obstructions use: the norms, the initial
 string, the branch vertices' edges and two depth-n dimensions per graph,
 root-normalized straight from the cached Perron vector.
 
-A self-dual pair file, whose two sections describe the same graph, yields one
-graph object for both sections, so it is parsed and solved once.  numpy is
-imported only when a graph with a cycle is first solved (or an adjacency
-matrix is built), so importing this module, parsing, checking a pair of
-trees and the non-spectral commands never load it.
+The parser reads each ``edges:`` line whole and converts and range-checks
+each edge once; the graph then indexes its vertices in one pass over the
+sorted edges.  A self-dual pair file, whose two sections describe the same
+graph, yields one graph object for both sections, so it is parsed and solved
+once.  numpy is imported only when a graph with a cycle is first solved, so
+importing this module, parsing, checking a pair of trees and the
+non-spectral commands never load it.
 """
 
 from __future__ import annotations
@@ -52,10 +54,11 @@ from __future__ import annotations
 import math
 import re
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from functools import cached_property
 from itertools import accumulate
-from typing import TYPE_CHECKING, NamedTuple
+from operator import add
+from typing import NamedTuple
 
 from .errors import (
     InvalidGraph,
@@ -67,19 +70,20 @@ from .errors import (
 )
 from .qnum import NUMERIC_TOL, Frozen, QuantumContext, nu_from_delta
 
-if TYPE_CHECKING:
-    import numpy as np
-
 Edge = tuple[int, int, int]
 
-_EDGE_RE = re.compile(r"^(\d+):(\d+)-(\d+)$")
+#: The well-formed ``d:u-v`` tokens that start a line, each ended by blanks or the line end.
+_EDGES_RE = re.compile(r"(?:\s*\d+:\d+-\d+(?!\S))*\s*")
 
 
 class GradedBigraph(Frozen):
     """A connected graph graded by distance from a unique root vertex.
 
     Counts and edge endpoints are stored as ints and the edges sorted, so two
-    descriptions of one graph compare and hash equal.
+    descriptions of one graph compare and hash equal.  One pass over the sorted
+    edges lists, per vertex in flat order, its first neighbour one depth up (-2
+    once it has two) and its edges down and up: the graded check, the tree links
+    and every degree lookup read those lists, and none of them bisects.
     """
 
     _fields = ("vertex_counts", "edges")
@@ -89,28 +93,47 @@ class GradedBigraph(Frozen):
     def __init__(self, vertex_counts: tuple[int, ...], edges: tuple[Edge, ...]) -> None:
         counts = tuple(int(c) for c in vertex_counts)
         edges = tuple(sorted((int(d), int(u), int(v)) for d, u, v in edges))
+        self._index(counts, edges, unchecked=edges)
+
+    @classmethod
+    def _parsed(cls, counts: tuple[int, ...], edges: tuple[Edge, ...]) -> GradedBigraph:
+        """A graph from the parser, which has converted, range-checked and sorted the edges."""
+        graph = cls.__new__(cls)
+        graph._index(counts, edges)
+        return graph
+
+    def _index(self, counts: tuple[int, ...], edges: tuple[Edge, ...], unchecked=()) -> None:
+        """Check the counts and the ``unchecked`` edges, then index the graph in one pass."""
         if not counts:
             raise InvalidGraph("graph must have at least one depth")
         if counts[0] != 1:
             raise InvalidGraph("exactly one vertex at depth 0 required")
         if any(c < 1 for c in counts):
             raise InvalidGraph("every depth must have at least one vertex")
-        for d, u, v in edges:
+        for d, u, v in unchecked:
             if not 0 <= d < len(counts) - 1:
                 raise InvalidGraph(f"edge {d}:{u}-{v} does not connect consecutive depths")
             if not (0 <= u < counts[d] and 0 <= v < counts[d + 1]):
                 raise InvalidGraph(f"edge {d}:{u}-{v} has an out-of-range vertex index")
+        offsets = tuple(accumulate(counts, initial=0))
+        parent, down, up = [-1] * offsets[-1], [0] * offsets[-1], [0] * offsets[-1]
+        for d, u, v in edges:
+            above, child = offsets[d] + u, offsets[d + 1] + v
+            if parent[child] != above:
+                parent[child] = above if parent[child] == -1 else -2
+            down[child] += 1
+            up[above] += 1
         # Depth equals distance from the root, so every deeper vertex needs a
         # downward edge; together with the unique root this forces connectivity.
-        covered = {(d + 1, v) for d, _, v in edges}
-        for d in range(1, len(counts)):
-            for i in range(counts[d]):
-                if (d, i) not in covered:
-                    raise InvalidGraph(
-                        f"vertex {i} at depth {d} has no edge to depth {d - 1}"
-                        " (graph not graded)"
-                    )
+        if down.count(0) > 1:  # the root is the one vertex with no edge down
+            vertex = down.index(0, 1)
+            d = bisect_right(offsets, vertex) - 1
+            raise InvalidGraph(
+                f"vertex {vertex - offsets[d]} at depth {d} has no edge to depth {d - 1}"
+                " (graph not graded)"
+            )
         self._freeze(counts, edges)
+        vars(self).update(_offsets=offsets, _parent=parent, _down=down, _up=up)
 
     @property
     def depth_count(self) -> int:
@@ -120,24 +143,8 @@ class GradedBigraph(Frozen):
     def vertex_count(self) -> int:
         return self._offsets[-1]
 
-    @cached_property
-    def _offsets(self) -> tuple[int, ...]:
-        """Index of the first vertex of each depth, then the vertex count."""
-        return tuple(accumulate(self.vertex_counts, initial=0))
-
     def vertex_offset(self, depth: int) -> int:
         return self._offsets[depth]
-
-    def adjacency(self) -> np.ndarray:
-        """Symmetric adjacency matrix; entries count edge multiplicity."""
-        import numpy as np
-
-        offsets = self._offsets
-        rows = np.array([offsets[d] + u for d, u, _ in self.edges], dtype=np.intp)
-        cols = np.array([offsets[d + 1] + v for d, _, v in self.edges], dtype=np.intp)
-        upper = np.zeros((self.vertex_count, self.vertex_count))
-        np.add.at(upper, (rows, cols), 1.0)
-        return upper + upper.T
 
     @cached_property
     def _tree(self) -> Tree | None:
@@ -145,7 +152,8 @@ class GradedBigraph(Frozen):
 
         The graph is a tree when every non-root vertex has exactly one
         distinct neighbour one depth up, whatever the multiplicity of its
-        edges to it.  The elimination root is the deepest vertex of largest
+        edges to it; its link to that neighbour then has weight equal to its
+        down-degree.  The elimination root is the deepest vertex of largest
         weighted degree: a branch vertex or a multiple edge, far from depth
         0, where the Perron vector of a candidate graph tends to be large.
         There the root pivot keeps its zero well away from the poles that
@@ -154,20 +162,11 @@ class GradedBigraph(Frozen):
         tenth on long doubled tails.  Re-rooting reverses only the path from
         that vertex down to depth 0.
         """
-        offsets = self._offsets
+        parent, mult = self._parent, self._down
+        if -2 in parent:
+            return None
         n = self.vertex_count
-        parent = [-1] * n
-        mult = [0.0] * n
-        degree = [0.0] * n
-        for d, u, v in self.edges:
-            child, up = offsets[d + 1] + v, offsets[d] + u
-            if parent[child] != up:
-                if parent[child] >= 0:
-                    return None
-                parent[child] = up
-            mult[child] += 1.0
-            degree[child] += 1.0
-            degree[up] += 1.0
+        degree = list(map(add, mult, self._up))
         path = [n - 1 - degree[::-1].index(max(degree))]
         while path[-1]:
             path.append(parent[path[-1]])
@@ -199,25 +198,17 @@ class GradedBigraph(Frozen):
             raise UnsupportedIndex("Perron vector is not strictly positive in double precision")
         return delta, tuple(vec)
 
-    def _edge_range(self, depth: int, index: int) -> tuple[int, int]:
-        """Slice of the sorted ``edges`` that leave ``(depth, index)`` upwards."""
-        lo = bisect_left(self.edges, (depth, index))
-        return lo, bisect_left(self.edges, (depth, index + 1), lo)
-
     def up_multiplicities(self, depth: int, index: int) -> dict[int, int]:
         """Multiplicity of edges from ``(depth, index)`` to each depth+1 vertex."""
-        lo, hi = self._edge_range(depth, index)
-        targets = [v for _, _, v in self.edges[lo:hi]]
+        lo = bisect_left(self.edges, (depth, index))
+        targets = [v for _, _, v in self.edges[lo : lo + self.up_degree(depth, index)]]
         return {v: targets.count(v) for v in targets}
 
     def down_degree(self, depth: int, index: int) -> int:
-        lo = bisect_left(self.edges, (depth - 1,))
-        hi = bisect_left(self.edges, (depth,), lo)
-        return sum(v == index for _, _, v in self.edges[lo:hi])
+        return self._down[self._offsets[depth] + index]
 
     def up_degree(self, depth: int, index: int) -> int:
-        lo, hi = self._edge_range(depth, index)
-        return hi - lo
+        return self._up[self._offsets[depth] + index]
 
     def valence(self, depth: int, index: int) -> int:
         """Number of incident edges, counted with multiplicity."""
@@ -283,22 +274,24 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def _take_key(lines: list[tuple[int, str]], key: str) -> tuple[int, list[str]]:
+def _take_key(lines: list[tuple[int, str]], key: str) -> tuple[int, str]:
     if not lines:
         raise ParseError(f"missing '{key}:' line")
     lineno, text = lines.pop(0)
     if not text.startswith(key + ":"):
         raise ParseError(f"expected '{key}:' line, got {text!r}", lineno)
-    return lineno, text[len(key) + 1 :].split()
+    return lineno, text[len(key) + 1 :]
 
 
 def _parse_block_exact(lines: list[tuple[int, str]]) -> GradedBigraph:
-    lineno, tokens = _take_key(lines, "depths")
+    lineno, text = _take_key(lines, "depths")
+    tokens = text.split()
     if len(tokens) != 1 or not tokens[0].isdigit() or int(tokens[0]) < 1:
         raise ParseError("'depths:' needs a single positive integer", lineno)
     depth_count = int(tokens[0])
 
-    lineno, tokens = _take_key(lines, "counts")
+    lineno, text = _take_key(lines, "counts")
+    tokens = text.split()
     if len(tokens) != depth_count:
         raise ParseError(
             f"'counts:' needs exactly {depth_count} entries, got {len(tokens)}", lineno
@@ -308,21 +301,25 @@ def _parse_block_exact(lines: list[tuple[int, str]]) -> GradedBigraph:
     except ValueError:
         raise ParseError("'counts:' entries must be integers", lineno) from None
 
-    lineno, tokens = _take_key(lines, "edges")
-    edges = []
-    for token in tokens:
-        m = _EDGE_RE.match(token)
-        if m is None:
-            raise ParseError(f"bad edge token {token!r} (expected d:u-v)", lineno)
-        d, u, v = (int(g) for g in m.groups())
+    # The line is read whole, up to its first malformed token, so the first
+    # bad token in line order is the one reported, malformed or out of range.
+    lineno, text = _take_key(lines, "edges")
+    good = text[: _EDGES_RE.match(text).end()]
+    numbers = list(map(int, good.replace(":", " ").replace("-", " ").split()))
+    edges = list(zip(numbers[::3], numbers[1::3], numbers[2::3]))
+    for d, u, v in edges:
         if d >= depth_count - 1:
-            raise ParseError(
-                f"edge {token!r}: depth {d} out of range for {depth_count} depths", lineno
-            )
-        if u >= counts[d] or v >= counts[d + 1]:
-            raise ParseError(f"edge {token!r}: vertex index out of range", lineno)
-        edges.append((d, u, v))
-    graph = GradedBigraph(counts, tuple(edges))
+            problem = f"depth {d} out of range for {depth_count} depths"
+        elif u >= counts[d] or v >= counts[d + 1]:
+            problem = "vertex index out of range"
+        else:
+            continue
+        token = good.split()[edges.index((d, u, v))]
+        raise ParseError(f"edge {token!r}: {problem}", lineno)
+    if len(good) < len(text):
+        token = text[len(good) :].split()[0]
+        raise ParseError(f"bad edge token {token!r} (expected d:u-v)", lineno)
+    graph = GradedBigraph._parsed(counts, tuple(sorted(edges)))
     if lines:
         raise ParseError(f"unexpected content {lines[0][1]!r}", lines[0][0])
     return graph
@@ -390,8 +387,8 @@ class Tree(NamedTuple):
 
     n: int
     root: int
-    links: tuple[tuple[int, int, float, float], ...]
-    degree: list[float]
+    links: tuple[tuple[int, int, int, int], ...]
+    degree: list[int]
 
 
 def _tree_norm(tree: Tree) -> float:
@@ -562,7 +559,7 @@ def supertransitivity(g: GradedBigraph) -> tuple[int, bool]:
     single edges.  ``has_branch`` is true when some vertex at depth s has two
     or more continuations into depth s+1 (counting multiplicity), i.e. the
     graph is not just a path.  Each string vertex is alone at its depth, so
-    its up-degree is its level's edge count.
+    its up-degree, an O(1) lookup, is its level's edge count.
     """
     s = 0
     while s + 1 < g.depth_count and g.vertex_counts[s + 1] == 1 and g.up_degree(s, 0) == 1:

@@ -180,13 +180,15 @@ def run_battery(
     lambda is also recovered through the branch matrix and checked against
     the trace formula at the fixed ``DEFAULT_TRACE_TOL``.  Without a phase
     (p - q > 1) the check is skipped: that fact is the triple-single test's,
-    judged at ``tol``.
+    judged at ``tol``.  The trace is computed once: the quadratic-tangles
+    verdict is the rotational one wherever gamma2 is 3-valent, as in
+    :func:`qt_test`, since the rotational test already needs a 1-valent gamma3.
     """
     tp = extract_triple_point(principal, dual)
     verdicts = {"ocneanu_parity": ocneanu_parity(tp.n - 1)}
     verdicts["triple_single"] = triple_single(tp, tol)
-    verdicts["quadratic_tangles"] = qt_test(tp, tol)
     rotational, trace, candidates = rotational_test(tp, tol)
+    verdicts["quadratic_tangles"] = rotational if tp.gamma2_trivalent else Verdict.INAPPLICABLE
     verdicts["rotational"] = rotational
 
     if rotational is not Verdict.INAPPLICABLE:

@@ -5,13 +5,19 @@ chosen root.  Most are trees (occasionally with doubled edges), which the
 program solves without numpy; ``reconverging_arms`` builds graphs with a
 cycle, which take its dense solve.  Grading a tree from two different roots
 yields two graphs with exactly the same spectrum, which is how pairs with
-matching norms but different shapes are made.
+matching norms but different shapes are made.  ``adjacency`` and
+``reference_parse_graph`` are oracles for the program's own graph index and
+parser.
 """
 
 from __future__ import annotations
 
+import re
 from collections import deque
 
+import numpy as np
+
+from tripoint.errors import ParseError
 from tripoint.graph import GradedBigraph, serialize_pair
 
 LabeledEdge = tuple[str, str]
@@ -173,3 +179,70 @@ def battery_corpus() -> list[tuple[str, GradedBigraph, GradedBigraph]]:
     pairs.append(("two-rooted-symmetric", *two_rooted_pair(0)))
     pairs.append(("two-rooted-skewed", *two_rooted_pair(1)))
     return pairs
+
+
+def adjacency(g: GradedBigraph) -> np.ndarray:
+    """Symmetric adjacency matrix in flat ``(depth, index)`` order; entries count edge multiplicity."""
+    offsets = [sum(g.vertex_counts[:d]) for d in range(g.depth_count)]
+    a = np.zeros((g.vertex_count, g.vertex_count))
+    for d, u, v in g.edges:
+        i, j = offsets[d] + u, offsets[d + 1] + v
+        a[i, j] += 1.0
+        a[j, i] += 1.0
+    return a
+
+
+_REFERENCE_EDGE_RE = re.compile(r"^(\d+):(\d+)-(\d+)$")
+
+
+def reference_parse_graph(text: str) -> GradedBigraph:
+    """A single graph block read token by token, as the parser did before it read lines whole.
+
+    Each edge token is matched, converted and range-checked in line order,
+    then the constructor checks everything again.
+    """
+    lines = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if stripped and not stripped.startswith("#"):
+            lines.append((lineno, stripped))
+
+    def take_key(key):
+        if not lines:
+            raise ParseError(f"missing '{key}:' line")
+        lineno, line = lines.pop(0)
+        if not line.startswith(key + ":"):
+            raise ParseError(f"expected '{key}:' line, got {line!r}", lineno)
+        return lineno, line[len(key) + 1 :].split()
+
+    lineno, tokens = take_key("depths")
+    if len(tokens) != 1 or not tokens[0].isdigit() or int(tokens[0]) < 1:
+        raise ParseError("'depths:' needs a single positive integer", lineno)
+    depth_count = int(tokens[0])
+    lineno, tokens = take_key("counts")
+    if len(tokens) != depth_count:
+        raise ParseError(
+            f"'counts:' needs exactly {depth_count} entries, got {len(tokens)}", lineno
+        )
+    try:
+        counts = tuple(int(t) for t in tokens)
+    except ValueError:
+        raise ParseError("'counts:' entries must be integers", lineno) from None
+    lineno, tokens = take_key("edges")
+    edges = []
+    for token in tokens:
+        m = _REFERENCE_EDGE_RE.match(token)
+        if m is None:
+            raise ParseError(f"bad edge token {token!r} (expected d:u-v)", lineno)
+        d, u, v = (int(g) for g in m.groups())
+        if d >= depth_count - 1:
+            raise ParseError(
+                f"edge {token!r}: depth {d} out of range for {depth_count} depths", lineno
+            )
+        if u >= counts[d] or v >= counts[d + 1]:
+            raise ParseError(f"edge {token!r}: vertex index out of range", lineno)
+        edges.append((d, u, v))
+    graph = GradedBigraph(counts, tuple(edges))
+    if lines:
+        raise ParseError(f"unexpected content {lines[0][1]!r}", lines[0][0])
+    return graph

@@ -233,7 +233,7 @@ def _oracle_verdicts(principal, dual, tol=1e-6) -> dict[str, str]:
     """Straight-line evaluation: dense eigensolver plus closed-form identities."""
 
     def perron(g):
-        w, v = np.linalg.eigh(g.adjacency())
+        w, v = np.linalg.eigh(helpers.adjacency(g))
         vec = np.abs(v[:, -1])
         return float(w[-1]), vec / vec[0]
 

@@ -1,5 +1,6 @@
 """Command line interface: exit codes, output formats, round-trips."""
 
+import errno
 import json
 import os
 import subprocess
@@ -85,15 +86,25 @@ def test_check_malformed_file_exits_two(malformed_file, capsys):
 
 
 def test_check_missing_file_exits_two(tmp_path, capsys):
-    assert main(["check", str(tmp_path / "nope.pair")]) == 2
-    assert capsys.readouterr().err
+    path = str(tmp_path / "nope.pair")
+    assert main(["check", path]) == 2
+    expected = f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {path!r}"
+    assert capsys.readouterr().err == f"{path}: {expected}\n"
+
+
+def test_check_directory_exits_two(tmp_path, capsys):
+    path = str(tmp_path)
+    assert main(["check", path]) == 2
+    expected = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {path!r}"
+    assert capsys.readouterr().err == f"{path}: {expected}\n"
 
 
 def test_check_non_utf8_file_exits_two(tmp_path, capsys):
     path = tmp_path / "binary.pair"
     path.write_bytes(b"\xff\xfe[principal]\n")
     assert main(["check", str(path)]) == 2
-    assert capsys.readouterr().err
+    expected = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    assert capsys.readouterr().err == f"{path}: {expected}\n"
 
 
 def test_check_error_wins_over_failure(even_depth_file, malformed_file):

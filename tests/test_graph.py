@@ -46,7 +46,7 @@ def path_graph(vertices: int) -> GradedBigraph:
 
 def eigh_perron(g: GradedBigraph) -> tuple[float, np.ndarray]:
     """Spectral oracle via a dense eigensolve of the full adjacency matrix."""
-    w, v = np.linalg.eigh(g.adjacency())
+    w, v = np.linalg.eigh(helpers.adjacency(g))
     vec = np.abs(v[:, -1])
     return float(w[-1]), vec / vec[0]
 
@@ -213,9 +213,20 @@ def graded_candidates(draw):
     return tuple(counts), draw(st.permutations(edges))
 
 
+def block_text(counts, edges, counts_line=None, tokens=None, blank=""):
+    """A graph block with the edge tokens in the given order, ``blank`` before each key."""
+    counts_line = " ".join(map(str, counts)) if counts_line is None else counts_line
+    tokens = [f"{d}:{u}-{v}" for d, u, v in edges] if tokens is None else tokens
+    return (
+        f"{blank}depths: {len(counts)}\n{blank}counts: {counts_line}\n"
+        f"{blank}edges: {' '.join(tokens)}\n"
+    )
+
+
 @settings(max_examples=300, deadline=None)
 @given(candidate=graded_candidates())
 def test_lookups_match_edge_scans(candidate):
+    """Every lookup agrees with a scan of the edge list, whether the graph is built or parsed."""
     counts, edges = candidate
     # straight-line definitions, scanning the whole edge list each time
     not_graded = None
@@ -227,34 +238,138 @@ def test_lookups_match_edge_scans(candidate):
             )
             break
     if not_graded is not None:
-        with pytest.raises(InvalidGraph) as excinfo:
-            GradedBigraph(counts, edges)
-        assert str(excinfo.value) == not_graded
+        text = block_text(counts, edges)
+        for build in (lambda: GradedBigraph(counts, edges), lambda: parse_graph(text)):
+            with pytest.raises(InvalidGraph) as excinfo:
+                build()
+            assert str(excinfo.value) == not_graded
         return
 
-    g = GradedBigraph(counts, edges)
-    for depth in range(len(counts) + 1):
-        assert g.vertex_offset(depth) == sum(counts[:depth])
-    expected = np.zeros((sum(counts), sum(counts)))
-    for d, u, v in edges:
-        i, j = sum(counts[:d]) + u, sum(counts[: d + 1]) + v
-        expected[i, j] += 1.0
-        expected[j, i] += 1.0
-    assert np.array_equal(g.adjacency(), expected)
-    for d, count in enumerate(counts):
-        for i in range(count):
-            up = sum(1 for dd, u, _ in edges if dd == d and u == i)
-            down = sum(1 for dd, _, v in edges if dd == d - 1 and v == i)
-            assert g.up_degree(d, i) == up
-            assert g.down_degree(d, i) == down
-            assert g.valence(d, i) == up + down
-            ups = Counter(v for dd, u, v in edges if dd == d and u == i)
-            assert g.up_multiplicities(d, i) == dict(ups)
+    offsets = [sum(counts[:depth]) for depth in range(len(counts) + 1)]
+    flat = Counter((offsets[d] + u, offsets[d + 1] + v) for d, u, v in edges)
+    degree = [0] * offsets[-1]
+    uppers = [set() for _ in degree]
+    for (a, b), m in flat.items():
+        degree[a] += m
+        degree[b] += m
+        uppers[b].add(a)
+    expected = np.zeros((offsets[-1], offsets[-1]))
+    for (a, b), m in flat.items():
+        expected[a, b] = expected[b, a] = m
     level_edges = Counter(d for d, _, _ in edges)
     s = 0
     while s + 1 < len(counts) and counts[s + 1] == 1 and level_edges[s] == 1:
         s += 1
-    assert supertransitivity(g) == (s, s + 1 < len(counts))
+
+    built = GradedBigraph(counts, edges)
+    parsed = parse_graph(block_text(counts, edges))
+    assert parsed == built
+    for g in (built, parsed):
+        for depth in range(len(counts) + 1):
+            assert g.vertex_offset(depth) == offsets[depth]
+        assert np.array_equal(helpers.adjacency(g), expected)
+        for d, count in enumerate(counts):
+            for i in range(count):
+                up = sum(1 for dd, u, _ in edges if dd == d and u == i)
+                down = sum(1 for dd, _, v in edges if dd == d - 1 and v == i)
+                assert g.up_degree(d, i) == up
+                assert g.down_degree(d, i) == down
+                assert g.valence(d, i) == up + down
+                ups = Counter(v for dd, u, v in edges if dd == d and u == i)
+                assert g.up_multiplicities(d, i) == dict(ups)
+        assert supertransitivity(g) == (s, s + 1 < len(counts))
+
+        tree = g._tree
+        if any(len(above) > 1 for above in uppers):
+            assert tree is None
+            continue
+        # a tree: its links are the edges, each once with its multiplicity, listed
+        # after every link from below, from the deepest vertex of largest degree
+        assert tree.n == offsets[-1]
+        assert tree.degree == degree
+        assert tree.root == max(range(tree.n), key=lambda x: (degree[x], x))
+        assert {frozenset((v, p)): (m, w) for v, p, m, w in tree.links} == {
+            frozenset(pair): (m, m * m) for pair, m in flat.items()
+        }
+        order = [v for v, _, _, _ in tree.links] + [tree.root]
+        assert all(order.index(v) < order.index(p) for v, p, _, _ in tree.links)
+
+
+MALFORMED_TOKENS = [
+    "0:0->0", "0:0", "x", "0:0-0:1", "1-0:0", ":0-0", "0:-0", "0:0-", "0:0-0-0", "+1:0-0",
+    "0:0-0x", "0:0-0,", "0: 0-0", "-1:0-0",
+]
+#: Well-formed tokens the old and new parsers must read alike: leading zeros, Arabic-Indic digits.
+ODD_TOKENS = ["00:0-0", "0:00-000", "\u0660:\u0660-\u0660"]
+
+
+def outcome(parse, text):
+    """What parsing ``text`` gives: the graph, or the error's type, message and line."""
+    try:
+        return parse(text)
+    except TripointError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+@st.composite
+def corrupted_blocks(draw):
+    """A serialized candidate with up to two single-token corruptions of its counts or edges."""
+    counts, edges = draw(graded_candidates())
+    counts_line = [str(c) for c in counts]
+    tokens = [f"{d}:{u}-{v}" for d, u, v in edges]
+    kinds = ["malformed", "odd", "depth", "index", "counts-length", "count-value"]
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=2)):
+        if kind == "counts-length":
+            if len(counts_line) > 1 and draw(st.booleans()):
+                counts_line.pop(draw(st.integers(0, len(counts_line) - 1)))
+            else:
+                counts_line.insert(draw(st.integers(0, len(counts_line))), "1")
+            continue
+        if kind == "count-value":
+            counts_line[draw(st.integers(0, len(counts_line) - 1))] = draw(
+                st.sampled_from(["0", "2", "-1"])
+            )
+            continue
+        if kind == "malformed":
+            token = draw(st.sampled_from(MALFORMED_TOKENS))
+        elif kind == "odd":
+            token = draw(st.sampled_from(ODD_TOKENS))
+        elif kind == "depth" or len(counts) == 1:
+            token = f"{len(counts) - 1 + draw(st.integers(0, 2))}:0-0"
+        else:
+            d = draw(st.integers(0, len(counts) - 2))
+            token = draw(st.sampled_from([f"{d}:{counts[d]}-0", f"{d}:0-{counts[d + 1]}"]))
+        tokens.insert(draw(st.integers(0, len(tokens))), token)
+    blank = draw(st.sampled_from(["", "# a comment\n", "\n  \n"]))
+    return block_text(counts, edges, " ".join(counts_line), tokens, blank)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=corrupted_blocks())
+def test_parser_matches_token_by_token_reference(text):
+    """The line-at-once parser gives the old parser's graph, or its error type, message and line."""
+    expected = outcome(helpers.reference_parse_graph, text)
+    assert outcome(parse_graph, text) == expected
+    if isinstance(expected, GradedBigraph):
+        assert parse_graph(serialize_graph(expected)) == expected
+
+
+@pytest.mark.parametrize(
+    "tokens, message",
+    [
+        ("0:0-0 1:5-0 0:0->0", "line 3: edge '1:5-0': vertex index out of range"),
+        ("0:0-0 0:0->0 1:5-0", "line 3: bad edge token '0:0->0' (expected d:u-v)"),
+        ("0:0-0 7:0-0 x", "line 3: edge '7:0-0': depth 7 out of range for 3 depths"),
+        ("x 7:0-0 0:0-0", "line 3: bad edge token 'x' (expected d:u-v)"),
+    ],
+    ids=["range-then-malformed", "malformed-then-range", "depth-then-malformed", "malformed-first"],
+)
+def test_first_bad_edge_token_in_line_order_wins(tokens, message):
+    text = f"depths: 3\ncounts: 1 1 1\nedges: {tokens}"
+    with pytest.raises(ParseError) as excinfo:
+        parse_graph(text)
+    assert str(excinfo.value) == message
+    assert outcome(helpers.reference_parse_graph, text) == (ParseError, message, 3)
 
 
 def test_invalid_graph_constructor_edge_range():
@@ -368,7 +483,7 @@ def test_spectrum_matches_30_digit_mpmath_on_small_corpus():
     graphs.update(small_cycles)
     with mpmath.workdps(30):
         for g, name in graphs.items():
-            w, v = mpmath.eigsy(mpmath.matrix(g.adjacency().tolist()))
+            w, v = mpmath.eigsy(mpmath.matrix(helpers.adjacency(g).tolist()))
             top = g.vertex_count - 1
             norm = graph_norm(g)
             assert abs(norm - w[top]) <= 1e-12, name
@@ -387,7 +502,7 @@ def mpmath_perron(g: GradedBigraph, digits: int = 50) -> list:
     the Perron vector whatever the start.
     """
     with mpmath.workdps(digits):
-        a = mpmath.matrix(g.adjacency().tolist())
+        a = mpmath.matrix(helpers.adjacency(g).tolist())
         eye = mpmath.eye(g.vertex_count)
         mu = mpmath.mpf(graph_norm(g))
         x = mpmath.matrix([1] * g.vertex_count)
@@ -582,7 +697,7 @@ def test_dimension_vector_satisfies_eigen_relation_everywhere():
         for g in (principal, dual):
             delta = graph_norm(g)
             dims = dimension_vector(g)
-            a = g.adjacency()
+            a = helpers.adjacency(g)
             vec = np.array(
                 [dims[(d, i)] for d in range(g.depth_count) for i in range(g.vertex_counts[d])]
             )

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from tripoint import obstruct
 from tripoint.branch import build_branch_matrix, extract_lambda
 from tripoint.cli import main
 from tripoint.errors import InvalidArgument, LambdaMismatch
@@ -301,6 +302,25 @@ def test_battery_triple_single_is_the_plain_verdict(tol):
         tp = extract_triple_point(principal, dual)
         report = run_battery(principal, dual, tol=tol)
         assert report.verdicts["triple_single"] is triple_single(tp, tol), name
+
+
+@pytest.mark.parametrize("tol", [1e-6, 0.5, 1.0])
+def test_battery_computes_the_trace_once(monkeypatch, tol):
+    """The quadratic-tangles verdict comes from the rotational one, not a second trace."""
+    calls = []
+    trace_and_candidates = obstruct._trace_and_candidates
+    monkeypatch.setattr(
+        obstruct, "_trace_and_candidates", lambda tp: calls.append(tp) or trace_and_candidates(tp)
+    )
+    applicable = 0
+    for name, principal, dual in helpers.battery_corpus():
+        calls.clear()
+        report = run_battery(principal, dual, tol=tol)
+        assert len(calls) == 1, name
+        tp = extract_triple_point(principal, dual)
+        assert report.verdicts["quadratic_tangles"] is qt_test(tp, tol), name
+        applicable += report.verdicts["quadratic_tangles"] is not Verdict.INAPPLICABLE
+    assert applicable >= 4
 
 
 def test_battery_skewed_pair_fails_rotational_only():
