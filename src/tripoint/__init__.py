@@ -1,9 +1,9 @@
 """Triple point obstruction checks for candidate subfactor principal graph pairs.
 
 The package computes quantum integers from an index parameter, Perron-
-Frobenius dimensions of depth-graded candidate graphs, the branch matrix at
-an initial triple point, the rotational eigenvalue it exposes, and the
-battery of obstruction tests built from those pieces.
+Frobenius dimensions of depth-graded candidate graphs, the battery of
+obstruction tests at an initial triple point, and the branch matrix there
+with the rotational eigenvalue it exposes.
 """
 
 from . import errors

@@ -24,19 +24,14 @@ from .qnum import NUMERIC_TOL, nu_from_delta
 SIZE_LIMIT = 10_000
 
 
-def _json(payload: dict) -> str:
-    """JSON text of ``payload`` with every float rounded to 12 significant digits."""
+#: The one JSON encoder of the process.  It refuses NaN and infinities, so
+#: none reaches the output; each command rounds its own floats with ``_num``.
+_encode = json.JSONEncoder(allow_nan=False).encode
 
-    def rounded(value):
-        if isinstance(value, float):
-            return float(f"{value:.12g}")
-        if isinstance(value, dict):
-            return {key: rounded(item) for key, item in value.items()}
-        if isinstance(value, (list, tuple)):
-            return [rounded(item) for item in value]
-        return value
 
-    return json.dumps(rounded(payload), allow_nan=False)
+def _num(x: float) -> float:
+    """``x`` rounded to the 12 significant digits that the text output prints."""
+    return float(f"{x:.12g}")
 
 
 def _fmt(x: float) -> str:
@@ -48,7 +43,7 @@ def _fmt_complex(z: complex) -> str:
 
 
 def _complex_dict(z: complex) -> dict:
-    return {"re": z.real, "im": z.imag}
+    return {"re": _num(z.real), "im": _num(z.imag)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,9 +96,26 @@ def build_parser() -> argparse.ArgumentParser:
 # check
 
 def _check_one(path: str, tol: float) -> ObstructionReport:
-    with open(path, encoding="utf-8") as fh:
-        principal, dual = parse_pair(fh.read())
+    with open(path, "rb") as fh:
+        principal, dual = parse_pair(fh.read().decode())
     return run_battery(principal, dual, tol=tol)
+
+
+def _render_report_json(path: str, report: ObstructionReport) -> str:
+    return _encode({
+        "file": path,
+        "n": report.n,
+        "delta": _num(report.delta),
+        "p": _num(report.p),
+        "q": _num(report.q),
+        "r": _num(report.r),
+        "lambda_trace": _num(report.lambda_trace),
+        "verdicts": {name: v.value for name, v in report.verdicts.items()},
+        "root_candidates": [
+            {"k": c.k, "distance": _num(c.distance)} for c in report.root_candidates
+        ],
+        "tol": _num(report.tol),
+    })
 
 
 def _render_report_text(path: str, report: ObstructionReport) -> str:
@@ -135,7 +147,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             continue
         had_failure = had_failure or report.has_failure
         if args.format == "json":
-            print(_json({"file": path, **report.as_dict()}))
+            print(_render_report_json(path, report))
         else:
             print(_render_report_text(path, report))
     if had_error:
@@ -163,7 +175,8 @@ def _cmd_ratios(args: argparse.Namespace) -> int:
     ctx = nu_from_delta(delta)
     rows = allowed_ratios(ctx, args.n)
     if args.format == "json":
-        print(_json({"n": args.n, "delta": ctx.delta, "rows": [r._asdict() for r in rows]}))
+        table = [dict(zip(row._fields, (row.k, *map(_num, row[1:])))) for row in rows]
+        print(_encode({"n": args.n, "delta": _num(ctx.delta), "rows": table}))
     else:
         print(f"admissible ratios for n = {args.n}, delta = {_fmt(ctx.delta)}")
         print(f"{'k':>3}  {'lambda_trace':>18}  {'r':>18}  {'p':>18}  {'q':>18}  {'p-q':>18}")
@@ -191,9 +204,9 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     if args.format == "json":
         payload = {
             "n": args.n,
-            "delta": ctx.delta,
-            "p": args.p,
-            "q": args.q,
+            "delta": _num(ctx.delta),
+            "p": _num(args.p),
+            "q": _num(args.q),
             "entries": [
                 [None if z is None else _complex_dict(z) for z in row]
                 for row in matrix.entries
@@ -201,9 +214,9 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
             "sigma": _complex_dict(matrix.sigma),
             "tau": _complex_dict(matrix.tau),
             "lambda": _complex_dict(lam),
-            "lambda_trace": trace,
+            "lambda_trace": _num(trace),
         }
-        print(_json(payload))
+        print(_encode(payload))
     else:
         print(
             f"branch matrix for n = {args.n}, delta = {_fmt(ctx.delta)},"
@@ -231,7 +244,7 @@ def _cmd_qnum(args: argparse.Namespace) -> int:
     ctx = nu_from_delta(args.delta)
     values = ctx.qints(args.max_k)
     if args.format == "json":
-        print(_json({"delta": ctx.delta, "values": values}))
+        print(_encode({"delta": _num(ctx.delta), "values": list(map(_num, values))}))
     else:
         print(" ".join(_fmt(v) for v in values))
     return 0

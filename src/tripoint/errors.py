@@ -46,6 +46,3 @@ class NoUnitaryPhase(TripointError):
 class DimensionSumMismatch(TripointError):
     """p + q differs from [n+1], so the rotational eigenvalue is undefined."""
 
-
-class LambdaMismatch(TripointError):
-    """The branch-matrix lambda disagrees with the trace formula."""

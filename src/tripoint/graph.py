@@ -54,7 +54,6 @@ from __future__ import annotations
 import math
 import re
 import sys
-from bisect import bisect_left, bisect_right
 from functools import cached_property
 from itertools import accumulate
 from operator import add
@@ -108,7 +107,7 @@ class GradedBigraph(Frozen):
             raise InvalidGraph("graph must have at least one depth")
         if counts[0] != 1:
             raise InvalidGraph("exactly one vertex at depth 0 required")
-        if any(c < 1 for c in counts):
+        if min(counts) < 1:
             raise InvalidGraph("every depth must have at least one vertex")
         for d, u, v in unchecked:
             if not 0 <= d < len(counts) - 1:
@@ -116,21 +115,27 @@ class GradedBigraph(Frozen):
             if not (0 <= u < counts[d] and 0 <= v < counts[d + 1]):
                 raise InvalidGraph(f"edge {d}:{u}-{v} has an out-of-range vertex index")
         offsets = tuple(accumulate(counts, initial=0))
-        parent, down, up = [-1] * offsets[-1], [0] * offsets[-1], [0] * offsets[-1]
-        for d, u, v in edges:
-            above, child = offsets[d] + u, offsets[d + 1] + v
-            if parent[child] != above:
-                parent[child] = above if parent[child] == -1 else -2
-            down[child] += 1
-            up[above] += 1
         # Depth equals distance from the root, so every deeper vertex needs a
         # downward edge; together with the unique root this forces connectivity.
-        if down.count(0) > 1:  # the root is the one vertex with no edge down
-            vertex = down.index(0, 1)
-            d = bisect_right(offsets, vertex) - 1
+        # Counts that the edges cannot cover fail before anything is allocated.
+        graded = offsets[-1] <= len(edges) + 1
+        if graded:
+            parent, down, up = [-1] * offsets[-1], [0] * offsets[-1], [0] * offsets[-1]
+            for d, u, v in edges:
+                above, child = offsets[d] + u, offsets[d + 1] + v
+                if parent[child] != above:
+                    parent[child] = above if parent[child] == -1 else -2
+                down[child] += 1
+                up[above] += 1
+            graded = down.count(0) == 1  # the root is the one vertex with no edge down
+        if not graded:
+            covered = {(d + 1, v) for d, _, v in edges}
+            d, v = next(
+                (d, v) for d in range(1, len(counts)) for v in range(counts[d])
+                if (d, v) not in covered
+            )
             raise InvalidGraph(
-                f"vertex {vertex - offsets[d]} at depth {d} has no edge to depth {d - 1}"
-                " (graph not graded)"
+                f"vertex {v} at depth {d} has no edge to depth {d - 1} (graph not graded)"
             )
         self._freeze(counts, edges)
         vars(self).update(_offsets=offsets, _parent=parent, _down=down, _up=up)
@@ -171,10 +176,12 @@ class GradedBigraph(Frozen):
         while path[-1]:
             path.append(parent[path[-1]])
         on_path = set(path)
-        # vertices off the path keep their parents and, by depth, follow their children
-        links = [(v, parent[v], mult[v]) for v in range(n - 1, 0, -1) if v not in on_path]
-        links += [(path[i], path[i - 1], mult[path[i - 1]]) for i in range(len(path) - 1, 0, -1)]
-        return Tree(n, path[0], tuple((v, p, m, m * m) for v, p, m in links), degree)
+        # vertices off the path keep their parents and, by depth, follow their
+        # children; the path follows reversed, each link weighted by its deeper end
+        links = [(v, parent[v], m, m * m) for v in range(n - 1, 0, -1) if v not in on_path
+                 for m in (mult[v],)]
+        links += [(v, p, m, m * m) for v, p in zip(path[:0:-1], path[-2::-1]) for m in (mult[p],)]
+        return Tree(n, path[0], tuple(links), degree)
 
     @cached_property
     def _perron(self) -> tuple[float, tuple[float, ...]]:
@@ -197,12 +204,6 @@ class GradedBigraph(Frozen):
         if not all(x > 0 for x in vec):
             raise UnsupportedIndex("Perron vector is not strictly positive in double precision")
         return delta, tuple(vec)
-
-    def up_multiplicities(self, depth: int, index: int) -> dict[int, int]:
-        """Multiplicity of edges from ``(depth, index)`` to each depth+1 vertex."""
-        lo = bisect_left(self.edges, (depth, index))
-        targets = [v for _, _, v in self.edges[lo : lo + self.up_degree(depth, index)]]
-        return {v: targets.count(v) for v in targets}
 
     def down_degree(self, depth: int, index: int) -> int:
         return self._down[self._offsets[depth] + index]
@@ -284,11 +285,16 @@ def _take_key(lines: list[tuple[int, str]], key: str) -> tuple[int, str]:
 
 
 def _parse_block_exact(lines: list[tuple[int, str]]) -> GradedBigraph:
+    # int() refuses a decimal number of more digits than it converts (4,300
+    # by default): such a number is reported, never raised as a ValueError.
     lineno, text = _take_key(lines, "depths")
     tokens = text.split()
-    if len(tokens) != 1 or not tokens[0].isdigit() or int(tokens[0]) < 1:
+    try:
+        depth_count = int(tokens[0]) if len(tokens) == 1 and tokens[0].isdecimal() else 0
+    except ValueError:
+        raise ParseError("'depths:' has a number too long to convert", lineno) from None
+    if depth_count < 1:
         raise ParseError("'depths:' needs a single positive integer", lineno)
-    depth_count = int(tokens[0])
 
     lineno, text = _take_key(lines, "counts")
     tokens = text.split()
@@ -297,25 +303,34 @@ def _parse_block_exact(lines: list[tuple[int, str]]) -> GradedBigraph:
             f"'counts:' needs exactly {depth_count} entries, got {len(tokens)}", lineno
         )
     try:
-        counts = tuple(int(t) for t in tokens)
+        counts = tuple(map(int, tokens))
     except ValueError:
+        # every entry well formed: int() refused one for its length
+        if all(re.fullmatch(r"[+-]?\d+", t) for t in tokens):
+            raise ParseError("'counts:' has a number too long to convert", lineno) from None
         raise ParseError("'counts:' entries must be integers", lineno) from None
 
     # The line is read whole, up to its first malformed token, so the first
     # bad token in line order is the one reported, malformed or out of range.
+    # A number too long to convert is out of range: every count was short enough.
     lineno, text = _take_key(lines, "edges")
     good = text[: _EDGES_RE.match(text).end()]
-    numbers = list(map(int, good.replace(":", " ").replace("-", " ").split()))
+    pieces = good.replace(":", " ").replace("-", " ").split()
+    try:
+        numbers = list(map(int, pieces))
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        numbers = [int(x) if len(x) <= limit else math.inf for x in pieces]
     edges = list(zip(numbers[::3], numbers[1::3], numbers[2::3]))
     for d, u, v in edges:
-        if d >= depth_count - 1:
-            problem = f"depth {d} out of range for {depth_count} depths"
-        elif u >= counts[d] or v >= counts[d + 1]:
-            problem = "vertex index out of range"
-        else:
-            continue
-        token = good.split()[edges.index((d, u, v))]
-        raise ParseError(f"edge {token!r}: {problem}", lineno)
+        if d >= depth_count - 1 or u >= counts[d] or v >= counts[d + 1]:
+            token = good.split()[edges.index((d, u, v))]
+            if d >= depth_count - 1:
+                shown = d if d < math.inf else token.partition(":")[0]
+                problem = f"depth {shown} out of range for {depth_count} depths"
+            else:
+                problem = "vertex index out of range"
+            raise ParseError(f"edge {token!r}: {problem}", lineno)
     if len(good) < len(text):
         token = text[len(good) :].split()[0]
         raise ParseError(f"bad edge token {token!r} (expected d:u-v)", lineno)
@@ -445,6 +460,22 @@ def _tree_norm(tree: Tree) -> float:
     raise UnsupportedIndex(f"Perron solve failed: no convergence in {TREE_PASSES} passes")
 
 
+def _norm_is_two(tree: Tree) -> bool:
+    """Whether a tree's norm is exactly 2, decided in rational arithmetic.
+
+    It is when the leaf-to-root pivots of ``2I - A`` are positive but for a
+    zero root pivot (see ``_tree_norm``): an affine ADE diagram, by Smith.
+    """
+    from fractions import Fraction
+
+    pivot = [Fraction(2)] * tree.n
+    for v, p, _, w in tree.links:
+        if pivot[v] <= 0:
+            return False
+        pivot[p] -= w / pivot[v]
+    return pivot[tree.root] == 0
+
+
 def _tree_perron(tree: Tree) -> tuple[float, list[float]]:
     """Norm and unit Perron vector of a tree, in O(V) per pass and without numpy.
 
@@ -460,6 +491,8 @@ def _tree_perron(tree: Tree) -> tuple[float, list[float]]:
     """
     n, root, links, _ = tree
     delta = _tree_norm(tree)
+    if abs(delta - 2.0) <= NUMERIC_TOL and _norm_is_two(tree):
+        delta = 2.0
     sigma = delta * (1 + 4 * sys.float_info.epsilon)
     one = 1 << PIVOT_BITS
     wide = one * one
@@ -559,23 +592,25 @@ def supertransitivity(g: GradedBigraph) -> tuple[int, bool]:
     single edges.  ``has_branch`` is true when some vertex at depth s has two
     or more continuations into depth s+1 (counting multiplicity), i.e. the
     graph is not just a path.  Each string vertex is alone at its depth, so
-    its up-degree, an O(1) lookup, is its level's edge count.
+    its up-degree, read from the per-vertex list, is its level's edge count.
     """
+    counts, up = g.vertex_counts, g._up
     s = 0
-    while s + 1 < g.depth_count and g.vertex_counts[s + 1] == 1 and g.up_degree(s, 0) == 1:
+    while s + 1 < len(counts) and counts[s + 1] == 1 and up[s] == 1:  # vertex (s, 0) is flat s
         s += 1
-    return s, s + 1 < g.depth_count
+    return s, s + 1 < len(counts)
 
 
 def _require_simple_triple_point(g: GradedBigraph, n: int, label: str) -> None:
     if n < 2:
         raise NotATriplePoint(f"{label} graph branches at depth 0 (no downward edge)")
-    ups = g.up_multiplicities(n - 1, 0)
-    if g.valence(n - 1, 0) != 3:
-        raise NotATriplePoint(
-            f"{label} branch vertex has valence {g.valence(n - 1, 0)}, expected 3"
-        )
-    if len(ups) != 2 or any(m > 1 for m in ups.values()):
+    # the branch vertex (n - 1, 0) is flat vertex n - 1 and the end of the string
+    valence = g._down[n - 1] + g._up[n - 1]
+    if valence != 3:
+        raise NotATriplePoint(f"{label} branch vertex has valence {valence}, expected 3")
+    # its two edges up reach every depth-n vertex, so they share one exactly
+    # when depth n has a single vertex
+    if g.vertex_counts[n] != 2:
         raise NotATriplePoint(f"{label} branch vertex has a multiple edge")
 
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import enum
 import math
+from operator import itemgetter
 from typing import NamedTuple
 
-from .branch import build_branch_matrix, extract_lambda
-from .errors import InvalidArgument, LambdaMismatch, NoUnitaryPhase, UnsupportedIndex
+from .errors import InvalidArgument, UnsupportedIndex
 from .graph import GradedBigraph, TriplePointData, extract_triple_point
 from .qnum import QuantumContext
 
@@ -58,25 +58,14 @@ class ObstructionReport(NamedTuple):
     def has_failure(self) -> bool:
         return any(v is Verdict.FAIL for v in self.verdicts.values())
 
-    def as_dict(self) -> dict:
-        """Plain-data form of the report, suitable for JSON output."""
-        return {
-            "n": self.n,
-            "delta": self.delta,
-            "p": self.p,
-            "q": self.q,
-            "r": self.r,
-            "lambda_trace": self.lambda_trace,
-            "verdicts": {name: v.value for name, v in self.verdicts.items()},
-            "root_candidates": [
-                {"k": c.k, "distance": c.distance} for c in self.root_candidates
-            ],
-            "tol": self.tol,
-        }
-
 
 def ocneanu_parity(branch_depth: int) -> Verdict:
-    """For index at least 4 the initial triple point must sit at odd depth."""
+    """For index above 4 the initial triple point must sit at odd depth.
+
+    At index 4 exactly the parity says nothing: the affine diagram E6~ is a
+    principal graph there and branches at depth 2.  ``run_battery`` reports
+    this test ``Inapplicable`` for a pair whose delta is 2.
+    """
     if branch_depth < 1:
         raise InvalidArgument(f"branch_depth = {branch_depth} must be >= 1")
     return Verdict.PASS if branch_depth % 2 == 1 else Verdict.FAIL
@@ -97,7 +86,7 @@ def _trace_and_candidates(tp: TriplePointData) -> tuple[float, tuple[RootCandida
             RootCandidate(k, abs(trace - 2.0 * math.cos(2.0 * math.pi * k / tp.n)))
             for k in range(tp.n // 2 + 1)
         ),
-        key=lambda c: (c.distance, c.k),
+        key=itemgetter(1, 0),
     )
     return trace, tuple(candidates)
 
@@ -175,34 +164,22 @@ def run_battery(
     """Extract the triple point of a pair and run every obstruction test.
 
     Every test is evaluated at the pair's own delta, the principal graph's
-    norm (see :func:`graph.extract_triple_point`).  ``tol`` sets the verdicts
-    only.  When the rotational test applies and a unitary phase exists,
-    lambda is also recovered through the branch matrix and checked against
-    the trace formula at the fixed ``DEFAULT_TRACE_TOL``.  Without a phase
-    (p - q > 1) the check is skipped: that fact is the triple-single test's,
-    judged at ``tol``.  The trace is computed once: the quadratic-tangles
-    verdict is the rotational one wherever gamma2 is 3-valent, as in
-    :func:`qt_test`, since the rotational test already needs a 1-valent gamma3.
+    norm (see :func:`graph.extract_triple_point`), which is exactly 2 for a
+    tree of norm 2; the parity test then does not apply.  ``tol`` sets the
+    verdicts only.  The trace is computed once, from the trace formula: the
+    quadratic-tangles verdict is the rotational one wherever gamma2 is
+    3-valent, as in :func:`qt_test`, since the rotational test already needs
+    a 1-valent gamma3.  No branch matrix is built: once extraction has checked
+    p + q = [n+1], its lambda has modulus 1 and 2 Re lambda equals the trace
+    formula for every (p, q) (see ``tests/test_branch.py``).
     """
     tp = extract_triple_point(principal, dual)
-    verdicts = {"ocneanu_parity": ocneanu_parity(tp.n - 1)}
+    parity = ocneanu_parity(tp.n - 1) if tp.ctx.delta > 2.0 else Verdict.INAPPLICABLE
+    verdicts = {"ocneanu_parity": parity}
     verdicts["triple_single"] = triple_single(tp, tol)
     rotational, trace, candidates = rotational_test(tp, tol)
     verdicts["quadratic_tangles"] = rotational if tp.gamma2_trivalent else Verdict.INAPPLICABLE
     verdicts["rotational"] = rotational
-
-    if rotational is not Verdict.INAPPLICABLE:
-        try:
-            matrix = build_branch_matrix(tp.ctx, tp.n, tp.p, tp.q)
-        except NoUnitaryPhase:
-            pass
-        else:
-            lam = extract_lambda(matrix)
-            if abs(2.0 * lam.real - trace) > DEFAULT_TRACE_TOL:
-                raise LambdaMismatch(
-                    f"branch-matrix lambda trace {2.0 * lam.real!r} disagrees"
-                    f" with the trace formula {trace!r}"
-                )
 
     return ObstructionReport(
         n=tp.n,

@@ -5,9 +5,9 @@ chosen root.  Most are trees (occasionally with doubled edges), which the
 program solves without numpy; ``reconverging_arms`` builds graphs with a
 cycle, which take its dense solve.  Grading a tree from two different roots
 yields two graphs with exactly the same spectrum, which is how pairs with
-matching norms but different shapes are made.  ``adjacency`` and
-``reference_parse_graph`` are oracles for the program's own graph index and
-parser.
+matching norms but different shapes are made.  ``adjacency``,
+``reference_parse_graph`` and ``reference_rounded`` are oracles for the
+program's own graph index, parser and JSON rounding.
 """
 
 from __future__ import annotations
@@ -246,3 +246,19 @@ def reference_parse_graph(text: str) -> GradedBigraph:
     if lines:
         raise ParseError(f"unexpected content {lines[0][1]!r}", lines[0][0])
     return graph
+
+
+def reference_rounded(value):
+    """``value`` with every float rounded to 12 significant digits, walked recursively.
+
+    This is how the CLI rounded a whole payload before each command rounded
+    its own fields; ``json.dumps(reference_rounded(payload), allow_nan=False)``
+    is the JSON text the CLI must print.
+    """
+    if isinstance(value, float):
+        return float(f"{value:.12g}")
+    if isinstance(value, dict):
+        return {key: reference_rounded(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [reference_rounded(item) for item in value]
+    return value

@@ -1,7 +1,10 @@
 """Command line interface: exit codes, output formats, round-trips."""
 
+import contextlib
 import errno
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,9 +19,12 @@ from hypothesis import strategies as st
 import helpers
 import tripoint
 from tripoint import graph as graph_module
+from tripoint import cli
+from tripoint.branch import build_branch_matrix, extract_lambda
 from tripoint.cli import SIZE_LIMIT, main
-from tripoint.obstruct import run_battery
-from tripoint.qnum import nu_from_delta
+from tripoint.errors import TripointError
+from tripoint.obstruct import allowed_ratios, run_battery
+from tripoint.qnum import QuantumContext, nu_from_delta
 
 
 @pytest.fixture
@@ -107,6 +113,47 @@ def test_check_non_utf8_file_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err == f"{path}: {expected}\n"
 
 
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_check_reads_every_newline_convention_alike(tmp_path, newline, capsys):
+    text = helpers.pair_text(*helpers.two_rooted_pair(1)).replace("[dual]", "# note\n[dual]")
+    paths = [tmp_path / "lf.pair", tmp_path / "other.pair"]
+    paths[0].write_bytes(text.encode())
+    paths[1].write_bytes(text.replace("\n", newline).encode())
+    outputs = []
+    for path in paths:
+        assert main(["check", "--format", "json", str(path)]) == 1
+        outputs.append(json.loads(capsys.readouterr().out))
+        del outputs[-1]["file"]
+    assert outputs[0] == outputs[1]
+    paths[1].write_bytes(text.replace("edges: 0:0-0", "edges: 0:0-9").replace("\n", newline).encode())
+    assert main(["check", str(paths[1])]) == 2
+    assert capsys.readouterr().err == f"{paths[1]}: line 4: edge '0:0-9': vertex index out of range\n"
+
+
+#: Principal sections whose numbers are too long for ``int()``, or whose
+#: counts no edges can cover; each must give one stderr line and exit 2.
+HUGE = "9" * 5000
+HUGE_PRINCIPALS = {
+    "depths": f"depths: {HUGE}\ncounts: 1 1 1\nedges: 0:0-0 1:0-0",
+    "counts": f"depths: 3\ncounts: 1 {HUGE} 1\nedges: 0:0-0 1:0-0",
+    "counts-uncovered": "depths: 2\ncounts: 1 1000000000000000\nedges: 0:0-0",
+    "edge-depth": f"depths: 3\ncounts: 1 1 1\nedges: 0:0-0 {HUGE}:0-0 1:0-0",
+    "edge-index": f"depths: 3\ncounts: 1 1 1\nedges: 0:0-0 1:{HUGE}-0",
+}
+
+
+@pytest.mark.parametrize("name", HUGE_PRINCIPALS)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_check_huge_numbers_exit_two_with_one_line(tmp_path, name, fmt, capsys):
+    path = tmp_path / "huge.pair"
+    path.write_text(f"[principal]\n{HUGE_PRINCIPALS[name]}\n[dual]\ndepths: 1\ncounts: 1\nedges:\n")
+    assert main(["check", "--format", fmt, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{path}: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_check_error_wins_over_failure(even_depth_file, malformed_file):
     assert main(["check", even_depth_file, malformed_file]) == 2
 
@@ -128,6 +175,144 @@ def test_check_json_round_trips(passing_file, capsys):
     for got, expected in zip(payload["root_candidates"], report.root_candidates):
         assert got["k"] == expected.k
         assert got["distance"] == pytest.approx(expected.distance, rel=1e-11, abs=1e-11)
+
+
+def printed(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stdout of ``main(argv)``; usable inside hypothesis tests."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def reference_json(payload: dict) -> str:
+    return json.dumps(helpers.reference_rounded(payload), allow_nan=False) + "\n"
+
+
+JSON_PAIRS = [pair for _, *pair in helpers.battery_corpus()] + [
+    helpers.self_paired(helpers.reconverging_arms(3), "s0"),
+    helpers.self_paired(helpers.branched_tree(3, (), (30,), doubled_tail=True)),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=st.sampled_from(JSON_PAIRS), tol=st.sampled_from([1e-6, 1e-3, 0.7]))
+def test_check_json_bytes_match_the_recursive_rounding(tmp_path_factory, pair, tol):
+    path = tmp_path_factory.getbasetemp() / "json.pair"
+    path.write_text(helpers.pair_text(*pair))
+    report = run_battery(*pair, tol=tol)
+    payload = {
+        "file": str(path),
+        "n": report.n,
+        "delta": report.delta,
+        "p": report.p,
+        "q": report.q,
+        "r": report.r,
+        "lambda_trace": report.lambda_trace,
+        "verdicts": {name: v.value for name, v in report.verdicts.items()},
+        "root_candidates": [{"k": c.k, "distance": c.distance} for c in report.root_candidates],
+        "tol": report.tol,
+    }
+    code, out = printed(["check", "--format", "json", "--tol", repr(tol), str(path)])
+    assert code == int(report.has_failure)
+    assert out == reference_json(payload)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 30).map(lambda k: 2 * k), delta=st.floats(2.0, 3.0))
+def test_ratios_json_bytes_match_the_recursive_rounding(n, delta):
+    ctx = nu_from_delta(delta)
+    try:
+        rows = allowed_ratios(ctx, n)
+    except TripointError:
+        return
+    payload = {"n": n, "delta": ctx.delta, "rows": [row._asdict() for row in rows]}
+    code, out = printed(["ratios", "--n", str(n), "--delta", repr(delta), "--format", "json"])
+    assert code == 0
+    assert out == reference_json(payload)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 20), delta=st.floats(2.0, 3.0), gap=st.floats(0.0, 1.5))
+def test_matrix_json_bytes_match_the_recursive_rounding(n, delta, gap):
+    ctx = nu_from_delta(delta)
+    total = ctx.qint(n + 1)
+    p, q = (total + gap) / 2.0, (total - gap) / 2.0
+    try:
+        matrix = build_branch_matrix(ctx, n, p, q)
+        lam = extract_lambda(matrix)
+    except TripointError:
+        return
+
+    def parts(z):
+        return {"re": z.real, "im": z.imag}
+
+    payload = {
+        "n": n,
+        "delta": ctx.delta,
+        "p": p,
+        "q": q,
+        "entries": [[None if z is None else parts(z) for z in row] for row in matrix.entries],
+        "sigma": parts(matrix.sigma),
+        "tau": parts(matrix.tau),
+        "lambda": parts(lam),
+        "lambda_trace": 2.0 * lam.real,
+    }
+    argv = ["matrix", "--n", str(n), "--delta", repr(delta), "--p", repr(p), "--q", repr(q)]
+    code, out = printed([*argv, "--format", "json"])
+    assert code == 0
+    assert out == reference_json(payload)
+
+
+@settings(max_examples=100, deadline=None)
+@given(delta=st.floats(2.0, 50.0), max_k=st.integers(0, 60))
+def test_qnum_json_bytes_match_the_recursive_rounding(delta, max_k):
+    ctx = nu_from_delta(delta)
+    payload = {"delta": ctx.delta, "values": ctx.qints(max_k)}
+    code, out = printed(["qnum", "--delta", repr(delta), "--max", str(max_k), "--format", "json"])
+    assert code == 0
+    assert out == reference_json(payload)
+
+
+def test_json_output_builds_no_encoder_per_call(passing_file, monkeypatch):
+    assert cli._encode.__self__.allow_nan is False
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a JSON encoder was built for one output")
+
+    monkeypatch.setattr(json.JSONEncoder, "__init__", refuse)
+    for argv in (
+        ["check", passing_file],
+        ["ratios", "--n", "4", "--delta", "2.2"],
+        ["matrix", "--n", "4", "--delta", "2.2", "--p", "5.2028", "--q", "4.7028"],
+        ["qnum", "--delta", "2.2", "--max", "3"],
+    ):
+        assert printed([*argv, "--format", "json"])[0] == 0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("command", ["check", "ratios", "matrix", "qnum"])
+def test_json_refuses_a_non_finite_float_in_any_payload(passing_file, monkeypatch, command, bad):
+    if command == "check":
+        battery = cli.run_battery
+        monkeypatch.setattr(cli, "run_battery", lambda *a, **k: battery(*a, **k)._replace(r=bad))
+        argv = ["check", passing_file]
+    elif command == "ratios":
+        table = cli.allowed_ratios
+        monkeypatch.setattr(
+            cli, "allowed_ratios", lambda ctx, n: [*table(ctx, n)[:-1], table(ctx, n)[-1]._replace(q=bad)]
+        )
+        argv = ["ratios", "--n", "4", "--delta", "2.2"]
+    elif command == "matrix":
+        monkeypatch.setattr(cli, "extract_lambda", lambda matrix: complex(1.0, bad))
+        argv = ["matrix", "--n", "4", "--delta", "2.2", "--p", "5.2028", "--q", "4.7028"]
+    else:
+        monkeypatch.setattr(QuantumContext, "qints", lambda self, k: [0.0, bad])
+        argv = ["qnum", "--delta", "2.2", "--max", "1"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(ValueError, match="not JSON compliant"):
+        main([*argv, "--format", "json"])
+    assert out.getvalue() == ""
 
 
 def test_check_text_and_json_verdicts_agree(passing_file, even_depth_file, capsys):

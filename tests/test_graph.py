@@ -1,6 +1,7 @@
 """Graded graphs: parsing, spectra, supertransitivity, triple point extraction."""
 
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -275,8 +276,6 @@ def test_lookups_match_edge_scans(candidate):
                 assert g.up_degree(d, i) == up
                 assert g.down_degree(d, i) == down
                 assert g.valence(d, i) == up + down
-                ups = Counter(v for dd, u, v in edges if dd == d and u == i)
-                assert g.up_multiplicities(d, i) == dict(ups)
         assert supertransitivity(g) == (s, s + 1 < len(counts))
 
         tree = g._tree
@@ -370,6 +369,68 @@ def test_first_bad_edge_token_in_line_order_wins(tokens, message):
         parse_graph(text)
     assert str(excinfo.value) == message
     assert outcome(helpers.reference_parse_graph, text) == (ParseError, message, 3)
+
+
+#: More digits than ``int()`` converts by default (4,300).
+HUGE = "9" * 5000
+
+#: Blocks whose numbers are too long for ``int()``, and the one error each gives.
+HUGE_NUMBER_BLOCKS = {
+    "depths": (f"depths: {HUGE}\ncounts: 1\nedges:", "line 1: 'depths:' has a number too long to convert"),
+    "counts": (f"depths: 2\ncounts: 1 {HUGE}\nedges: 0:0-0", "line 2: 'counts:' has a number too long to convert"),
+    "edge-depth": (
+        f"depths: 3\ncounts: 1 1 1\nedges: 0:0-0 {HUGE}:0-0",
+        f"line 3: edge '{HUGE}:0-0': depth {HUGE} out of range for 3 depths",
+    ),
+    "edge-index": (
+        f"depths: 3\ncounts: 1 1 1\nedges: 0:0-0 1:0-{HUGE}",
+        f"line 3: edge '1:0-{HUGE}': vertex index out of range",
+    ),
+    "range-then-huge": (
+        f"depths: 3\ncounts: 1 1 1\nedges: 0:0-0 1:5-0 {HUGE}:0-0",
+        "line 3: edge '1:5-0': vertex index out of range",
+    ),
+    "huge-then-malformed": (
+        f"depths: 3\ncounts: 1 1 1\nedges: 0:0-0 1:{HUGE}-0 0:0->0",
+        f"line 3: edge '1:{HUGE}-0': vertex index out of range",
+    ),
+    "malformed-then-huge": (
+        f"depths: 3\ncounts: 1 1 1\nedges: 0:0-0 0:0->0 1:{HUGE}-0",
+        "line 3: bad edge token '0:0->0' (expected d:u-v)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", HUGE_NUMBER_BLOCKS)
+def test_numbers_too_long_for_int_are_parse_errors(name):
+    text, message = HUGE_NUMBER_BLOCKS[name]
+    with pytest.raises(ParseError) as excinfo:
+        parse_graph(text)
+    assert str(excinfo.value) == message
+
+
+def test_counts_malformed_or_not_decimal_say_so():
+    with pytest.raises(ParseError, match="'counts:' entries must be integers"):
+        parse_graph(f"depths: 3\ncounts: 1 x {HUGE}\nedges: 0:0-0 1:0-0")
+    # isdigit() accepts superscripts, which int() refuses
+    with pytest.raises(ParseError, match="'depths:' needs a single positive integer"):
+        parse_graph("depths: \u00b2\ncounts: 1 1\nedges: 0:0-0")
+
+
+def test_counts_the_edges_cannot_cover_fail_before_allocating():
+    message = "vertex 1 at depth 1 has no edge to depth 0"
+    with pytest.raises(InvalidGraph, match=message):
+        parse_graph("depths: 2\ncounts: 1 1000000000000000\nedges: 0:0-0")
+    with pytest.raises(InvalidGraph, match=message):
+        GradedBigraph((1, 10**15), ((0, 0, 0),))
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidGraph, match="vertex 2 at depth 2 has no edge to depth 1"):
+            parse_graph("depths: 3\ncounts: 1 2 1000000\nedges: 0:0-0 0:0-1 1:1-0 1:0-1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # three per-vertex lists would take 24 MB
 
 
 def test_invalid_graph_constructor_edge_range():

@@ -1,0 +1,73 @@
+"""Ground truth: principal graphs of real subfactors are never excluded.
+
+The affine Dynkin diagrams E6~, E7~, E8~ and D5~-D8~ are principal graphs of
+index-4 subfactors (Popa's classification at index 4; Goodman, de la Harpe
+and Jones, *Coxeter graphs and towers of algebras*).  Each has norm exactly
+2, so its index is exactly 4, and its Perron-Frobenius vector is an integer
+vector.  Rooted at a vertex of dimension 1 and self-paired, each one's p and
+q are exact integers.  None of these facts comes from the program.
+
+The Ocneanu parity obstruction needs index above 4: E6~ branches at even
+depth 2, so at index 4 the test must be ``Inapplicable``, not ``Fail``.
+"""
+
+import json
+
+import pytest
+
+import helpers
+from tripoint.cli import main
+from tripoint.graph import dimension_vector, graph_norm
+from tripoint.obstruct import Verdict, run_battery
+
+
+def star(*arms: int) -> list[helpers.LabeledEdge]:
+    """A centre ``c`` with one arm of each given length; arm 0 ends at ``a0.{arms[0] - 1}``."""
+    edges = []
+    for a, length in enumerate(arms):
+        prev = "c"
+        for i in range(length):
+            edges.append((prev, f"a{a}.{i}"))
+            prev = f"a{a}.{i}"
+    return edges
+
+
+def affine_d(m: int) -> list[helpers.LabeledEdge]:
+    """D~m, m + 1 vertices: a chain c1..c(m-3) with two leaves at each end."""
+    chain = [f"c{i}" for i in range(1, m - 2)]
+    edges = list(zip(chain, chain[1:]))
+    edges += [("x1", chain[0]), ("x2", chain[0]), (chain[-1], "y1"), (chain[-1], "y2")]
+    return edges
+
+
+#: name -> (edges, root of dimension 1, branch arm depth n, p, q); every index is 4.
+AFFINE = {
+    "E6~": (star(2, 2, 2), "a0.1", 3, 2, 2),
+    "E7~": (star(3, 3, 1), "a0.2", 4, 3, 2),
+    "E8~": (star(5, 2, 1), "a0.4", 6, 4, 3),
+    **{f"D{m}~": (affine_d(m), "x1", 2, 2, 1) for m in (5, 6, 7, 8)},
+}
+
+
+@pytest.mark.parametrize("name", AFFINE)
+def test_affine_diagrams_are_index_four_and_never_fail(name):
+    edges, root, n, p, q = AFFINE[name]
+    principal, dual = helpers.self_paired(edges, root)
+    assert graph_norm(principal) ** 2 == pytest.approx(4.0, abs=1e-12)
+    dims = dimension_vector(principal).values()
+    assert all(d == pytest.approx(round(d), rel=1e-12) for d in dims)
+    report = run_battery(principal, dual)
+    assert report.delta == 2.0
+    assert (report.n, report.p, report.q) == (n, pytest.approx(p, rel=1e-12), pytest.approx(q, rel=1e-12))
+    assert report.verdicts["ocneanu_parity"] is Verdict.INAPPLICABLE
+    assert Verdict.FAIL not in report.verdicts.values()
+
+
+def test_check_of_affine_e6_exits_zero(tmp_path, capsys):
+    edges, root, *_ = AFFINE["E6~"]
+    path = tmp_path / "e6.pair"
+    path.write_text(helpers.pair_text(*helpers.self_paired(edges, root)))
+    assert main(["check", "--format", "json", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["delta"] == 2.0
+    assert payload["verdicts"]["ocneanu_parity"] == "Inapplicable"

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from tripoint import obstruct
+from tripoint import branch, obstruct
 from tripoint.branch import build_branch_matrix, extract_lambda
 from tripoint.cli import main
-from tripoint.errors import InvalidArgument, LambdaMismatch
+from tripoint.errors import InvalidArgument
 from tripoint.graph import TriplePointData, extract_triple_point
 from tripoint.obstruct import (
     Verdict,
@@ -277,19 +277,26 @@ def test_battery_bivalent_gamma3():
     assert not report.has_failure
 
 
-def test_battery_lambda_mismatch_raises_and_exits_two(monkeypatch, tmp_path):
-    principal, dual = helpers.two_rooted_pair(0)
-    monkeypatch.setattr("tripoint.obstruct.extract_lambda", lambda matrix: complex(1.0, 0.0))
-    with pytest.raises(LambdaMismatch):
+def test_battery_builds_no_branch_matrix(monkeypatch, tmp_path):
+    """The trace formula is the battery's only source of lambda + 1/lambda."""
+
+    def refuse(*args):
+        raise AssertionError("the battery reached the branch matrix")
+
+    monkeypatch.setattr(branch, "build_branch_matrix", refuse)
+    monkeypatch.setattr(branch, "extract_lambda", refuse)
+    monkeypatch.setattr(branch, "solve_phases", refuse)
+    assert not {"build_branch_matrix", "extract_lambda"} & set(vars(obstruct))
+    for name, principal, dual in helpers.battery_corpus():
         run_battery(principal, dual)
-    path = tmp_path / "pair.pair"
-    path.write_text(helpers.pair_text(principal, dual))
-    assert main(["check", str(path)]) == 2
+        path = tmp_path / f"{name}.pair"
+        path.write_text(helpers.pair_text(principal, dual))
+        assert main(["check", "--format", "json", str(path)]) in (0, 1), name
 
 
 def test_battery_survives_missing_unitary_phase():
-    # p - q > 1 here, so the branch matrix has no unitary phase; the battery
-    # must skip the lambda cross-check instead of raising
+    # p - q > 1 here, so no unitary phase exists; the battery still reports
+    # every verdict from the trace formula
     report = battery_for(helpers.branched_tree(3, (), (4,)))
     assert report.p - report.q > 1.0
     assert report.verdicts["triple_single"] is Verdict.FAIL
