@@ -79,7 +79,8 @@ def triple_single(tp: TriplePointData, tol: float = DEFAULT_TRACE_TOL) -> Verdic
 
 
 def _trace_and_candidates(tp: TriplePointData) -> tuple[float, tuple[RootCandidate, ...]]:
-    big = tp.ctx.qint(tp.n) * tp.ctx.qint(tp.n + 2)
+    qn, _, qn2 = tp.ctx.qints(tp.n + 2)[tp.n :]
+    big = qn * qn2
     trace = (tp.p - tp.q) ** 2 * big / (tp.p * tp.q) - 2.0
     candidates = sorted(
         (
@@ -104,23 +105,19 @@ def rotational_test(
     trace, candidates = _trace_and_candidates(tp)
     if not (tp.gamma3_univalent and tp.branch_depth_odd):
         return Verdict.INAPPLICABLE, trace, candidates
-    in_range = -2.0 - tol <= trace <= 2.0 + tol
-    verdict = (
-        Verdict.PASS if in_range and candidates[0].distance <= tol else Verdict.FAIL
-    )
+    # every 2 cos(2 pi k / n) lies in [-2, 2], so a trace this close to one
+    # is already within tol of that range
+    verdict = Verdict.PASS if candidates[0].distance <= tol else Verdict.FAIL
     return verdict, trace, candidates
 
 
 def qt_test(tp: TriplePointData, tol: float = DEFAULT_TRACE_TOL) -> Verdict:
     """The historical form of the rotational test, needing a 3-valent gamma2.
 
-    Same computation as :func:`rotational_test`, reported separately so users
-    can see which of the older obstructions already applied.
+    The rotational verdict wherever gamma2 is 3-valent, reported separately so
+    users can see which of the older obstructions already applied.
     """
-    if not (tp.gamma3_univalent and tp.gamma2_trivalent):
-        return Verdict.INAPPLICABLE
-    verdict, _, _ = rotational_test(tp, tol)
-    return verdict
+    return rotational_test(tp, tol)[0] if tp.gamma2_trivalent else Verdict.INAPPLICABLE
 
 
 def allowed_ratios(ctx: QuantumContext, n: int) -> list[RatioRow]:
@@ -132,8 +129,8 @@ def allowed_ratios(ctx: QuantumContext, n: int) -> list[RatioRow]:
     """
     if n < 2 or n % 2 != 0:
         raise InvalidArgument(f"n = {n} must be even and >= 2")
-    big = ctx.qint(n) * ctx.qint(n + 2)
-    sum_pq = ctx.qint(n + 1)
+    qn, sum_pq, qn2 = ctx.qints(n + 2)[n:]
+    big = qn * qn2
     if not math.isfinite(big):
         raise UnsupportedIndex(
             f"[n][n+2] overflows double precision at n = {n}, delta = {ctx.delta}"

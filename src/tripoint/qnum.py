@@ -84,39 +84,30 @@ class QuantumContext(Frozen):
         # nor cancels near delta = 2
         return half + math.sqrt(half - 1.0) * math.sqrt(half + 1.0)
 
-    def _require_finite(self, value: float, k: int) -> float:
-        # [k] grows with k for delta >= 2, so an overflow anywhere in the
-        # recurrence leaves the last value infinite or NaN
-        if not math.isfinite(value):
-            raise UnsupportedIndex(
-                f"[{k}] overflows double precision at delta = {self.delta}"
-            )
-        return value
-
     def qint(self, k: int) -> float:
-        """The quantum integer [k].
+        """The quantum integer [k], the last entry of ``qints(k)``."""
+        if k < 0:
+            raise InvalidArgument(f"k = {k} must be >= 0")
+        return self.qints(k)[k]
+
+    def qints(self, max_k: int) -> list[float]:
+        """[0], [1], ..., [max_k] as a list.
 
         Evaluated by the three-term recurrence [k+1] = delta*[k] - [k-1]
         with [0] = 0 and [1] = 1, which stays exact in the nu = 1 limit
         where the closed form degenerates to 0/0.
         """
-        if k < 0:
-            raise InvalidArgument(f"k = {k} must be >= 0")
-        if k == 0:
-            return 0.0
-        prev, cur = 0.0, 1.0
-        for _ in range(k - 1):
-            prev, cur = cur, self.delta * cur - prev
-        return self._require_finite(cur, k)
-
-    def qints(self, max_k: int) -> list[float]:
-        """[0], [1], ..., [max_k] as a list."""
         if max_k < 0:
             raise InvalidArgument(f"max_k = {max_k} must be >= 0")
         values = [0.0, 1.0]
         while len(values) <= max_k:
             values.append(self.delta * values[-1] - values[-2])
-        self._require_finite(values[max_k], max_k)
+        # [k] grows with k for delta >= 2, so an overflow anywhere in the
+        # recurrence leaves the last value infinite or NaN
+        if not math.isfinite(values[max_k]):
+            raise UnsupportedIndex(
+                f"[{max_k}] overflows double precision at delta = {self.delta}"
+            )
         return values[: max_k + 1]
 
     def check_dimension_sum(self, n: int, p: float, q: float) -> None:

@@ -613,6 +613,15 @@ def test_ratios_overflow_exits_two(capsys):
     assert "overflows" in captured.err
 
 
+def test_ratios_product_overflow_is_one_line(capsys):
+    """[602] is finite at delta 2.5; only the product [600][602] overflows."""
+    assert math.isfinite(nu_from_delta(2.5).qint(602))
+    assert main(["ratios", "--n", "600", "--delta", "2.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "[n][n+2] overflows double precision at n = 600, delta = 2.5\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -692,6 +701,23 @@ def test_matrix_without_unitary_phase_exits_one(capsys):
     assert "no unitary phase: p - q > 1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_matrix_keeps_the_digits_of_a_small_gap(fmt, capsys):
+    """p - q = 0.5 and p + q = [31] at delta 3, about 4e12: the trace formula gives -1.
+
+    p^2 - q^2 would lose about twelve digits of p - q here; (p - q)(p + q)
+    keeps them, so the branch matrix agrees with ``check``'s trace formula.
+    """
+    argv = ["matrix", "--n", "30", "--delta", "3", "--p", "2026369768940.75",
+            "--q", "2026369768940.25", "--format", fmt]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        assert json.loads(out)["lambda_trace"] == -1.0
+    else:
+        assert out.splitlines()[-1] == "lambda + 1/lambda = -1"
+
+
 def test_matrix_infinite_dimension_is_an_input_error(capsys):
     assert main(["matrix", "--n", "4", "--delta", "2.1", "--p", "inf", "--q", "1"]) == 2
     captured = capsys.readouterr()
@@ -701,14 +727,15 @@ def test_matrix_infinite_dimension_is_an_input_error(capsys):
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_matrix_phase_overflow_is_an_error_not_nan(fmt, capsys):
-    """p = q = [801]/2 at delta 2.5 satisfy p + q = [n+1], but p^2 - q^2 overflows to NaN."""
-    half = repr(nu_from_delta(2.5).qint(801) / 2.0)
-    argv = ["matrix", "--n", "800", "--delta", "2.5", "--p", half, "--q", half, "--format", fmt]
+    """p = 3[801]/4, q = [801]/4 at delta 2.5 satisfy p + q = [n+1], but p^2 - q^2 overflows."""
+    total = nu_from_delta(2.5).qint(801)
+    p, q = repr(0.75 * total), repr(0.25 * total)
+    argv = ["matrix", "--n", "800", "--delta", "2.5", "--p", p, "--q", q, "--format", fmt]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        f"p^2 - q^2 overflows double precision at p = {half}, q = {half}"
+        f"p^2 - q^2 overflows double precision at p = {p}, q = {q}"
     ]
 
 

@@ -144,6 +144,11 @@ def test_parse_pair_requires_sections():
         parse_pair("[principal]\n" + BRANCHED_TEXT)
 
 
+def test_parse_pair_section_without_key_lines():
+    with pytest.raises(ParseError, match="missing 'depths:' line"):
+        parse_pair("[principal]\n[dual]\n" + BRANCHED_TEXT)
+
+
 def test_parse_pair_identical_sections_share_one_graph(monkeypatch):
     g = parse_graph(BRANCHED_TEXT)
     parsed = []
@@ -438,6 +443,16 @@ def test_invalid_graph_constructor_edge_range():
         GradedBigraph((1, 1), ((0, 0, 5),))
 
 
+def test_invalid_graph_constructor_needs_a_depth():
+    with pytest.raises(InvalidGraph, match="graph must have at least one depth"):
+        GradedBigraph((), ())
+
+
+def test_invalid_graph_constructor_edge_depth():
+    with pytest.raises(InvalidGraph, match="edge 1:0-0 does not connect consecutive depths"):
+        GradedBigraph((1, 1), [(1, 0, 0)])
+
+
 def test_equal_graphs_hash_equal_whatever_their_edge_order():
     edges = ((0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (3, 0, 1))
     g = GradedBigraph((1, 1, 1, 1, 2), edges)
@@ -709,6 +724,20 @@ def test_tree_solve_refuses_a_zero_pivot(monkeypatch):
         graph_norm(path_graph(5))
 
 
+def test_exact_norm_test_stops_at_a_zero_subtree_pivot():
+    """An affine E6 hung below a 5-leaf star: the E6 centre's pivot of 2I - A is 0.
+
+    That centre is not the root, so the tree's norm is above 2 and the exact
+    test says so from that pivot, before reaching the root.
+    """
+    edges = [("h", f"l{i}") for i in range(5)] + [("h", "p1"), ("p1", "c")]
+    for arm in "abc":
+        edges += [("c", f"{arm}1"), (f"{arm}1", f"{arm}2")]
+    g = helpers.grade_tree(edges, "l0")
+    assert graph_norm(g) > 2.0
+    assert graph_module._norm_is_two(g._tree) is False
+
+
 @pytest.mark.parametrize("routine", ["eigvalsh", "solve"])
 def test_solver_linalg_error_is_unsupported_index(monkeypatch, routine):
     def fail(*args, **kwargs):
@@ -782,6 +811,12 @@ def test_supertransitivity_path():
 
 def test_supertransitivity_single_vertex():
     assert supertransitivity(GradedBigraph((1,), ())) == (0, False)
+
+
+def test_single_vertex_spectrum():
+    g = GradedBigraph((1,), ())
+    assert graph_norm(g) == 0.0
+    assert dimension_vector(g) == {(0, 0): 1.0}
 
 
 def test_supertransitivity_double_edge_counts_as_branch():
@@ -929,6 +964,14 @@ def test_extract_supertransitivity_mismatch():
 def test_extract_rejects_pure_path():
     g = path_graph(5)
     with pytest.raises(UnsupportedIndex, match="index < 4"):
+        extract_triple_point(g, g)
+
+
+def test_extract_rejects_a_path_of_norm_two(monkeypatch):
+    """A path has no branch point; its norm is only clamped to 2 at about 99,000 vertices."""
+    g = path_graph(5)
+    monkeypatch.setattr(graph_module, "graph_norm", lambda g: 2.0)
+    with pytest.raises(NotATriplePoint, match="graph has no initial branch point"):
         extract_triple_point(g, g)
 
 

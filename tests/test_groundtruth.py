@@ -9,9 +9,13 @@ q are exact integers.  None of these facts comes from the program.
 
 The Ocneanu parity obstruction needs index above 4: E6~ branches at even
 depth 2, so at index 4 the test must be ``Inapplicable``, not ``Fail``.
+
+Above index 4, the Haagerup subfactor has index (5 + sqrt 13)/2, and its
+principal graph is the spider with three legs of 3 edges.
 """
 
 import json
+import math
 
 import pytest
 
@@ -60,6 +64,35 @@ def test_affine_diagrams_are_index_four_and_never_fail(name):
     assert report.delta == 2.0
     assert (report.n, report.p, report.q) == (n, pytest.approx(p, rel=1e-12), pytest.approx(q, rel=1e-12))
     assert report.verdicts["ocneanu_parity"] is Verdict.INAPPLICABLE
+    assert Verdict.FAIL not in report.verdicts.values()
+
+
+#: The Haagerup principal graph rooted at the end of a leg: depth counts 1 1 1 1 2 2 2.
+HAAGERUP = helpers.grade_tree(star(3, 3, 3), "a0.2")
+
+#: The one tree of the right norm found for Haagerup's dual among "a string of
+#: 3 edges, then a leaf plus a subtree of at most 7 vertices": depth counts
+#: 1 1 1 1 2 1 1 2 1.  It is not checked against a drawing in the literature,
+#: so the pair is only required not to fail.
+HAAGERUP_DUAL = helpers.grade_tree(
+    [("r", "s1"), ("s1", "s2"), ("s2", "b"), ("b", "L"), ("b", "x4"), ("x4", "x5"),
+     ("x5", "x6"), ("x6", "y7"), ("y7", "w8"), ("x6", "z7")],
+    "r",
+)
+
+
+def test_haagerup_principal_graph_has_the_haagerup_index():
+    assert HAAGERUP.vertex_counts == (1, 1, 1, 1, 2, 2, 2)
+    assert graph_norm(HAAGERUP) ** 2 == pytest.approx((5 + math.sqrt(13)) / 2, abs=1e-12)
+    report = run_battery(HAAGERUP, HAAGERUP)
+    assert report.n == 4
+    assert report.p == pytest.approx((3 + math.sqrt(13)) / 2, abs=1e-12)
+    assert report.q == pytest.approx((3 + math.sqrt(13)) / 2, abs=1e-12)
+
+
+def test_haagerup_with_its_dual_candidate_never_fails():
+    assert HAAGERUP_DUAL.vertex_counts == (1, 1, 1, 1, 2, 1, 1, 2, 1)
+    report = run_battery(HAAGERUP, HAAGERUP_DUAL)
     assert Verdict.FAIL not in report.verdicts.values()
 
 

@@ -175,6 +175,29 @@ def test_rotational_pass_implies_triple_single_pass(delta, n, gap):
         assert triple_single(tp) is Verdict.PASS
 
 
+@settings(max_examples=500, deadline=None)
+@given(
+    delta=st.floats(2.0, 3.0),
+    n=st.integers(1, 20).map(lambda half: 2 * half),
+    gap=st.floats(0.0, 2.0),
+    tol=st.floats(0.0, 100.0, exclude_min=True),
+    trivalent=st.booleans(),
+)
+def test_rotational_subsumes_triple_single_and_quadratic_tangles(delta, n, gap, tol, trivalent):
+    """The paper's subsumption claim, at odd branch depth with a 1-valent gamma3.
+
+    With p + q = [n+1], trace + 2 = 4 (p - q)^2 ([n+1]^2 - 1)/([n+1]^2 - (p - q)^2),
+    so the trace is at most 2 exactly when p - q <= 1, and at p - q = 1 + tol
+    it is at least 2 + 8 tol.  A trace within tol of some 2 cos(2 pi k / n),
+    so at most 2 + tol, therefore has p - q < 1 + tol.
+    """
+    tp = make_tp(nu_from_delta(delta), n, gap, trivalent=trivalent)
+    rot, _, _ = rotational_test(tp, tol)
+    if rot is Verdict.PASS:
+        assert triple_single(tp, tol) is Verdict.PASS
+    assert qt_test(tp, tol) in (rot, Verdict.INAPPLICABLE)
+
+
 # ---------------------------------------------------------------------------
 # allowed_ratios
 

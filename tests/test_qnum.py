@@ -40,6 +40,13 @@ def test_context_invariant():
         assert ctx.nu >= 1.0
 
 
+def test_values_of_another_type_are_never_equal():
+    ctx = QuantumContext(2.5)
+    assert ctx.__eq__(2.5) is NotImplemented
+    assert ctx != 2.5
+    assert ctx == QuantumContext(2.5)
+
+
 def test_delta_below_two_rejected():
     with pytest.raises(UnsupportedIndex):
         nu_from_delta(1.5)
