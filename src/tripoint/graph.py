@@ -41,12 +41,13 @@ string, the branch vertices' edges and two depth-n dimensions per graph,
 root-normalized straight from the cached Perron vector.
 
 The parser reads each ``edges:`` line whole and converts and range-checks
-each edge once; the graph then indexes its vertices in one pass over the
-sorted edges.  A self-dual pair file, whose two sections describe the same
-graph, yields one graph object for both sections, so it is parsed and solved
-once.  numpy is imported only when a graph with a cycle is first solved, so
-importing this module, parsing, checking a pair of trees and the
-non-spectral commands never load it.
+each edge once, looking numbers below 512 up in a table; the graph then
+indexes its vertices in one pass over the sorted edges.  A self-dual pair
+file, whose two sections describe the same graph, yields one graph object
+for both sections, so it is parsed and solved once.  numpy is imported only
+when a graph with a cycle is first solved, so importing this module,
+parsing, checking a pair of trees and the non-spectral commands never load
+it.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate
 from operator import add
 from typing import NamedTuple
@@ -161,11 +162,12 @@ class GradedBigraph(Frozen):
         down-degree.  The elimination root is the deepest vertex of largest
         weighted degree: a branch vertex or a multiple edge, far from depth
         0, where the Perron vector of a candidate graph tends to be large.
-        There the root pivot keeps its zero well away from the poles that
-        the subtree spectra put just below the norm, so ``_tree_norm`` needs
-        half the passes it needs from depth 0 on the bench corpora, and a
-        tenth on long doubled tails.  Re-rooting reverses only the path from
-        that vertex down to depth 0.
+        There the root pivot keeps its zero away from most of the poles that
+        the subtree spectra put just below the norm, and ``_tree_norm``
+        divides out the nearest one.  From this root it needs 5.75 passes a
+        graph on the near-index-4 bench graphs (12.7 from depth 0), and 5 on
+        doubled tails of 10 to 62 (45 from depth 0).  Re-rooting reverses
+        only the path from that vertex down to depth 0.
         """
         parent, mult = self._parent, self._down
         if -2 in parent:
@@ -178,10 +180,11 @@ class GradedBigraph(Frozen):
         on_path = set(path)
         # vertices off the path keep their parents and, by depth, follow their
         # children; the path follows reversed, each link weighted by its deeper end
-        links = [(v, parent[v], m, m * m) for v in range(n - 1, 0, -1) if v not in on_path
-                 for m in (mult[v],)]
+        links = [(v, p, m, m * m) for v, p, m in zip(range(n - 1, 0, -1), parent[:0:-1], mult[:0:-1])
+                 if v not in on_path]
         links += [(v, p, m, m * m) for v, p in zip(path[:0:-1], path[-2::-1]) for m in (mult[p],)]
-        return Tree(n, path[0], tuple(links), degree)
+        root = path[0]
+        return Tree(n, root, tuple(links), degree, tuple(v for v, p, _, _ in links if p == root))
 
     @cached_property
     def _perron(self) -> tuple[float, tuple[float, ...]]:
@@ -201,7 +204,7 @@ class GradedBigraph(Frozen):
             return 0.0, (1.0,)
         tree = self._tree
         delta, vec = _dense_perron(self) if tree is None else _tree_perron(tree)
-        if not all(x > 0 for x in vec):
+        if not all(map((0.0).__lt__, vec)):
             raise UnsupportedIndex("Perron vector is not strictly positive in double precision")
         return delta, tuple(vec)
 
@@ -284,6 +287,18 @@ def _take_key(lines: list[tuple[int, str]], key: str) -> tuple[int, str]:
     return lineno, text[len(key) + 1 :]
 
 
+@cache
+def _small_numbers() -> dict[str, int]:
+    """``str(k) -> k`` for k < 512, built on first use.
+
+    Looking a token up here is about twice as fast as ``int()``, and every
+    count and edge number of a realistic candidate graph is in it.  A line
+    with any other token, such as ``007``, ``+1``, a non-ASCII digit or a
+    number too long for ``int()``, is converted by ``int()`` instead.
+    """
+    return {str(k): k for k in range(512)}
+
+
 def _parse_block_exact(lines: list[tuple[int, str]]) -> GradedBigraph:
     # int() refuses a decimal number of more digits than it converts (4,300
     # by default): such a number is reported, never raised as a ValueError.
@@ -302,13 +317,17 @@ def _parse_block_exact(lines: list[tuple[int, str]]) -> GradedBigraph:
         raise ParseError(
             f"'counts:' needs exactly {depth_count} entries, got {len(tokens)}", lineno
         )
+    table = _small_numbers()
     try:
-        counts = tuple(map(int, tokens))
-    except ValueError:
-        # every entry well formed: int() refused one for its length
-        if all(re.fullmatch(r"[+-]?\d+", t) for t in tokens):
-            raise ParseError("'counts:' has a number too long to convert", lineno) from None
-        raise ParseError("'counts:' entries must be integers", lineno) from None
+        counts = tuple(map(table.__getitem__, tokens))
+    except KeyError:
+        try:
+            counts = tuple(map(int, tokens))
+        except ValueError:
+            # every entry well formed: int() refused one for its length
+            if all(re.fullmatch(r"[+-]?\d+", t) for t in tokens):
+                raise ParseError("'counts:' has a number too long to convert", lineno) from None
+            raise ParseError("'counts:' entries must be integers", lineno) from None
 
     # The line is read whole, up to its first malformed token, so the first
     # bad token in line order is the one reported, malformed or out of range.
@@ -317,10 +336,13 @@ def _parse_block_exact(lines: list[tuple[int, str]]) -> GradedBigraph:
     good = text[: _EDGES_RE.match(text).end()]
     pieces = good.replace(":", " ").replace("-", " ").split()
     try:
-        numbers = list(map(int, pieces))
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        numbers = [int(x) if len(x) <= limit else math.inf for x in pieces]
+        numbers = list(map(table.__getitem__, pieces))
+    except KeyError:
+        try:
+            numbers = list(map(int, pieces))
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            numbers = [int(x) if len(x) <= limit else math.inf for x in pieces]
     edges = list(zip(numbers[::3], numbers[1::3], numbers[2::3]))
     for d, u, v in edges:
         if d >= depth_count - 1 or u >= counts[d] or v >= counts[d + 1]:
@@ -381,8 +403,9 @@ def serialize_pair(principal: GradedBigraph, dual: GradedBigraph) -> str:
 # spectral data
 
 #: Cap on the leaf-to-root passes of the tree norm search.  The bench corpora
-#: need at most 12, and bisection alone narrows the bracket to two ulps in
-#: about 55; a miss means the pivots misbehave, not that more would help.
+#: need at most 7, the battery corpus of the tests at most 6, and bisection
+#: alone narrows the bracket to two ulps in about 55; a miss means the pivots
+#: misbehave, not that more would help.
 TREE_PASSES = 100
 
 
@@ -397,13 +420,15 @@ class Tree(NamedTuple):
 
     ``links`` holds ``(vertex, parent, m, m*m)`` for every vertex but
     ``root``, each after all of its children; m counts the edges to the
-    parent.  ``degree`` is each vertex's weighted degree.
+    parent.  ``degree`` is each vertex's weighted degree and ``children``
+    lists the root's children.
     """
 
     n: int
     root: int
     links: tuple[tuple[int, int, int, int], ...]
     degree: list[int]
+    children: tuple[int, ...]
 
 
 def _tree_norm(tree: Tree) -> float:
@@ -414,16 +439,29 @@ def _tree_norm(tree: Tree) -> float:
     above the norm every pivot is positive; at the norm the root pivot is 0
     and the others, which belong to proper subtrees, stay positive
     (Jacobs-Trevisan, *Locating the eigenvalues of trees*, 2011).  So a
-    non-root pivot <= 0 puts sigma below the norm, and where every child
-    pivot is positive the root pivot is increasing and concave, so Newton's
-    method run from below climbs to the norm monotonically.  Each pass
-    carries the derivative ``a'(v) = 1 + sum m^2 a'(c) / a(c)^2`` along.
-    The search starts at the upper bound ``sqrt(max row sum of A^2)`` and
-    bisects the bracket [0, that bound] whenever a step leaves it.  It stops
-    at a Newton step under half an ulp, which on the bench corpora leaves
-    the norm within 0.7 ulps of its exact value.
+    non-root pivot <= 0 puts sigma below the norm.  Each pass carries the
+    derivative ``a'(v) = 1 + sum m^2 a'(c) / a(c)^2`` along.
+
+    The root pivot has a pole at each zero of a child pivot, and the
+    largest of them, the zero of the child c with the smallest pivot, can
+    lie a few ulps below the norm.  Near it the root pivot bends so sharply
+    that plain Newton steps crawl and stop short: 92.6 ulps short on one
+    101-vertex tree of the tests.  So the search steps by Newton on
+    ``h = a(root) a(c)``, which that pole leaves smooth::
+
+        step = a(root) / (a'(root) + a(root) a'(c) / a(c))
+
+    and takes the plain step ``a(root) / a'(root)`` (``a' >= 1``) where
+    that denominator is not positive.  It starts at the upper bound
+    ``sqrt(max row sum of A^2)``, bisects the bracket [0, that bound]
+    whenever a step leaves it, and stops at a step under half an ulp.  That
+    takes 5.75 passes a graph on the near-index-4 bench graphs (8.2 with
+    the plain step) and at most 6 on the battery corpus of the tests.  The
+    norm lands within an ulp of its exact value on that corpus, on paths
+    and on doubled tails, and within 1.3 ulps on 4,000 random trees with
+    multiple edges (1.9 with the plain step).
     """
-    n, root, links, degree = tree
+    n, root, links, degree, children = tree
     reach = [0] * n  # row sums of A^2
     for v, p, m, _ in links:
         reach[v] += m * degree[p]
@@ -443,13 +481,17 @@ def _tree_norm(tree: Tree) -> float:
             pivot[p] -= t
             slope[p] += t * slope[v] / a
         else:
-            if pivot[root] == 0:
+            a = pivot[root]
+            if a == 0:
                 return sigma
-            if pivot[root] < 0:
+            if a < 0:
                 lo = sigma
             else:
                 hi = sigma
-            step = pivot[root] / slope[root]
+            c = min(children, key=pivot.__getitem__)
+            # Newton on a(root) a(c), which the nearest pole leaves smooth
+            slope_h = slope[root] + a * slope[c] / pivot[c]
+            step = a / (slope_h if slope_h > 0 else slope[root])
             if abs(step) <= math.ulp(sigma) / 2:
                 return sigma - step
         sigma -= step
@@ -483,27 +525,35 @@ def _tree_perron(tree: Tree) -> tuple[float, list[float]]:
     leaf-to-root elimination as ``_tree_norm``, carrying the right-hand
     side up (``r(p) += m r(v) / a(v)``), then substitutes back from the
     root (``y(v) = (r(v) + m y(p)) / a(v)``).  The pivots depend on sigma
-    alone, so both steps share them.  They set the accuracy of the vector:
+    alone, so both steps share them, and the loop that eliminates them
+    also carries the first step's right-hand side up, in the same order and
+    so with the same roundings.  They set the accuracy of the vector:
     rounded at every step of their recursion they cost p and q up to about
     10 ulps on long arms, against 5 for the dense solve, so they are
     eliminated in integer fixed point with ``PIVOT_BITS`` fraction bits
     and rounded to double precision once.
     """
-    n, root, links, _ = tree
+    n, root, links, _, _ = tree
     delta = _tree_norm(tree)
     if abs(delta - 2.0) <= NUMERIC_TOL and _norm_is_two(tree):
         delta = 2.0
     sigma = delta * (1 + 4 * sys.float_info.epsilon)
     one = 1 << PIVOT_BITS
     wide = one * one
+    scale = 2.0 ** -PIVOT_BITS
     fixed = [int(sigma * one)] * n  # exact: a double times a power of two
+    pivot = [0.0] * n
     x = [1.0] * n
     try:
-        for v, p, _, w in links:
-            fixed[p] -= (wide if w == 1.0 else int(w) * wide) // fixed[v]
-        pivot = [a / one for a in fixed]  # each rounded once
-        for _ in range(2):
-            for v, p, m, _ in links:
+        # the pivot loop also runs the first step's up-pass: a pivot is final once read
+        for v, p, m, w in links:
+            f = fixed[v]
+            fixed[p] -= (wide if w == 1 else w * wide) // f
+            pivot[v] = a = float(f) * scale  # rounded once, then scaled exactly
+            x[p] += m * x[v] / a
+        pivot[root] = float(fixed[root]) * scale
+        for up in ((), links):  # the first step's up-pass is done
+            for v, p, m, _ in up:
                 x[p] += m * x[v] / pivot[v]
             x[root] /= pivot[root]
             for v, p, m, _ in reversed(links):

@@ -75,6 +75,7 @@ class QuantumContext(Frozen):
                 f"delta = {delta} < 2 means index < 4, outside the supported regime"
             )
         self._freeze(delta)
+        vars(self)["_qints"] = [0.0, 1.0]  # see ``qints``; not a field
 
     @property
     def nu(self) -> float:
@@ -91,15 +92,17 @@ class QuantumContext(Frozen):
         return self.qints(k)[k]
 
     def qints(self, max_k: int) -> list[float]:
-        """[0], [1], ..., [max_k] as a list.
+        """[0], [1], ..., [max_k] as a new list.
 
         Evaluated by the three-term recurrence [k+1] = delta*[k] - [k-1]
         with [0] = 0 and [1] = 1, which stays exact in the nu = 1 limit
-        where the closed form degenerates to 0/0.
+        where the closed form degenerates to 0/0.  The context keeps the
+        longest list it has built and only extends it, so each [k] is
+        computed once however many callers ask for it.
         """
         if max_k < 0:
             raise InvalidArgument(f"max_k = {max_k} must be >= 0")
-        values = [0.0, 1.0]
+        values = self._qints
         while len(values) <= max_k:
             values.append(self.delta * values[-1] - values[-2])
         # [k] grows with k for delta >= 2, so an overflow anywhere in the

@@ -6,7 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
+from tripoint import cli as cli_module
+from tripoint import graph as graph_module
 from tripoint.errors import InvalidArgument, UnsupportedIndex
+from tripoint.obstruct import run_battery
 from tripoint.qnum import NUMERIC_TOL, QuantumContext, nu_from_delta
 
 
@@ -145,3 +149,48 @@ def test_recurrence_matches_closed_form(delta, k):
     ctx = nu_from_delta(delta)
     expected = direct_qint(delta, k)
     assert ctx.qint(k) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+
+
+class CountingDelta(float):
+    """A delta that records what it multiplies: each recurrence step is delta * [k]."""
+
+    def __mul__(self, other):
+        self.factors.append(other)
+        return float(self) * other
+
+
+def counting_contexts(monkeypatch, module) -> list[QuantumContext]:
+    """Make ``module`` build each context on a ``CountingDelta``; the list collects them."""
+    contexts = []
+
+    def context(delta):
+        counted = CountingDelta(delta)
+        counted.factors = []
+        contexts.append(QuantumContext(counted))
+        return contexts[-1]
+
+    monkeypatch.setattr(module, "nu_from_delta", context)
+    return contexts
+
+
+def test_one_recurrence_per_accepted_pair(monkeypatch):
+    """Extraction's p + q = [n+1] check and the trace share one run of the recurrence."""
+    contexts = counting_contexts(monkeypatch, graph_module)
+    report = run_battery(*helpers.self_paired(helpers.branched_tree(5, (), (4,))))
+    (ctx,) = contexts
+    qints = QuantumContext(float(report.delta)).qints(report.n + 2)
+    assert ctx.delta.factors == qints[1 : report.n + 2]  # [1]..[n+1], each once
+
+
+def test_one_recurrence_per_matrix_request(monkeypatch, capsys):
+    """build_branch_matrix and extract_lambda share one run of the recurrence."""
+    contexts = counting_contexts(monkeypatch, cli_module)
+    argv = ["matrix", "--n", "30", "--delta", "3", "--p", "2026369768940.75",
+            "--q", "2026369768940.25"]
+    assert cli_module.main(argv) == 0
+    assert "lambda + 1/lambda = -1\n" in capsys.readouterr().out
+    (ctx,) = contexts
+    qints = QuantumContext(3.0).qints(32)
+    # [1]..[31] once each for the recurrence, then delta [30] for an entry
+    assert ctx.delta.factors == qints[1:32] + [qints[30]]
