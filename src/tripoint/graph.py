@@ -183,8 +183,7 @@ class GradedBigraph(Frozen):
         links = [(v, p, m, m * m) for v, p, m in zip(range(n - 1, 0, -1), parent[:0:-1], mult[:0:-1])
                  if v not in on_path]
         links += [(v, p, m, m * m) for v, p in zip(path[:0:-1], path[-2::-1]) for m in (mult[p],)]
-        root = path[0]
-        return Tree(n, root, tuple(links), degree, tuple(v for v, p, _, _ in links if p == root))
+        return Tree(n, path[0], tuple(links), degree)
 
     @cached_property
     def _perron(self) -> tuple[float, tuple[float, ...]]:
@@ -287,16 +286,23 @@ def _take_key(lines: list[tuple[int, str]], key: str) -> tuple[int, str]:
     return lineno, text[len(key) + 1 :]
 
 
-@cache
-def _small_numbers() -> dict[str, int]:
-    """``str(k) -> k`` for k < 512, built on first use.
+class _Numbers(dict):
+    """``str(k) -> k`` for k < 512; any other token is looked up as ``int(token)``.
 
-    Looking a token up here is about twice as fast as ``int()``, and every
-    count and edge number of a realistic candidate graph is in it.  A line
-    with any other token, such as ``007``, ``+1``, a non-ASCII digit or a
-    number too long for ``int()``, is converted by ``int()`` instead.
+    A hit is about twice as fast as ``int()``, and every count and edge
+    number of a realistic candidate graph is one.  A miss, such as ``007``,
+    ``+1``, a non-ASCII digit or a number too long for ``int()``, gives
+    exactly what ``int()`` gives, ``ValueError`` included, and is not stored.
     """
-    return {str(k): k for k in range(512)}
+
+    def __missing__(self, token: str) -> int:
+        return int(token)
+
+
+@cache
+def _small_numbers() -> _Numbers:
+    """The token table, built on first use so that importing costs nothing."""
+    return _Numbers((str(k), k) for k in range(512))
 
 
 def _parse_block_exact(lines: list[tuple[int, str]]) -> GradedBigraph:
@@ -317,17 +323,14 @@ def _parse_block_exact(lines: list[tuple[int, str]]) -> GradedBigraph:
         raise ParseError(
             f"'counts:' needs exactly {depth_count} entries, got {len(tokens)}", lineno
         )
-    table = _small_numbers()
+    number = _small_numbers().__getitem__
     try:
-        counts = tuple(map(table.__getitem__, tokens))
-    except KeyError:
-        try:
-            counts = tuple(map(int, tokens))
-        except ValueError:
-            # every entry well formed: int() refused one for its length
-            if all(re.fullmatch(r"[+-]?\d+", t) for t in tokens):
-                raise ParseError("'counts:' has a number too long to convert", lineno) from None
-            raise ParseError("'counts:' entries must be integers", lineno) from None
+        counts = tuple(map(number, tokens))
+    except ValueError:
+        # every entry well formed: int() refused one for its length
+        if all(re.fullmatch(r"[+-]?\d+", t) for t in tokens):
+            raise ParseError("'counts:' has a number too long to convert", lineno) from None
+        raise ParseError("'counts:' entries must be integers", lineno) from None
 
     # The line is read whole, up to its first malformed token, so the first
     # bad token in line order is the one reported, malformed or out of range.
@@ -336,13 +339,10 @@ def _parse_block_exact(lines: list[tuple[int, str]]) -> GradedBigraph:
     good = text[: _EDGES_RE.match(text).end()]
     pieces = good.replace(":", " ").replace("-", " ").split()
     try:
-        numbers = list(map(table.__getitem__, pieces))
-    except KeyError:
-        try:
-            numbers = list(map(int, pieces))
-        except ValueError:
-            limit = sys.get_int_max_str_digits()
-            numbers = [int(x) if len(x) <= limit else math.inf for x in pieces]
+        numbers = list(map(number, pieces))
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        numbers = [int(x) if len(x) <= limit else math.inf for x in pieces]
     edges = list(zip(numbers[::3], numbers[1::3], numbers[2::3]))
     for d, u, v in edges:
         if d >= depth_count - 1 or u >= counts[d] or v >= counts[d + 1]:
@@ -420,15 +420,13 @@ class Tree(NamedTuple):
 
     ``links`` holds ``(vertex, parent, m, m*m)`` for every vertex but
     ``root``, each after all of its children; m counts the edges to the
-    parent.  ``degree`` is each vertex's weighted degree and ``children``
-    lists the root's children.
+    parent.  ``degree`` is each vertex's weighted degree.
     """
 
     n: int
     root: int
     links: tuple[tuple[int, int, int, int], ...]
     degree: list[int]
-    children: tuple[int, ...]
 
 
 def _tree_norm(tree: Tree) -> float:
@@ -461,7 +459,8 @@ def _tree_norm(tree: Tree) -> float:
     and on doubled tails, and within 1.3 ulps on 4,000 random trees with
     multiple edges (1.9 with the plain step).
     """
-    n, root, links, degree, children = tree
+    n, root, links, degree = tree
+    children = [v for v, p, _, _ in links if p == root]
     reach = [0] * n  # row sums of A^2
     for v, p, m, _ in links:
         reach[v] += m * degree[p]
@@ -525,15 +524,13 @@ def _tree_perron(tree: Tree) -> tuple[float, list[float]]:
     leaf-to-root elimination as ``_tree_norm``, carrying the right-hand
     side up (``r(p) += m r(v) / a(v)``), then substitutes back from the
     root (``y(v) = (r(v) + m y(p)) / a(v)``).  The pivots depend on sigma
-    alone, so both steps share them, and the loop that eliminates them
-    also carries the first step's right-hand side up, in the same order and
-    so with the same roundings.  They set the accuracy of the vector:
+    alone, so both steps share them.  They set the accuracy of the vector:
     rounded at every step of their recursion they cost p and q up to about
     10 ulps on long arms, against 5 for the dense solve, so they are
     eliminated in integer fixed point with ``PIVOT_BITS`` fraction bits
     and rounded to double precision once.
     """
-    n, root, links, _, _ = tree
+    n, root, links, _ = tree
     delta = _tree_norm(tree)
     if abs(delta - 2.0) <= NUMERIC_TOL and _norm_is_two(tree):
         delta = 2.0
@@ -542,18 +539,13 @@ def _tree_perron(tree: Tree) -> tuple[float, list[float]]:
     wide = one * one
     scale = 2.0 ** -PIVOT_BITS
     fixed = [int(sigma * one)] * n  # exact: a double times a power of two
-    pivot = [0.0] * n
     x = [1.0] * n
     try:
-        # the pivot loop also runs the first step's up-pass: a pivot is final once read
-        for v, p, m, w in links:
-            f = fixed[v]
-            fixed[p] -= (wide if w == 1 else w * wide) // f
-            pivot[v] = a = float(f) * scale  # rounded once, then scaled exactly
-            x[p] += m * x[v] / a
-        pivot[root] = float(fixed[root]) * scale
-        for up in ((), links):  # the first step's up-pass is done
-            for v, p, m, _ in up:
+        for v, p, _, w in links:
+            fixed[p] -= (wide if w == 1 else w * wide) // fixed[v]
+        pivot = [f * scale for f in map(float, fixed)]  # rounded once, then scaled exactly
+        for _ in range(2):
+            for v, p, m, _ in links:
                 x[p] += m * x[v] / pivot[v]
             x[root] /= pivot[root]
             for v, p, m, _ in reversed(links):

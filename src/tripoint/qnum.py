@@ -24,7 +24,10 @@ class Frozen:
     them and then sets them, in that order, with ``_freeze``.  From then on
     assigning or deleting an attribute raises ``AttributeError``, and
     equality, hashing and ``repr`` go by the fields.  ``functools.
-    cached_property`` still works, since it writes the instance dict directly.
+    cached_property`` still works, since it writes the instance dict directly,
+    and so does other state derived from the fields, such as
+    ``QuantumContext._qints``: it lives outside ``_fields`` and so takes no
+    part in equality, hashing or ``repr``.
     ``dataclasses`` is not used: importing it loads ``inspect`` and ``ast``,
     which take longer than importing the whole CLI without them.
     """
@@ -75,7 +78,7 @@ class QuantumContext(Frozen):
                 f"delta = {delta} < 2 means index < 4, outside the supported regime"
             )
         self._freeze(delta)
-        vars(self)["_qints"] = [0.0, 1.0]  # see ``qints``; not a field
+        vars(self)["_qints"] = [0.0, 1.0]  # derived state, see ``_extended``
 
     @property
     def nu(self) -> float:
@@ -86,13 +89,19 @@ class QuantumContext(Frozen):
         return half + math.sqrt(half - 1.0) * math.sqrt(half + 1.0)
 
     def qint(self, k: int) -> float:
-        """The quantum integer [k], the last entry of ``qints(k)``."""
+        """The quantum integer [k]."""
         if k < 0:
             raise InvalidArgument(f"k = {k} must be >= 0")
-        return self.qints(k)[k]
+        return self._extended(k)[k]
 
     def qints(self, max_k: int) -> list[float]:
-        """[0], [1], ..., [max_k] as a new list.
+        """[0], [1], ..., [max_k] as a new list."""
+        if max_k < 0:
+            raise InvalidArgument(f"max_k = {max_k} must be >= 0")
+        return self._extended(max_k)[: max_k + 1]
+
+    def _extended(self, max_k: int) -> list[float]:
+        """The context's own list of [k], extended to hold at least [max_k].
 
         Evaluated by the three-term recurrence [k+1] = delta*[k] - [k-1]
         with [0] = 0 and [1] = 1, which stays exact in the nu = 1 limit
@@ -100,8 +109,6 @@ class QuantumContext(Frozen):
         longest list it has built and only extends it, so each [k] is
         computed once however many callers ask for it.
         """
-        if max_k < 0:
-            raise InvalidArgument(f"max_k = {max_k} must be >= 0")
         values = self._qints
         while len(values) <= max_k:
             values.append(self.delta * values[-1] - values[-2])
@@ -111,7 +118,7 @@ class QuantumContext(Frozen):
             raise UnsupportedIndex(
                 f"[{max_k}] overflows double precision at delta = {self.delta}"
             )
-        return values[: max_k + 1]
+        return values
 
     def check_dimension_sum(self, n: int, p: float, q: float) -> None:
         """Require p + q = [n+1] to ``NUMERIC_TOL``, relative to max(1, [n+1]).
