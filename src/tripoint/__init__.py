@@ -7,17 +7,14 @@ with the rotational eigenvalue it exposes.
 """
 
 from . import errors
-from .branch import BranchMatrix, apply_to_perp_vector, build_branch_matrix, extract_lambda, solve_phases
+from .branch import BranchMatrix, build_branch_matrix, extract_lambda, solve_phases
 from .graph import (
     GradedBigraph,
     TriplePointData,
-    dimension_vector,
     extract_triple_point,
     graph_norm,
     parse_graph,
     parse_pair,
-    serialize_graph,
-    serialize_pair,
     supertransitivity,
 )
 from .obstruct import (
@@ -28,7 +25,6 @@ from .obstruct import (
     Verdict,
     allowed_ratios,
     ocneanu_parity,
-    qt_test,
     rotational_test,
     run_battery,
     triple_single,
@@ -48,9 +44,7 @@ __all__ = [
     "TriplePointData",
     "Verdict",
     "allowed_ratios",
-    "apply_to_perp_vector",
     "build_branch_matrix",
-    "dimension_vector",
     "errors",
     "extract_lambda",
     "extract_triple_point",
@@ -59,11 +53,8 @@ __all__ = [
     "ocneanu_parity",
     "parse_graph",
     "parse_pair",
-    "qt_test",
     "rotational_test",
     "run_battery",
-    "serialize_graph",
-    "serialize_pair",
     "solve_phases",
     "supertransitivity",
     "triple_single",

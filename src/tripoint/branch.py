@@ -112,19 +112,6 @@ def build_branch_matrix(ctx: QuantumContext, n: int, p: float, q: float) -> Bran
     return BranchMatrix(n=n, ctx=ctx, p=p, q=q, sigma=sigma, tau=tau, entries=entries)
 
 
-def apply_to_perp_vector(u: BranchMatrix) -> tuple[complex, complex, None]:
-    """Image of (0, sqrt(q), -sqrt(p)) under the known entries of the matrix.
-
-    The first coordinate vanishes identically; the third depends on the
-    unknown entries and is reported as ``None``.
-    """
-    sq = math.sqrt(u.q)
-    sp = math.sqrt(u.p)
-    c1 = u.entries[0][1] * sq - u.entries[0][2] * sp
-    c2 = u.entries[1][1] * sq - u.entries[1][2] * sp
-    return c1, c2, None
-
-
 def extract_lambda(u: BranchMatrix) -> complex:
     """Rotational eigenvalue lambda = (sigma - tau)^2 * p*q / ([n][n+2]).
 

@@ -42,12 +42,12 @@ root-normalized straight from the cached Perron vector.
 
 The parser reads each ``edges:`` line whole and converts and range-checks
 each edge once, looking numbers below 512 up in a table; the graph then
-indexes its vertices in one pass over the sorted edges.  A self-dual pair
-file, whose two sections describe the same graph, yields one graph object
-for both sections, so it is parsed and solved once.  numpy is imported only
-when a graph with a cycle is first solved, so importing this module,
-parsing, checking a pair of trees and the non-spectral commands never load
-it.
+sorts its edges and indexes its vertices in one pass over them.  A self-dual
+pair file, whose two sections describe the same graph, yields one graph
+object for both sections, so it is parsed and solved once.  numpy is
+imported only when a graph with a cycle is first solved, so importing this
+module, parsing, checking a pair of trees and the non-spectral commands
+never load it.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from __future__ import annotations
 import math
 import re
 import sys
+from collections.abc import Iterable
 from functools import cache, cached_property
 from itertools import accumulate
 from operator import add
@@ -79,42 +80,26 @@ _EDGES_RE = re.compile(r"(?:\s*\d+:\d+-\d+(?!\S))*\s*")
 class GradedBigraph(Frozen):
     """A connected graph graded by distance from a unique root vertex.
 
-    Counts and edge endpoints are stored as ints and the edges sorted, so two
-    descriptions of one graph compare and hash equal.  One pass over the sorted
-    edges lists, per vertex in flat order, its first neighbour one depth up (-2
-    once it has two) and its edges down and up: the graded check, the tree links
-    and every degree lookup read those lists, and none of them bisects.
+    Graphs come from ``parse_graph`` or ``parse_pair``: the parser checks
+    every number of its input and the range of every edge, and the
+    constructor checks only what the counts and the grading need.  It sorts
+    the edges, so two descriptions of one graph compare and hash equal.  One
+    pass over the sorted edges lists, per vertex in flat order, its first
+    neighbour one depth up (-2 once it has two) and its edges down and up:
+    the graded check, the tree links and every degree lookup read those
+    lists, and none of them bisects.
     """
 
     _fields = ("vertex_counts", "edges")
     vertex_counts: tuple[int, ...]
     edges: tuple[Edge, ...]
 
-    def __init__(self, vertex_counts: tuple[int, ...], edges: tuple[Edge, ...]) -> None:
-        counts = tuple(int(c) for c in vertex_counts)
-        edges = tuple(sorted((int(d), int(u), int(v)) for d, u, v in edges))
-        self._index(counts, edges, unchecked=edges)
-
-    @classmethod
-    def _parsed(cls, counts: tuple[int, ...], edges: tuple[Edge, ...]) -> GradedBigraph:
-        """A graph from the parser, which has converted, range-checked and sorted the edges."""
-        graph = cls.__new__(cls)
-        graph._index(counts, edges)
-        return graph
-
-    def _index(self, counts: tuple[int, ...], edges: tuple[Edge, ...], unchecked=()) -> None:
-        """Check the counts and the ``unchecked`` edges, then index the graph in one pass."""
-        if not counts:
-            raise InvalidGraph("graph must have at least one depth")
+    def __init__(self, counts: tuple[int, ...], edges: Iterable[Edge]) -> None:
+        edges = tuple(sorted(edges))
         if counts[0] != 1:
             raise InvalidGraph("exactly one vertex at depth 0 required")
         if min(counts) < 1:
             raise InvalidGraph("every depth must have at least one vertex")
-        for d, u, v in unchecked:
-            if not 0 <= d < len(counts) - 1:
-                raise InvalidGraph(f"edge {d}:{u}-{v} does not connect consecutive depths")
-            if not (0 <= u < counts[d] and 0 <= v < counts[d + 1]):
-                raise InvalidGraph(f"edge {d}:{u}-{v} has an out-of-range vertex index")
         offsets = tuple(accumulate(counts, initial=0))
         # Depth equals distance from the root, so every deeper vertex needs a
         # downward edge; together with the unique root this forces connectivity.
@@ -140,10 +125,6 @@ class GradedBigraph(Frozen):
             )
         self._freeze(counts, edges)
         vars(self).update(_offsets=offsets, _parent=parent, _down=down, _up=up)
-
-    @property
-    def depth_count(self) -> int:
-        return len(self.vertex_counts)
 
     @property
     def vertex_count(self) -> int:
@@ -207,15 +188,10 @@ class GradedBigraph(Frozen):
             raise UnsupportedIndex("Perron vector is not strictly positive in double precision")
         return delta, tuple(vec)
 
-    def down_degree(self, depth: int, index: int) -> int:
-        return self._down[self._offsets[depth] + index]
-
-    def up_degree(self, depth: int, index: int) -> int:
-        return self._up[self._offsets[depth] + index]
-
     def valence(self, depth: int, index: int) -> int:
         """Number of incident edges, counted with multiplicity."""
-        return self.down_degree(depth, index) + self.up_degree(depth, index)
+        flat = self._offsets[depth] + index
+        return self._down[flat] + self._up[flat]
 
 
 class TriplePointData(Frozen):
@@ -265,7 +241,7 @@ class TriplePointData(Frozen):
 
 
 # ---------------------------------------------------------------------------
-# parsing and serialization
+# parsing
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
     out = []
@@ -356,7 +332,7 @@ def _parse_block_exact(lines: list[tuple[int, str]]) -> GradedBigraph:
     if len(good) < len(text):
         token = text[len(good) :].split()[0]
         raise ParseError(f"bad edge token {token!r} (expected d:u-v)", lineno)
-    graph = GradedBigraph._parsed(counts, tuple(sorted(edges)))
+    graph = GradedBigraph(counts, edges)
     if lines:
         raise ParseError(f"unexpected content {lines[0][1]!r}", lines[0][0])
     return graph
@@ -387,16 +363,6 @@ def parse_pair(text: str) -> tuple[GradedBigraph, GradedBigraph]:
         return principal, principal
     dual = _parse_block_exact(lines[split_at + 1 :])
     return principal, principal if dual == principal else dual
-
-
-def serialize_graph(g: GradedBigraph) -> str:
-    counts = " ".join(str(c) for c in g.vertex_counts)
-    tokens = " ".join(f"{d}:{u}-{v}" for d, u, v in g.edges)
-    return f"depths: {g.depth_count}\ncounts: {counts}\nedges: {tokens}\n"
-
-
-def serialize_pair(principal: GradedBigraph, dual: GradedBigraph) -> str:
-    return f"[principal]\n{serialize_graph(principal)}[dual]\n{serialize_graph(dual)}"
 
 
 # ---------------------------------------------------------------------------
@@ -619,12 +585,6 @@ def _dimensions(g: GradedBigraph, first: int, stop: int) -> list[float]:
             " (the root entry of the Perron vector is below its resolution)"
         )
     return [x / root for x in vec[first:stop]]
-
-
-def dimension_vector(g: GradedBigraph) -> dict[tuple[int, int], float]:
-    """Dimensions of every vertex, ``(depth, index)`` -> value, root normalized to 1."""
-    vertices = [(d, i) for d, count in enumerate(g.vertex_counts) for i in range(count)]
-    return dict(zip(vertices, _dimensions(g, 0, g.vertex_count)))
 
 
 def supertransitivity(g: GradedBigraph) -> tuple[int, bool]:

@@ -111,15 +111,6 @@ def rotational_test(
     return verdict, trace, candidates
 
 
-def qt_test(tp: TriplePointData, tol: float = DEFAULT_TRACE_TOL) -> Verdict:
-    """The historical form of the rotational test, needing a 3-valent gamma2.
-
-    The rotational verdict wherever gamma2 is 3-valent, reported separately so
-    users can see which of the older obstructions already applied.
-    """
-    return rotational_test(tp, tol)[0] if tp.gamma2_trivalent else Verdict.INAPPLICABLE
-
-
 def allowed_ratios(ctx: QuantumContext, n: int) -> list[RatioRow]:
     """Invert the rotational identity: the admissible (r, p, q) for each k.
 
@@ -163,12 +154,14 @@ def run_battery(
     Every test is evaluated at the pair's own delta, the principal graph's
     norm (see :func:`graph.extract_triple_point`), which is exactly 2 for a
     tree of norm 2; the parity test then does not apply.  ``tol`` sets the
-    verdicts only.  The trace is computed once, from the trace formula: the
-    quadratic-tangles verdict is the rotational one wherever gamma2 is
-    3-valent, as in :func:`qt_test`, since the rotational test already needs
-    a 1-valent gamma3.  No branch matrix is built: once extraction has checked
-    p + q = [n+1], its lambda has modulus 1 and 2 Re lambda equals the trace
-    formula for every (p, q) (see ``tests/test_branch.py``).
+    verdicts only.  The trace is computed once, from the trace formula.  The
+    quadratic-tangles test is the historical form of the rotational test,
+    which also needs a 3-valent gamma2: its verdict is the rotational one
+    where gamma2 is 3-valent and ``Inapplicable`` elsewhere, since the
+    rotational test already needs a 1-valent gamma3.  No branch matrix is
+    built: once extraction has checked p + q = [n+1], its lambda has modulus
+    1 and 2 Re lambda equals the trace formula for every (p, q) (see
+    ``tests/test_branch.py``).
     """
     tp = extract_triple_point(principal, dual)
     parity = ocneanu_parity(tp.n - 1) if tp.ctx.delta > 2.0 else Verdict.INAPPLICABLE

@@ -1,8 +1,8 @@
 """Quantum integer arithmetic driven by the index parameter delta = [2].
 
-A context holds delta alone and validates it on construction; nu, the root
-nu >= 1 of nu + 1/nu = delta, is derived from it.  A graph pair's context is
-built from its principal graph's norm by ``graph.extract_triple_point``.
+A context holds delta alone and validates it on construction, and computes
+each [k] from it once.  A graph pair's context is built from its principal
+graph's norm by ``graph.extract_triple_point``.
 """
 
 from __future__ import annotations
@@ -79,14 +79,6 @@ class QuantumContext(Frozen):
             )
         self._freeze(delta)
         vars(self)["_qints"] = [0.0, 1.0]  # derived state, see ``_extended``
-
-    @property
-    def nu(self) -> float:
-        """The root nu >= 1 of nu + 1/nu = delta."""
-        half = self.delta / 2.0
-        # the square root is split so that it neither overflows for huge delta
-        # nor cancels near delta = 2
-        return half + math.sqrt(half - 1.0) * math.sqrt(half + 1.0)
 
     def qint(self, k: int) -> float:
         """The quantum integer [k]."""

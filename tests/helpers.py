@@ -1,26 +1,81 @@
-"""Shared builders for synthetic graph-pair fixtures.
+"""Shared builders for synthetic graph-pair fixtures, and the test-only views of the program.
 
 Fixtures are built on string labels and then graded by BFS distance from a
 chosen root.  Most are trees (occasionally with doubled edges), which the
 program solves without numpy; ``reconverging_arms`` builds graphs with a
 cycle, which take its dense solve.  Grading a tree from two different roots
 yields two graphs with exactly the same spectrum, which is how pairs with
-matching norms but different shapes are made.  ``adjacency``,
-``reference_parse_graph`` and ``reference_rounded`` are oracles for the
-program's own graph index, parser and JSON rounding.
+matching norms but different shapes are made.  Every fixture graph goes
+through ``make_graph``, which writes it out and reads it back with
+``parse_graph``, so fixtures meet the program's own validator.
+
+``adjacency``, ``reference_parse_graph`` and ``reference_rounded`` are
+oracles for the program's own graph index, parser and JSON rounding.
+``serialize_graph``, ``pair_text``, ``dimension_vector``, ``qt_test`` and
+``apply_to_perp_vector`` are views of the program that only the tests need:
+the pair-file text of a graph, every root-normalized dimension, the
+quadratic-tangles verdict on its own, and the image of the perpendicular
+vector under a branch matrix.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from collections import deque
 
 import numpy as np
 
+from tripoint import graph as graph_module
+from tripoint.branch import BranchMatrix
 from tripoint.errors import ParseError
-from tripoint.graph import GradedBigraph, serialize_pair
+from tripoint.graph import GradedBigraph, TriplePointData, parse_graph
+from tripoint.obstruct import DEFAULT_TRACE_TOL, Verdict, rotational_test
 
 LabeledEdge = tuple[str, str]
+
+
+def graph_text(counts, edges) -> str:
+    """The three-line graph block of the pair-file format."""
+    tokens = " ".join(f"{d}:{u}-{v}" for d, u, v in edges)
+    return f"depths: {len(counts)}\ncounts: {' '.join(map(str, counts))}\nedges: {tokens}\n"
+
+
+def make_graph(counts, edges) -> GradedBigraph:
+    """The graph of these counts and edges, built by ``parse_graph`` from its text."""
+    return parse_graph(graph_text(counts, edges))
+
+
+def serialize_graph(g: GradedBigraph) -> str:
+    return graph_text(g.vertex_counts, g.edges)
+
+
+def pair_text(principal: GradedBigraph, dual: GradedBigraph) -> str:
+    return f"[principal]\n{serialize_graph(principal)}[dual]\n{serialize_graph(dual)}"
+
+
+def dimension_vector(g: GradedBigraph) -> dict[tuple[int, int], float]:
+    """Dimensions of every vertex, ``(depth, index)`` -> value, root normalized to 1."""
+    vertices = [(d, i) for d, count in enumerate(g.vertex_counts) for i in range(count)]
+    return dict(zip(vertices, graph_module._dimensions(g, 0, g.vertex_count)))
+
+
+def qt_test(tp: TriplePointData, tol: float = DEFAULT_TRACE_TOL) -> Verdict:
+    """The quadratic-tangles test: the rotational verdict where gamma2 is 3-valent."""
+    return rotational_test(tp, tol)[0] if tp.gamma2_trivalent else Verdict.INAPPLICABLE
+
+
+def apply_to_perp_vector(u: BranchMatrix) -> tuple[complex, complex, None]:
+    """Image of (0, sqrt(q), -sqrt(p)) under the known entries of the matrix.
+
+    The first coordinate vanishes identically; the third depends on the
+    unknown entries and is reported as ``None``.
+    """
+    sq = math.sqrt(u.q)
+    sp = math.sqrt(u.p)
+    c1 = u.entries[0][1] * sq - u.entries[0][2] * sp
+    c2 = u.entries[1][1] * sq - u.entries[1][2] * sp
+    return c1, c2, None
 
 
 def grade_tree(edges: list[LabeledEdge], root: str) -> GradedBigraph:
@@ -60,7 +115,7 @@ def grade_tree(edges: list[LabeledEdge], root: str) -> GradedBigraph:
             a, b, da = b, a, db
         converted.append((da, index[a], index[b]))
     counts = tuple(len(order[d]) for d in range(len(order)))
-    return GradedBigraph(counts, tuple(converted))
+    return make_graph(counts, converted)
 
 
 def branched_tree(
@@ -145,10 +200,6 @@ def two_rooted_pair(extra_tail: int = 0) -> tuple[GradedBigraph, GradedBigraph]:
     return grade_tree(edges, "a"), grade_tree(edges, "b")
 
 
-def pair_text(principal: GradedBigraph, dual: GradedBigraph) -> str:
-    return serialize_pair(principal, dual)
-
-
 def battery_corpus() -> list[tuple[str, GradedBigraph, GradedBigraph]]:
     """At least twenty valid graph pairs covering the verdict combinations."""
     pairs: list[tuple[str, GradedBigraph, GradedBigraph]] = []
@@ -183,7 +234,7 @@ def battery_corpus() -> list[tuple[str, GradedBigraph, GradedBigraph]]:
 
 def adjacency(g: GradedBigraph) -> np.ndarray:
     """Symmetric adjacency matrix in flat ``(depth, index)`` order; entries count edge multiplicity."""
-    offsets = [sum(g.vertex_counts[:d]) for d in range(g.depth_count)]
+    offsets = [sum(g.vertex_counts[:d]) for d in range(len(g.vertex_counts))]
     a = np.zeros((g.vertex_count, g.vertex_count))
     for d, u, v in g.edges:
         i, j = offsets[d] + u, offsets[d + 1] + v
@@ -199,7 +250,7 @@ def reference_parse_graph(text: str) -> GradedBigraph:
     """A single graph block read token by token, as the parser did before it read lines whole.
 
     Each edge token is matched, converted and range-checked in line order,
-    then the constructor checks everything again.
+    then the constructor checks the counts and the grading.
     """
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -242,7 +293,7 @@ def reference_parse_graph(text: str) -> GradedBigraph:
         if u >= counts[d] or v >= counts[d + 1]:
             raise ParseError(f"edge {token!r}: vertex index out of range", lineno)
         edges.append((d, u, v))
-    graph = GradedBigraph(counts, tuple(edges))
+    graph = GradedBigraph(counts, edges)
     if lines:
         raise ParseError(f"unexpected content {lines[0][1]!r}", lines[0][0])
     return graph

@@ -17,15 +17,10 @@ import time
 import numpy as np
 
 import helpers
-from tripoint.branch import (
-    apply_to_perp_vector,
-    build_branch_matrix,
-    extract_lambda,
-    solve_phases,
-)
+from tripoint.branch import build_branch_matrix, extract_lambda, solve_phases
 from tripoint.cli import main
 from tripoint.errors import NoUnitaryPhase
-from tripoint.graph import dimension_vector, graph_norm, parse_pair
+from tripoint.graph import graph_norm, parse_pair
 from tripoint.obstruct import allowed_ratios, run_battery
 from tripoint.qnum import nu_from_delta
 
@@ -163,7 +158,7 @@ def test_branch_matrix_invariants():
         total = ctx.qint(n + 1)
         p, q = (total + gap) / 2.0, (total - gap) / 2.0
         u = build_branch_matrix(ctx, n, p, q)
-        c1, _, _ = apply_to_perp_vector(u)
+        c1, _, _ = helpers.apply_to_perp_vector(u)
         worst_c1 = max(
             worst_c1, abs(c1) / (1e-12 * math.sqrt(ctx.qint(n - 1) * p * q))
         )
@@ -196,7 +191,7 @@ def test_perron_frobenius_oracle():
         )
         norm = graph_norm(g)
         worst_norm = max(worst_norm, abs(norm - 2.0 * math.cos(math.pi / (m + 1))))
-        dims = dimension_vector(g)
+        dims = helpers.dimension_vector(g)
         scale = math.sin(math.pi / (m + 1))
         for d in range(m):
             expected = math.sin((d + 1) * math.pi / (m + 1)) / scale
@@ -224,7 +219,7 @@ def _oracle_string_length(g) -> int:
 
     multiplicity = Counter(d for d, _, _ in g.edges)
     s = 0
-    while s + 1 < g.depth_count and g.vertex_counts[s + 1] == 1 and multiplicity[s] == 1:
+    while s + 1 < len(g.vertex_counts) and g.vertex_counts[s + 1] == 1 and multiplicity[s] == 1:
         s += 1
     return s
 

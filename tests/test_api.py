@@ -1,0 +1,98 @@
+"""What the package offers its users: its public names, and the Python versions it parses on.
+
+Every public function or method of ``src/tripoint`` must be used by the
+program itself or be named in the README's Library section, so that no
+surface survives for the tests alone; test-only views of the program live
+in ``tests/helpers.py``.  ``pyproject.toml`` promises Python 3.10, so every
+source file must parse as 3.10 syntax.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+import tripoint
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "tripoint"
+
+PUBLIC_NAMES = [
+    "BranchMatrix",
+    "DEFAULT_TRACE_TOL",
+    "GradedBigraph",
+    "ObstructionReport",
+    "QuantumContext",
+    "RatioRow",
+    "RootCandidate",
+    "TriplePointData",
+    "Verdict",
+    "allowed_ratios",
+    "build_branch_matrix",
+    "errors",
+    "extract_lambda",
+    "extract_triple_point",
+    "graph_norm",
+    "nu_from_delta",
+    "ocneanu_parity",
+    "parse_graph",
+    "parse_pair",
+    "rotational_test",
+    "run_battery",
+    "solve_phases",
+    "supertransitivity",
+    "triple_single",
+]
+
+
+def test_public_names_are_exactly_these():
+    assert tripoint.__all__ == PUBLIC_NAMES
+    assert all(hasattr(tripoint, name) for name in PUBLIC_NAMES)
+
+
+def public_functions(tree: ast.Module):
+    """Names of the module-level functions and class methods that do not start with ``_``."""
+    for node in tree.body:
+        bodies = node.body if isinstance(node, ast.ClassDef) else [node]
+        for item in bodies:
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                yield item.name
+
+
+def test_every_public_function_is_used_by_the_program_or_documented():
+    modules = {
+        path.name: ast.parse(path.read_text())
+        for path in PACKAGE.glob("*.py")
+        if path.name != "__init__.py"  # re-exports are not uses
+    }
+    used = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in modules.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    readme = (ROOT / "README.md").read_text()
+    start = readme.index("## Library")
+    library = readme[start : readme.index("\n## ", start)]
+    documented = set(re.findall(r"\w+", library))
+    unused = sorted(
+        f"{module}:{name}"
+        for module, tree in modules.items()
+        for name in public_functions(tree)
+        if name not in used and name not in documented
+    )
+    assert unused == []
+
+
+SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_sources_parse_as_python_3_10(path):
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_the_3_10_parse_refuses_3_11_syntax():
+    with pytest.raises(SyntaxError, match="3.11"):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))

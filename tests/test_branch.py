@@ -7,13 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tripoint.branch import (
-    BranchMatrix,
-    apply_to_perp_vector,
-    build_branch_matrix,
-    extract_lambda,
-    solve_phases,
-)
+from helpers import apply_to_perp_vector
+from tripoint.branch import BranchMatrix, build_branch_matrix, extract_lambda, solve_phases
 from tripoint.errors import (
     DimensionSumMismatch,
     InvalidArgument,

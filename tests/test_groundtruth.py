@@ -21,7 +21,7 @@ import pytest
 
 import helpers
 from tripoint.cli import main
-from tripoint.graph import dimension_vector, graph_norm
+from tripoint.graph import graph_norm
 from tripoint.obstruct import Verdict, run_battery
 
 
@@ -58,7 +58,7 @@ def test_affine_diagrams_are_index_four_and_never_fail(name):
     edges, root, n, p, q = AFFINE[name]
     principal, dual = helpers.self_paired(edges, root)
     assert graph_norm(principal) ** 2 == pytest.approx(4.0, abs=1e-12)
-    dims = dimension_vector(principal).values()
+    dims = helpers.dimension_vector(principal).values()
     assert all(d == pytest.approx(round(d), rel=1e-12) for d in dims)
     report = run_battery(principal, dual)
     assert report.delta == 2.0

@@ -16,7 +16,6 @@ from tripoint.obstruct import (
     Verdict,
     allowed_ratios,
     ocneanu_parity,
-    qt_test,
     rotational_test,
     run_battery,
     triple_single,
@@ -141,10 +140,10 @@ def test_rotational_candidate_list_shape():
 
 def test_qt_needs_both_valence_hypotheses():
     ctx = nu_from_delta(2.2)
-    assert qt_test(make_tp(ctx, 4, 0.0, trivalent=True)) is Verdict.PASS
-    assert qt_test(make_tp(ctx, 4, 0.0, trivalent=False)) is Verdict.INAPPLICABLE
+    assert helpers.qt_test(make_tp(ctx, 4, 0.0, trivalent=True)) is Verdict.PASS
+    assert helpers.qt_test(make_tp(ctx, 4, 0.0, trivalent=False)) is Verdict.INAPPLICABLE
     assert (
-        qt_test(make_tp(ctx, 4, 0.0, univalent=False, trivalent=True))
+        helpers.qt_test(make_tp(ctx, 4, 0.0, univalent=False, trivalent=True))
         is Verdict.INAPPLICABLE
     )
     # rotational still runs when gamma2 is not trivalent
@@ -158,7 +157,7 @@ def test_qt_agrees_with_rotational_when_both_apply():
         for gap in (0.0, 0.5, 1.0, 1.5):
             tp = make_tp(ctx, n, gap, trivalent=True)
             rot, _, _ = rotational_test(tp)
-            assert qt_test(tp) is rot
+            assert helpers.qt_test(tp) is rot
 
 
 @settings(max_examples=300, deadline=None)
@@ -195,7 +194,7 @@ def test_rotational_subsumes_triple_single_and_quadratic_tangles(delta, n, gap, 
     rot, _, _ = rotational_test(tp, tol)
     if rot is Verdict.PASS:
         assert triple_single(tp, tol) is Verdict.PASS
-    assert qt_test(tp, tol) in (rot, Verdict.INAPPLICABLE)
+    assert helpers.qt_test(tp, tol) in (rot, Verdict.INAPPLICABLE)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +347,7 @@ def test_battery_computes_the_trace_once(monkeypatch, tol):
         report = run_battery(principal, dual, tol=tol)
         assert len(calls) == 1, name
         tp = extract_triple_point(principal, dual)
-        assert report.verdicts["quadratic_tangles"] is qt_test(tp, tol), name
+        assert report.verdicts["quadratic_tangles"] is helpers.qt_test(tp, tol), name
         applicable += report.verdicts["quadratic_tangles"] is not Verdict.INAPPLICABLE
     assert applicable >= 4
 

@@ -11,7 +11,7 @@ from tripoint import cli as cli_module
 from tripoint import graph as graph_module
 from tripoint.errors import InvalidArgument, UnsupportedIndex
 from tripoint.obstruct import run_battery
-from tripoint.qnum import NUMERIC_TOL, QuantumContext, nu_from_delta
+from tripoint.qnum import QuantumContext, nu_from_delta
 
 
 def direct_qint(delta: float, k: int) -> float:
@@ -21,27 +21,32 @@ def direct_qint(delta: float, k: int) -> float:
 
 
 def test_nu_at_boundary():
-    assert nu_from_delta(2.0).nu == pytest.approx(1.0, abs=1e-12)
+    """At delta = 2, nu = 1, where the closed form is 0/0: [k] = k exactly."""
+    assert nu_from_delta(2.0).qints(12) == [float(k) for k in range(13)]
 
 
 def test_nu_at_two_and_a_half():
-    assert nu_from_delta(2.5).nu == pytest.approx(2.0, abs=1e-12)
+    """delta = 2.5 is nu = 2, where [k] = (2^k - 2^-k) / (2 - 1/2)."""
+    ctx = nu_from_delta(2.5)
+    for k in range(20):
+        assert ctx.qint(k) == pytest.approx((2.0**k - 2.0**-k) / 1.5, rel=1e-12)
 
 
 def test_nu_at_sqrt_five_is_golden_ratio():
-    # positive root of nu^2 - delta*nu + 1 = 0
-    delta = math.sqrt(5.0)
-    expected = (delta + math.sqrt(delta * delta - 4.0)) / 2.0
-    ctx = nu_from_delta(delta)
-    assert ctx.nu == pytest.approx(expected, rel=1e-12)
-    assert ctx.nu == pytest.approx((1.0 + math.sqrt(5.0)) / 2.0, rel=1e-12)
+    # nu is the golden ratio phi, and phi - 1/phi = 1, so [k] = phi^k - phi^-k
+    phi = (1.0 + math.sqrt(5.0)) / 2.0
+    ctx = nu_from_delta(math.sqrt(5.0))
+    for k in range(20):
+        assert ctx.qint(k) == pytest.approx(phi**k - phi**-k, rel=1e-12)
 
 
 def test_context_invariant():
+    """[2] is delta, and [k]^2 - [k-1][k+1] = 1 (the quantum Cassini identity)."""
     for delta in (2.0, 2.1, 2.25, math.sqrt(5.0), 2.5):
-        ctx = nu_from_delta(delta)
-        assert abs(ctx.nu + 1.0 / ctx.nu - ctx.delta) <= NUMERIC_TOL
-        assert ctx.nu >= 1.0
+        q = nu_from_delta(delta).qints(20)
+        assert q[2] == delta
+        for k in range(1, 20):
+            assert abs(q[k] ** 2 - q[k - 1] * q[k + 1] - 1.0) <= 1e-12 * q[k + 1] ** 2
 
 
 def test_values_of_another_type_are_never_equal():
@@ -66,8 +71,8 @@ def test_context_validates_delta_directly():
         QuantumContext(1.9)
     for delta in (2.0, 2.0 + 1e-12, 2.1, math.sqrt(5.0), 2.5, 1e200):
         ctx = QuantumContext(delta)
-        assert ctx.nu >= 1.0
-        assert ctx.nu + 1.0 / ctx.nu == pytest.approx(delta, rel=1e-15)
+        assert ctx.delta == delta
+        assert ctx.qints(2) == [0.0, 1.0, delta]
 
 
 def test_delta_must_be_finite():
@@ -80,7 +85,7 @@ def test_delta_must_be_finite():
 def test_slightly_low_delta_clamps_to_two():
     ctx = nu_from_delta(2.0 - 1e-12)
     assert ctx.delta == 2.0
-    assert ctx.nu == 1.0
+    assert ctx.qint(7) == 7.0
 
 
 def test_qint_base_cases():
