@@ -1,8 +1,11 @@
 """Command line front end.
 
 Exit codes: 0 all applicable tests pass, 1 some obstruction fails, 2 on
-usage or input errors.  ``main`` turns a ``TripointError`` into one stderr
-line and exit 2; only ``check``, which reports each file, catches its own.
+usage or input errors, on output that could not be written and on any
+crash.  ``main`` turns a ``TripointError`` into one stderr line and exit 2;
+only ``check``, which reports each file, catches its own.  ``run`` is the
+process entry: it turns what escapes ``main`` into exit 2 and ends the
+process without interpreter teardown.
 """
 
 from __future__ import annotations
@@ -10,7 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+from typing import NoReturn
 
 from .branch import build_branch_matrix, extract_lambda
 from .errors import InvalidArgument, NoUnitaryPhase, TripointError
@@ -268,5 +273,53 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def _warn(message: str) -> None:
+    """Print ``message`` on stderr, unless stderr cannot be written either."""
+    try:
+        if sys.stderr is not None:
+            print(message, file=sys.stderr)
+    except OSError:
+        pass
+
+
+def run() -> NoReturn:
+    """Run ``main`` as the whole process, then end it at once.
+
+    The ``tripoint`` console script and ``python -m tripoint.cli`` both come
+    here.  Nothing escapes as exit 1, which reads as an exclusion: a stdout
+    pipe whose reader has gone exits 2 silently, any other failure to write
+    the output exits 2 with one stderr line, and a crash exits 2 with its
+    traceback; argparse keeps its own status.  Once stdout and stderr are
+    flushed, ``os._exit`` skips the teardown of every module and object,
+    which would cost a short process about a tenth of its time; no
+    ``atexit`` hook runs.
+    """
+    try:
+        try:
+            status = main()
+        except SystemExit as exc:  # argparse: 2 after a usage error, 0 after --help
+            status = exc.code
+        except OSError:  # writing the output failed; handled below
+            raise
+        except Exception:
+            import traceback  # here, not at start-up: it loads tokenize
+
+            _warn(traceback.format_exc().rstrip("\n"))
+            status = 2
+        if sys.stdout is not None:  # None when the process started with no stdout
+            sys.stdout.flush()
+    except BrokenPipeError:
+        status = 2
+    except OSError as exc:
+        _warn(f"cannot write output: {exc}")
+        status = 2
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        pass
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

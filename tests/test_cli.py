@@ -1,11 +1,13 @@
 """Command line interface: exit codes, output formats, round-trips."""
 
+import ast
 import contextlib
 import errno
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -855,3 +857,153 @@ def test_tol_changes_verdict(tmp_path, capsys):
     assert main(["check", str(path), "--format", "json", "--tol", "1.0"]) == 0
     loose = json.loads(capsys.readouterr().out)
     assert loose["verdicts"]["rotational"] == "Pass"
+
+
+# ---------------------------------------------------------------------------
+# process entry: ``run``, behind ``python -m tripoint.cli`` and the console script
+
+#: one request of each command; ``{pair}`` stands for a passing pair file
+OUTPUT_REQUESTS = {
+    "check": ["check", "{pair}"],
+    "ratios": ["ratios", "--n", "4", "--index", "4.41"],
+    "matrix": ["matrix", "--n", "4", "--delta", "2.1", "--p", "3.60905", "--q", "3.60905"],
+    "qnum": ["qnum", "--delta", "2", "--max", "5", "--format", "json"],
+    # about 170 kB of text, far past the stdout buffer, so the write fails inside ``main``
+    "long-qnum": ["qnum", "--delta", "2.0001", "--max", "10000"],
+}
+
+
+def run_into(stdout, name: str, pair: str) -> subprocess.CompletedProcess:
+    """``OUTPUT_REQUESTS[name]`` through ``python -m tripoint.cli`` into ``stdout``."""
+    argv = [arg.format(pair=pair) for arg in OUTPUT_REQUESTS[name]]
+    return subprocess.run(
+        [sys.executable, "-m", "tripoint.cli", *argv], stdout=stdout, stderr=subprocess.PIPE,
+        text=True, env=subprocess_env(), timeout=60,
+    )
+
+
+@pytest.mark.parametrize("name", OUTPUT_REQUESTS)
+def test_a_closed_stdout_exits_two_silently(passing_file, name):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_into(write_end, name, passing_file)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("name", OUTPUT_REQUESTS)
+def test_a_full_disk_exits_two_with_one_line(passing_file, name):
+    with open("/dev/full", "w") as full:
+        proc = run_into(full, name, passing_file)
+    assert proc.returncode == 2
+    no_space = os.strerror(errno.ENOSPC)
+    assert proc.stderr.splitlines() == [f"cannot write output: [Errno {errno.ENOSPC}] {no_space}"]
+
+
+@pytest.mark.parametrize("redirect", [">&-", "2>&-"])
+def test_a_stream_closed_at_start_is_left_alone(passing_file, capsys, redirect):
+    """With fd 1 or fd 2 closed, Python has no such stream; the status stays ``main``'s."""
+    argv = ["check", passing_file]
+    assert main(argv) == 0
+    printed = "" if redirect == ">&-" else capsys.readouterr().out
+    proc = subprocess.run(
+        ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "tripoint.cli", *argv],
+        capture_output=True, text=True, env=subprocess_env(), timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, printed, "")
+
+
+CRASH_PROBE = """
+import sys
+import tripoint.cli
+
+real_battery = tripoint.cli.run_battery
+calls = []
+
+def battery_that_crashes_on_its_second_call(*args, **kwargs):
+    calls.append(None)
+    if len(calls) == 2:
+        raise RuntimeError("injected fault")
+    return real_battery(*args, **kwargs)
+
+tripoint.cli.run_battery = battery_that_crashes_on_its_second_call
+sys.argv = ["tripoint", "check", *sys.argv[1:]]
+tripoint.cli.run()
+"""
+
+
+def test_a_crash_exits_two_with_its_traceback_after_the_earlier_output(passing_file, capsys):
+    """The fault goes where ``check`` looks the battery up, in ``tripoint.cli``'s namespace."""
+    proc = subprocess.run(
+        [sys.executable, "-c", CRASH_PROBE, passing_file, passing_file],
+        capture_output=True, text=True, env=subprocess_env(), timeout=60,
+    )
+    assert proc.returncode == 2
+    assert main(["check", passing_file]) == 0
+    assert proc.stdout == capsys.readouterr().out  # the first report is not lost
+    lines = proc.stderr.splitlines()
+    assert lines[0] == "Traceback (most recent call last):"
+    assert lines[-1] == "RuntimeError: injected fault"
+
+
+ATEXIT_PROBE = """
+import atexit
+import runpy
+import sys
+
+atexit.register(lambda: print("atexit hook ran", file=sys.stderr))
+sys.argv = ["tripoint", *sys.argv[1:]]
+runpy.run_module("tripoint.cli", run_name="__main__")
+"""
+
+
+#: ``{pass}``, ``{fail}`` and ``{malformed}`` stand for pair files that exit 0, 1 and 2
+ENTRY_REQUESTS = {
+    "pass": ["check", "{pass}"],
+    "fail": ["check", "{fail}", "--format", "json"],
+    "error-then-pass": ["check", "{malformed}", "{pass}"],
+    "qnum": ["qnum", "--delta", "2.5", "--max", "8"],
+    "input-error": ["ratios", "--n", "3", "--delta", "2.5"],
+    "usage-error": ["qnum", "--delta", "2.5"],
+    "help": ["--help"],
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_REQUESTS)
+def test_python_m_ends_with_mains_output_and_status_and_no_teardown(
+    passing_file, even_depth_file, malformed_file, capsys, monkeypatch, name,
+):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage lines to the same width
+    files = {"pass": passing_file, "fail": even_depth_file, "malformed": malformed_file}
+    argv = [arg.format(**files) for arg in ENTRY_REQUESTS[name]]
+    proc = subprocess.run(
+        [sys.executable, "-c", ATEXIT_PROBE, *argv],
+        capture_output=True, text=True, env=subprocess_env(), timeout=60,
+    )
+    try:
+        status = main(argv)
+    except SystemExit as exc:  # argparse's usage errors and --help
+        status = exc.code
+    captured = capsys.readouterr()
+    assert "atexit hook ran" not in proc.stderr
+    assert (proc.returncode, proc.stdout, proc.stderr) == (status, captured.out, captured.err)
+
+
+def test_the_console_script_calls_what_python_m_calls():
+    root = Path(__file__).resolve().parent.parent
+    pyproject = (root / "pyproject.toml").read_text()
+    scripts = pyproject.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    (target,) = re.findall(r'^tripoint\s*=\s*"([\w.:]+)"\s*$', scripts, flags=re.MULTILINE)
+
+    module = ast.parse((root / "src" / "tripoint" / "cli.py").read_text())
+    (main_block,) = [
+        node for node in module.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    (statement,) = main_block.body
+    assert isinstance(statement, ast.Expr) and isinstance(statement.value, ast.Call)
+    assert target == f"tripoint.cli:{ast.unparse(statement.value.func)}"
+    assert target == "tripoint.cli:run"
