@@ -7,7 +7,7 @@ with the rotational eigenvalue it exposes.
 """
 
 from . import errors
-from .branch import BranchMatrix, build_branch_matrix, extract_lambda, solve_phases
+from .branch import BranchMatrix, build_branch_matrix
 from .graph import (
     GradedBigraph,
     TriplePointData,
@@ -29,7 +29,7 @@ from .obstruct import (
     run_battery,
     triple_single,
 )
-from .qnum import QuantumContext, nu_from_delta
+from .qnum import QuantumContext
 
 __version__ = "0.1.0"
 
@@ -46,16 +46,13 @@ __all__ = [
     "allowed_ratios",
     "build_branch_matrix",
     "errors",
-    "extract_lambda",
     "extract_triple_point",
     "graph_norm",
-    "nu_from_delta",
     "ocneanu_parity",
     "parse_graph",
     "parse_pair",
     "rotational_test",
     "run_battery",
-    "solve_phases",
     "supertransitivity",
     "triple_single",
 ]

@@ -8,26 +8,33 @@ the one-dimensional complement of the trivial part of the n-box space, and
 the middle coordinate of the image exposes the rotational eigenvalue lambda.
 Im(tau) is taken >= 0: the other root conjugates lambda and leaves
 lambda + 1/lambda, the only value the battery reads, unchanged.
+
+``build_branch_matrix`` is the one builder of a ``BranchMatrix``.  It checks
+p + q = [n+1] before it solves for the phases, so an inconsistent request is
+an input error and never reads as "no unitary phase".
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 from .errors import InvalidArgument, NoUnitaryPhase, UnsupportedIndex
-from .qnum import NUMERIC_TOL, Frozen, QuantumContext
+from .qnum import NUMERIC_TOL, QuantumContext
 
 Entries = tuple[tuple[complex | None, ...], ...]
 
 
-class BranchMatrix(Frozen):
-    """Known entries of the branch matrix in the positive gauge.
+class BranchMatrix(NamedTuple):
+    """Known entries of the branch matrix in the positive gauge, and its lambda.
 
     ``entries`` is row-major with ``None`` for the two entries that play no
-    role; the first row and column are real and strictly positive.
+    role; the first row and column are real and strictly positive.  sigma and
+    tau are unit phases with 1 + sigma*p + tau*q = 0, and ``lam`` is the
+    rotational eigenvalue (sigma - tau)^2 * p*q / ([n][n+2]), of modulus 1
+    since p + q = [n+1].
     """
 
-    _fields = ("n", "ctx", "p", "q", "sigma", "tau", "entries")
     n: int
     ctx: QuantumContext
     p: float
@@ -35,31 +42,11 @@ class BranchMatrix(Frozen):
     sigma: complex
     tau: complex
     entries: Entries
-
-    def __init__(
-        self,
-        n: int,
-        ctx: QuantumContext,
-        p: float,
-        q: float,
-        sigma: complex,
-        tau: complex,
-        entries: Entries,
-    ) -> None:
-        tol = NUMERIC_TOL
-        if abs(abs(sigma) - 1.0) > tol or abs(abs(tau) - 1.0) > tol:
-            raise InvalidArgument("sigma and tau must be unit phases")
-        if abs(1.0 + sigma * p + tau * q) > tol * (1.0 + p + q):
-            raise InvalidArgument("phases do not satisfy 1 + sigma*p + tau*q = 0")
-        for i in range(3):
-            for entry in (entries[0][i], entries[i][0]):
-                if entry is None or abs(entry.imag) > tol or entry.real <= 0:
-                    raise InvalidArgument("first row and column must be positive reals")
-        self._freeze(n, ctx, p, q, sigma, tau, entries)
+    lam: complex
 
 
-def solve_phases(p: float, q: float) -> tuple[complex, complex]:
-    """Solve 1 + sigma*p + tau*q = 0 for unit phases sigma and tau.
+def _solve_phases(p: float, q: float) -> tuple[complex, complex]:
+    """Solve 1 + sigma*p + tau*q = 0 for unit phases sigma and tau, given 0 < q <= p.
 
     Unitarity forces Re(tau) = ((p - q)(p + q) - 1)/(2q); the phase exists
     exactly when that value lies in [-1, 1].  The factored form keeps the
@@ -67,10 +54,9 @@ def solve_phases(p: float, q: float) -> tuple[complex, complex]:
     Values within NUMERIC_TOL of the boundary snap onto it from either side:
     sqrt(1 - Re^2) has unbounded slope at +-1, so rounding-level undershoot
     would otherwise smear the meaningful boundary case p - q = 1 into a
-    spurious imaginary part of order 1e-7.
+    spurious imaginary part of order 1e-7.  sigma = -(1 + tau*q)/p then has
+    modulus 1 by that choice of Re(tau).
     """
-    if not 0 < q <= p < math.inf:
-        raise InvalidArgument("dimensions must be finite and satisfy p >= q > 0")
     re_tau = ((p - q) * (p + q) - 1.0) / (2.0 * q)
     if not math.isfinite(re_tau):
         raise UnsupportedIndex(f"p^2 - q^2 overflows double precision at p = {p!r}, q = {q!r}")
@@ -86,15 +72,24 @@ def solve_phases(p: float, q: float) -> tuple[complex, complex]:
 
 
 def build_branch_matrix(ctx: QuantumContext, n: int, p: float, q: float) -> BranchMatrix:
-    """Populate the seven known entries of the branch matrix."""
+    """The seven known entries of the branch matrix, its phases and its lambda.
+
+    The request is checked first, in input order: n >= 2, then
+    0 < q <= p < inf, then p + q = [n+1] (``QuantumContext.
+    check_dimension_sum``).  Only then are the phases solved, so
+    ``NoUnitaryPhase`` means p - q > 1 on a consistent request.
+    """
     if n < 2:
         raise InvalidArgument(f"n = {n} must be >= 2")
-    sigma, tau = solve_phases(p, q)
+    if not 0 < q <= p < math.inf:
+        raise InvalidArgument("dimensions must be finite and satisfy p >= q > 0")
+    ctx.check_dimension_sum(n, p, q)
+    sigma, tau = _solve_phases(p, q)
     qn_minus, qn, _, qn_plus2 = ctx.qints(n + 2)[n - 1 :]
     dn = ctx.delta * qn
-    # the third-row entry would come out 0 or NaN, or a first-row one
-    # infinite: the phase solve accepts any finite p >= q
-    if math.isinf(dn * qn) or math.isinf(qn_minus * p):
+    # the third-row entry would come out 0 or NaN; with p + q = [n+1] every
+    # first-row product [n-1]p is below delta [n]^2, so it stays finite too
+    if math.isinf(dn * qn):
         raise UnsupportedIndex(f"branch matrix entries for n = {n} overflow double precision")
     entries: Entries = (
         (
@@ -109,19 +104,7 @@ def build_branch_matrix(ctx: QuantumContext, n: int, p: float, q: float) -> Bran
         ),
         (complex(math.sqrt(qn_minus * qn_plus2 / (dn * qn))), None, None),
     )
-    return BranchMatrix(n=n, ctx=ctx, p=p, q=q, sigma=sigma, tau=tau, entries=entries)
-
-
-def extract_lambda(u: BranchMatrix) -> complex:
-    """Rotational eigenvalue lambda = (sigma - tau)^2 * p*q / ([n][n+2]).
-
-    Requires p + q = [n+1] (see ``QuantumContext.check_dimension_sum``);
-    that constraint is what makes |lambda| = 1.
-    """
-    ctx = u.ctx
-    ctx.check_dimension_sum(u.n, u.p, u.q)
-    qn, _, qn2 = ctx.qints(u.n + 2)[u.n :]
-    lam = (u.sigma - u.tau) ** 2 * (u.p * u.q) / (qn * qn2)
+    lam = (sigma - tau) ** 2 * (p * q) / (qn * qn_plus2)
     if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
-        raise UnsupportedIndex(f"lambda for n = {u.n} overflows double precision")
-    return lam
+        raise UnsupportedIndex(f"lambda for n = {n} overflows double precision")
+    return BranchMatrix(n, ctx, p, q, sigma, tau, entries, lam)

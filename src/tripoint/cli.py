@@ -17,11 +17,11 @@ import os
 import sys
 from typing import NoReturn
 
-from .branch import build_branch_matrix, extract_lambda
+from .branch import build_branch_matrix
 from .errors import InvalidArgument, NoUnitaryPhase, TripointError
 from .graph import parse_pair
 from .obstruct import DEFAULT_TRACE_TOL, ObstructionReport, allowed_ratios, run_battery
-from .qnum import NUMERIC_TOL, nu_from_delta
+from .qnum import NUMERIC_TOL, QuantumContext
 
 #: Largest ``qnum --max``, ``ratios --n`` and ``matrix --n``; far above any
 #: arm depth, and small enough to compute and print at once even at delta = 2,
@@ -34,13 +34,13 @@ SIZE_LIMIT = 10_000
 _encode = json.JSONEncoder(allow_nan=False).encode
 
 
-def _num(x: float) -> float:
-    """``x`` rounded to the 12 significant digits that the text output prints."""
-    return float(f"{x:.12g}")
-
-
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
+
+
+def _num(x: float) -> float:
+    """``x`` rounded to the 12 significant digits that the text output prints."""
+    return float(_fmt(x))
 
 
 def _fmt_complex(z: complex) -> str:
@@ -177,7 +177,7 @@ def _cmd_ratios(args: argparse.Namespace) -> int:
         if args.index < 4:
             raise InvalidArgument(f"index = {args.index} must be >= 4")
         delta = math.sqrt(args.index)
-    ctx = nu_from_delta(delta)
+    ctx = QuantumContext(delta)
     rows = allowed_ratios(ctx, args.n)
     if args.format == "json":
         table = [dict(zip(row._fields, (row.k, *map(_num, row[1:])))) for row in rows]
@@ -198,14 +198,13 @@ def _cmd_ratios(args: argparse.Namespace) -> int:
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
     _check_limit("--n", args.n)
-    ctx = nu_from_delta(args.delta)
+    ctx = QuantumContext(args.delta)
     try:
         matrix = build_branch_matrix(ctx, args.n, args.p, args.q)
     except NoUnitaryPhase:
         print("no unitary phase: p - q > 1")
         return 1
-    lam = extract_lambda(matrix)
-    trace = 2.0 * lam.real
+    trace = 2.0 * matrix.lam.real
     if args.format == "json":
         payload = {
             "n": args.n,
@@ -218,7 +217,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
             ],
             "sigma": _complex_dict(matrix.sigma),
             "tau": _complex_dict(matrix.tau),
-            "lambda": _complex_dict(lam),
+            "lambda": _complex_dict(matrix.lam),
             "lambda_trace": _num(trace),
         }
         print(_encode(payload))
@@ -236,7 +235,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
             print("  [ " + "   ".join(c.ljust(width) for c in row) + " ]")
         print(f"sigma  = {_fmt_complex(matrix.sigma)}")
         print(f"tau    = {_fmt_complex(matrix.tau)}")
-        print(f"lambda = {_fmt_complex(lam)}")
+        print(f"lambda = {_fmt_complex(matrix.lam)}")
         print(f"lambda + 1/lambda = {_fmt(trace)}")
     return 0
 
@@ -246,7 +245,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 
 def _cmd_qnum(args: argparse.Namespace) -> int:
     _check_limit("--max", args.max_k)
-    ctx = nu_from_delta(args.delta)
+    ctx = QuantumContext(args.delta)
     values = ctx.qints(args.max_k)
     if args.format == "json":
         print(_encode({"delta": _num(ctx.delta), "values": list(map(_num, values))}))

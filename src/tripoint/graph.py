@@ -69,7 +69,7 @@ from .errors import (
     SupertransitivityMismatch,
     UnsupportedIndex,
 )
-from .qnum import NUMERIC_TOL, Frozen, QuantumContext, nu_from_delta
+from .qnum import NUMERIC_TOL, Frozen, QuantumContext
 
 Edge = tuple[int, int, int]
 
@@ -194,20 +194,17 @@ class GradedBigraph(Frozen):
         return self._down[flat] + self._up[flat]
 
 
-class TriplePointData(Frozen):
-    """Branch data consumed by the obstruction battery.
+class TriplePointData(NamedTuple):
+    """Branch data consumed by the obstruction battery, made by ``extract_triple_point``.
 
     ``ctx`` evaluates quantum integers at the pair's delta, the norm of its
     principal graph.  ``n`` is the depth of the two branch arms (the branch
-    vertex sits at depth n-1), ``p >= q`` are the principal-graph dimensions
-    at depth n and ``dual_dims`` the dual-graph ones, ordered the same way.
-    ``dim_tie`` flags p and q agreeing within tolerance, in which case the
-    ordering is conventional.
+    vertex sits at depth n-1), ``p >= q > 0`` are the principal-graph
+    dimensions at depth n and ``dual_dims`` the dual-graph ones, ordered the
+    same way.  ``dim_tie`` flags p and q agreeing within tolerance, in which
+    case the ordering is conventional.
     """
 
-    _fields = (
-        "ctx", "n", "p", "q", "dual_dims", "gamma3_univalent", "gamma2_trivalent", "dim_tie"
-    )
     ctx: QuantumContext
     n: int
     p: float
@@ -215,25 +212,7 @@ class TriplePointData(Frozen):
     dual_dims: tuple[float, float]
     gamma3_univalent: bool
     gamma2_trivalent: bool
-    dim_tie: bool
-
-    def __init__(
-        self,
-        ctx: QuantumContext,
-        n: int,
-        p: float,
-        q: float,
-        dual_dims: tuple[float, float],
-        gamma3_univalent: bool,
-        gamma2_trivalent: bool,
-        dim_tie: bool = False,
-    ) -> None:
-        if not (q > 0 and p >= q):
-            raise InvalidGraph("branch dimensions must satisfy p >= q > 0")
-        g2, g3 = dual_dims
-        if not (g3 > 0 and g2 >= g3):
-            raise InvalidGraph("dual branch dimensions must be positive and ordered")
-        self._freeze(ctx, n, p, q, dual_dims, gamma3_univalent, gamma2_trivalent, dim_tie)
+    dim_tie: bool = False
 
     @property
     def branch_depth_odd(self) -> bool:
@@ -606,8 +585,7 @@ def supertransitivity(g: GradedBigraph) -> tuple[int, bool]:
 def _require_simple_triple_point(g: GradedBigraph, n: int, label: str) -> None:
     if n < 2:
         raise NotATriplePoint(f"{label} graph branches at depth 0 (no downward edge)")
-    # the branch vertex (n - 1, 0) is flat vertex n - 1 and the end of the string
-    valence = g._down[n - 1] + g._up[n - 1]
+    valence = g.valence(n - 1, 0)  # the branch vertex ends the string
     if valence != 3:
         raise NotATriplePoint(f"{label} branch vertex has valence {valence}, expected 3")
     # its two edges up reach every depth-n vertex, so they share one exactly
@@ -630,7 +608,7 @@ def _ordered_depth_n(
 def extract_triple_point(principal: GradedBigraph, dual: GradedBigraph) -> TriplePointData:
     """Locate the initial triple point of a graph pair and collect its data.
 
-    delta is the principal graph's norm (see ``qnum.nu_from_delta`` for the
+    delta is the principal graph's norm (see ``qnum.QuantumContext`` for the
     clamp at 2), and the dual's norm must agree with it.  Both graphs must
     share their supertransitivity, and each must branch into a simple triple
     point (three single edges: one down, two up).  Larger-dimension vertices
@@ -639,7 +617,7 @@ def extract_triple_point(principal: GradedBigraph, dual: GradedBigraph) -> Tripl
     it is passed, and only its two depth-n dimensions are root-normalized.
     """
     norm_p = graph_norm(principal)
-    ctx = nu_from_delta(norm_p)
+    ctx = QuantumContext(norm_p)
     norm_d = graph_norm(dual)
     if abs(norm_p - norm_d) > NUMERIC_TOL:
         raise NormMismatch(f"graph norms differ: {norm_p!r} vs {norm_d!r}")

@@ -78,15 +78,20 @@ def triple_single(tp: TriplePointData, tol: float = DEFAULT_TRACE_TOL) -> Verdic
     return Verdict.PASS if tp.p - tp.q <= 1.0 + tol else Verdict.FAIL
 
 
+def _root_traces(n: int) -> list[float]:
+    """2 cos(2 pi k / n), the trace of an n-th root of unity, for k = 0..n/2.
+
+    Conjugate roots share a trace, so larger k add nothing.
+    """
+    return [2.0 * math.cos(2.0 * math.pi * k / n) for k in range(n // 2 + 1)]
+
+
 def _trace_and_candidates(tp: TriplePointData) -> tuple[float, tuple[RootCandidate, ...]]:
     qn, _, qn2 = tp.ctx.qints(tp.n + 2)[tp.n :]
     big = qn * qn2
     trace = (tp.p - tp.q) ** 2 * big / (tp.p * tp.q) - 2.0
     candidates = sorted(
-        (
-            RootCandidate(k, abs(trace - 2.0 * math.cos(2.0 * math.pi * k / tp.n)))
-            for k in range(tp.n // 2 + 1)
-        ),
+        (RootCandidate(k, abs(trace - root)) for k, root in enumerate(_root_traces(tp.n))),
         key=itemgetter(1, 0),
     )
     return trace, tuple(candidates)
@@ -98,9 +103,9 @@ def rotational_test(
     """Test that lambda + 1/lambda lands on the trace of an n-th root of unity.
 
     lambda + 1/lambda = (p - q)^2 [n][n+2] / (pq) - 2 must equal some
-    2 cos(2 pi k / n).  Conjugate roots give the same trace, so k only runs
-    to n // 2.  Applicable when the dual branch vertex is 1-valent and the
-    branch depth is odd; the trace and candidate list are reported either way.
+    2 cos(2 pi k / n) with 0 <= k <= n/2 (``_root_traces``).  Applicable
+    when the dual branch vertex is 1-valent and the branch depth is odd; the
+    trace and candidate list are reported either way.
     """
     trace, candidates = _trace_and_candidates(tp)
     if not (tp.gamma3_univalent and tp.branch_depth_odd):
@@ -127,8 +132,7 @@ def allowed_ratios(ctx: QuantumContext, n: int) -> list[RatioRow]:
             f"[n][n+2] overflows double precision at n = {n}, delta = {ctx.delta}"
         )
     rows = []
-    for k in range(n // 2 + 1):
-        trace = 2.0 * math.cos(2.0 * math.pi * k / n)
+    for k, trace in enumerate(_root_traces(n)):
         # work with r + 1/r - 2 directly; going through r + 1/r and back
         # cancels away most digits of r - 1 once [n][n+2] is large
         excess = (trace + 2.0) / big

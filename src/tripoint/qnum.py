@@ -1,8 +1,9 @@
 """Quantum integer arithmetic driven by the index parameter delta = [2].
 
 A context holds delta alone and validates it on construction, and computes
-each [k] from it once.  A graph pair's context is built from its principal
-graph's norm by ``graph.extract_triple_point``.
+each [k] from it once.  ``QuantumContext(delta)`` is its one constructor; a
+graph pair's context is built from its principal graph's norm by
+``graph.extract_triple_point``.
 """
 
 from __future__ import annotations
@@ -18,14 +19,17 @@ NUMERIC_TOL = 1e-9
 
 
 class Frozen:
-    """Base of the package's immutable values, in place of a frozen dataclass.
+    """Base of the immutable values that carry derived state, in place of a frozen dataclass.
 
-    A subclass lists its fields in ``_fields`` and its ``__init__`` validates
+    Two values have it: ``GradedBigraph`` (its vertex index and its solve)
+    and ``QuantumContext`` (its list of [k]).  Every other value is a plain
+    ``NamedTuple`` record, made by the one function that builds it.  A
+    subclass lists its fields in ``_fields`` and its ``__init__`` validates
     them and then sets them, in that order, with ``_freeze``.  From then on
     assigning or deleting an attribute raises ``AttributeError``, and
     equality, hashing and ``repr`` go by the fields.  ``functools.
-    cached_property`` still works, since it writes the instance dict directly,
-    and so does other state derived from the fields, such as
+    cached_property`` still works, since it writes the instance dict
+    directly, and so does other derived state, such as
     ``QuantumContext._qints``: it lives outside ``_fields`` and so takes no
     part in equality, hashing or ``repr``.
     ``dataclasses`` is not used: importing it loads ``inspect`` and ``ast``,
@@ -63,7 +67,9 @@ class QuantumContext(Frozen):
     """Evaluation context for quantum integers.
 
     ``delta`` is the value [2], so the index is delta squared; it must be
-    finite and at least 2.  All arithmetic is double precision; consistency
+    finite and at least 2.  Values within ``NUMERIC_TOL`` below 2 are
+    clamped to 2, so spectral radii that round a hair under the theoretical
+    bound still construct.  All arithmetic is double precision; consistency
     checks use ``NUMERIC_TOL``.
     """
 
@@ -73,7 +79,9 @@ class QuantumContext(Frozen):
     def __init__(self, delta: float) -> None:
         if not math.isfinite(delta):
             raise InvalidArgument("delta must be finite")
-        if delta < 2:
+        if 2.0 - NUMERIC_TOL <= delta < 2.0:
+            delta = 2.0
+        elif delta < 2:
             raise UnsupportedIndex(
                 f"delta = {delta} < 2 means index < 4, outside the supported regime"
             )
@@ -123,14 +131,3 @@ class QuantumContext(Frozen):
             raise DimensionSumMismatch(
                 f"p + q = {p + q!r} does not match [n+1] = {target!r}"
             )
-
-
-def nu_from_delta(delta: float) -> QuantumContext:
-    """Context for a given delta >= 2.
-
-    Values within ``NUMERIC_TOL`` below 2 are clamped to 2, so spectral radii
-    that round a hair under the theoretical bound still construct.
-    """
-    if 2.0 - NUMERIC_TOL <= delta < 2.0:
-        delta = 2.0
-    return QuantumContext(delta)

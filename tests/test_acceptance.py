@@ -17,12 +17,12 @@ import time
 import numpy as np
 
 import helpers
-from tripoint.branch import build_branch_matrix, extract_lambda, solve_phases
+from tripoint.branch import build_branch_matrix
 from tripoint.cli import main
 from tripoint.errors import NoUnitaryPhase
 from tripoint.graph import graph_norm, parse_pair
 from tripoint.obstruct import allowed_ratios, run_battery
-from tripoint.qnum import nu_from_delta
+from tripoint.qnum import QuantumContext
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -44,7 +44,7 @@ def test_quantum_integer_identities():
     start = time.perf_counter()
     worst = 0.0
     for delta in np.linspace(2.0, 2.5, 50):
-        ctx = nu_from_delta(float(delta))
+        ctx = QuantumContext(float(delta))
         q = ctx.qints(22)
         for n in range(2, 21):
             square = abs(q[n + 1] ** 2 - q[n] * q[n + 2] - 1.0) / (1e-9 * q[n + 2] ** 2)
@@ -65,10 +65,10 @@ def test_lambda_round_trip():
     start = time.perf_counter()
     worst = 0.0
     for delta in (2.05, math.sqrt(5.0), 2.3):
-        ctx = nu_from_delta(delta)
+        ctx = QuantumContext(delta)
         for n in range(4, 17, 2):
             for row in allowed_ratios(ctx, n):
-                lam = extract_lambda(build_branch_matrix(ctx, n, row.p, row.q))
+                lam = build_branch_matrix(ctx, n, row.p, row.q).lam
                 root = cmath.exp(2j * math.pi * row.k / n)
                 err = min(abs(lam - root), abs(lam.conjugate() - root))
                 worst = max(worst, err)
@@ -87,14 +87,12 @@ def test_boundary_anchors():
     worst_one = 0.0
     worst_minus_one = 0.0
     for delta in (2.05, math.sqrt(5.0), 2.3):
-        ctx = nu_from_delta(delta)
+        ctx = QuantumContext(delta)
         for n in range(4, 17, 2):
             total = ctx.qint(n + 1)
-            lam = extract_lambda(
-                build_branch_matrix(ctx, n, (total + 1.0) / 2.0, (total - 1.0) / 2.0)
-            )
+            lam = build_branch_matrix(ctx, n, (total + 1.0) / 2.0, (total - 1.0) / 2.0).lam
             worst_one = max(worst_one, abs(lam - 1.0))
-            lam = extract_lambda(build_branch_matrix(ctx, n, total / 2.0, total / 2.0))
+            lam = build_branch_matrix(ctx, n, total / 2.0, total / 2.0).lam
             worst_minus_one = max(worst_minus_one, abs(lam + 1.0))
     ok = worst_one <= 1e-9 and worst_minus_one <= 1e-9
     report(
@@ -126,11 +124,11 @@ def test_phase_existence_equivalence():
     start = time.perf_counter()
     disagreements = 0
     for n, delta, gap in samples:
-        ctx = nu_from_delta(delta)
+        ctx = QuantumContext(delta)
         total = ctx.qint(n + 1)
         p, q = (total + gap) / 2.0, (total - gap) / 2.0
         try:
-            solve_phases(p, q)
+            build_branch_matrix(ctx, n, p, q)
             solvable = True
         except NoUnitaryPhase:
             solvable = False
@@ -154,7 +152,7 @@ def test_branch_matrix_invariants():
     for n, delta, gap in samples:
         if gap > 1.0:
             continue
-        ctx = nu_from_delta(delta)
+        ctx = QuantumContext(delta)
         total = ctx.qint(n + 1)
         p, q = (total + gap) / 2.0, (total - gap) / 2.0
         u = build_branch_matrix(ctx, n, p, q)
@@ -167,7 +165,7 @@ def test_branch_matrix_invariants():
             worst_norm, abs(abs(u.sigma - u.tau) ** 2 - big / (p * q)) / (1e-9 * big / (p * q))
         )
         trace = gap * gap * big / (p * q) - 2.0
-        lam = extract_lambda(u)
+        lam = u.lam
         worst_trace = max(worst_trace, abs(2.0 * lam.real - trace) / 1e-8)
         checked += 1
     ok = checked > 0 and max(worst_c1, worst_norm, worst_trace) <= 1.0
@@ -198,7 +196,7 @@ def test_perron_frobenius_oracle():
             worst_dim = max(worst_dim, abs(dims[(d, 0)] - expected))
 
     principal, dual = helpers.self_paired(helpers.branched_tree(3, (), (4,)))
-    ctx = nu_from_delta(graph_norm(principal))
+    ctx = QuantumContext(graph_norm(principal))
     from tripoint.graph import extract_triple_point
 
     tp = extract_triple_point(principal, dual)

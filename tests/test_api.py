@@ -31,16 +31,13 @@ PUBLIC_NAMES = [
     "allowed_ratios",
     "build_branch_matrix",
     "errors",
-    "extract_lambda",
     "extract_triple_point",
     "graph_norm",
-    "nu_from_delta",
     "ocneanu_parity",
     "parse_graph",
     "parse_pair",
     "rotational_test",
     "run_battery",
-    "solve_phases",
     "supertransitivity",
     "triple_single",
 ]

@@ -22,11 +22,12 @@ import helpers
 import tripoint
 from tripoint import graph as graph_module
 from tripoint import cli
-from tripoint.branch import build_branch_matrix, extract_lambda
+from tripoint.branch import build_branch_matrix
 from tripoint.cli import SIZE_LIMIT, main
 from tripoint.errors import TripointError
+from tripoint.graph import extract_triple_point, parse_pair
 from tripoint.obstruct import allowed_ratios, run_battery
-from tripoint.qnum import QuantumContext, nu_from_delta
+from tripoint.qnum import QuantumContext
 
 
 @pytest.fixture
@@ -223,7 +224,7 @@ def test_check_json_bytes_match_the_recursive_rounding(tmp_path_factory, pair, t
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(1, 30).map(lambda k: 2 * k), delta=st.floats(2.0, 3.0))
 def test_ratios_json_bytes_match_the_recursive_rounding(n, delta):
-    ctx = nu_from_delta(delta)
+    ctx = QuantumContext(delta)
     try:
         rows = allowed_ratios(ctx, n)
     except TripointError:
@@ -237,12 +238,11 @@ def test_ratios_json_bytes_match_the_recursive_rounding(n, delta):
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(2, 20), delta=st.floats(2.0, 3.0), gap=st.floats(0.0, 1.5))
 def test_matrix_json_bytes_match_the_recursive_rounding(n, delta, gap):
-    ctx = nu_from_delta(delta)
+    ctx = QuantumContext(delta)
     total = ctx.qint(n + 1)
     p, q = (total + gap) / 2.0, (total - gap) / 2.0
     try:
         matrix = build_branch_matrix(ctx, n, p, q)
-        lam = extract_lambda(matrix)
     except TripointError:
         return
 
@@ -257,8 +257,8 @@ def test_matrix_json_bytes_match_the_recursive_rounding(n, delta, gap):
         "entries": [[None if z is None else parts(z) for z in row] for row in matrix.entries],
         "sigma": parts(matrix.sigma),
         "tau": parts(matrix.tau),
-        "lambda": parts(lam),
-        "lambda_trace": 2.0 * lam.real,
+        "lambda": parts(matrix.lam),
+        "lambda_trace": 2.0 * matrix.lam.real,
     }
     argv = ["matrix", "--n", str(n), "--delta", repr(delta), "--p", repr(p), "--q", repr(q)]
     code, out = printed([*argv, "--format", "json"])
@@ -269,7 +269,7 @@ def test_matrix_json_bytes_match_the_recursive_rounding(n, delta, gap):
 @settings(max_examples=100, deadline=None)
 @given(delta=st.floats(2.0, 50.0), max_k=st.integers(0, 60))
 def test_qnum_json_bytes_match_the_recursive_rounding(delta, max_k):
-    ctx = nu_from_delta(delta)
+    ctx = QuantumContext(delta)
     payload = {"delta": ctx.delta, "values": ctx.qints(max_k)}
     code, out = printed(["qnum", "--delta", repr(delta), "--max", str(max_k), "--format", "json"])
     assert code == 0
@@ -306,7 +306,10 @@ def test_json_refuses_a_non_finite_float_in_any_payload(passing_file, monkeypatc
         )
         argv = ["ratios", "--n", "4", "--delta", "2.2"]
     elif command == "matrix":
-        monkeypatch.setattr(cli, "extract_lambda", lambda matrix: complex(1.0, bad))
+        build = cli.build_branch_matrix
+        monkeypatch.setattr(
+            cli, "build_branch_matrix", lambda *a: build(*a)._replace(lam=complex(1.0, bad))
+        )
         argv = ["matrix", "--n", "4", "--delta", "2.2", "--p", "5.2028", "--q", "4.7028"]
     else:
         monkeypatch.setattr(QuantumContext, "qints", lambda self, k: [0.0, bad])
@@ -379,6 +382,30 @@ def test_check_exit_contract_fuzz(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "fuzz.pair"
     path.write_bytes(data)
     assert main(["check", str(path)]) in (0, 1, 2)
+
+
+@st.composite
+def branched_pair_text(draw):
+    """A self-paired tree from ``helpers.branched_tree``, or a two-rooted pair, as pair-file bytes."""
+    if draw(st.booleans()):
+        return helpers.pair_text(*helpers.two_rooted_pair(draw(st.integers(0, 6)))).encode()
+    arm = st.lists(st.integers(1, 6), max_size=2).map(tuple)
+    edges = helpers.branched_tree(
+        draw(st.integers(1, 8)), draw(arm), draw(arm), doubled_tail=draw(st.booleans())
+    )
+    return helpers.pair_text(*helpers.self_paired(edges)).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.one_of(mutated_pair_text(), branched_pair_text()))
+def test_extract_orders_positive_dimensions_on_drawn_pairs(data):
+    """Every pair that extracts has p >= q > 0 and g2 >= g3 > 0, set up by extraction."""
+    try:
+        tp = extract_triple_point(*parse_pair(data.decode()))
+    except TripointError:
+        return
+    g2, g3 = tp.dual_dims
+    assert tp.p >= tp.q > 0 and g2 >= g3 > 0
 
 
 def count_solves(monkeypatch) -> dict[str, list]:
@@ -545,7 +572,7 @@ def probe_numpy(commands: list[list[str]], numpy: str = "allowed") -> dict:
 
 def test_numpy_loads_only_when_a_graph_is_solved(passing_file, cycle_file):
     """Only a graph with a cycle loads numpy; trees and the other commands never do."""
-    half = repr(nu_from_delta(2.1).qint(5) / 2.0)
+    half = repr(QuantumContext(2.1).qint(5) / 2.0)
     commands = [
         ["qnum", "--delta", "2.5", "--max", "8"],
         ["ratios", "--n", "4", "--index", "4.41", "--format", "json"],
@@ -617,7 +644,7 @@ def test_ratios_overflow_exits_two(capsys):
 
 def test_ratios_product_overflow_is_one_line(capsys):
     """[602] is finite at delta 2.5; only the product [600][602] overflows."""
-    assert math.isfinite(nu_from_delta(2.5).qint(602))
+    assert math.isfinite(QuantumContext(2.5).qint(602))
     assert main(["ratios", "--n", "600", "--delta", "2.5"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -669,7 +696,7 @@ def test_ratios_requires_exactly_one_of_delta_index(capsys):
 # matrix
 
 def test_matrix_equal_dims_prints_minus_one(capsys):
-    ctx = nu_from_delta(2.1)
+    ctx = QuantumContext(2.1)
     half = ctx.qint(5) / 2.0
     code = main(
         ["matrix", "--n", "4", "--delta", "2.1", "--p", str(half), "--q", str(half),
@@ -686,7 +713,7 @@ def test_matrix_equal_dims_prints_minus_one(capsys):
 
 
 def test_matrix_text_marks_unknown_entries(capsys):
-    ctx = nu_from_delta(2.1)
+    ctx = QuantumContext(2.1)
     half = ctx.qint(5) / 2.0
     assert main(["matrix", "--n", "4", "--delta", "2.1", "--p", str(half), "--q", str(half)]) == 0
     out = capsys.readouterr().out
@@ -695,7 +722,7 @@ def test_matrix_text_marks_unknown_entries(capsys):
 
 
 def test_matrix_without_unitary_phase_exits_one(capsys):
-    ctx = nu_from_delta(2.1)
+    ctx = QuantumContext(2.1)
     total = ctx.qint(5)
     p, q = (total + 1.5) / 2.0, (total - 1.5) / 2.0
     code = main(["matrix", "--n", "4", "--delta", "2.1", "--p", str(p), "--q", str(q)])
@@ -730,7 +757,7 @@ def test_matrix_infinite_dimension_is_an_input_error(capsys):
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_matrix_phase_overflow_is_an_error_not_nan(fmt, capsys):
     """p = 3[801]/4, q = [801]/4 at delta 2.5 satisfy p + q = [n+1], but p^2 - q^2 overflows."""
-    total = nu_from_delta(2.5).qint(801)
+    total = QuantumContext(2.5).qint(801)
     p, q = repr(0.75 * total), repr(0.25 * total)
     argv = ["matrix", "--n", "800", "--delta", "2.5", "--p", p, "--q", q, "--format", fmt]
     assert main(argv) == 2
@@ -747,24 +774,28 @@ def test_matrix_entry_overflow_is_an_error_not_nan(n, admissible, fmt, capsys):
     """delta [n]^2 overflows in the third-row entry.
 
     At n = 512, with admissible p = q = [n+1]/2, that entry is finite / inf,
-    which would come out as 0 and fail the positive-gauge check for the
-    wrong reason.  At n = 800 it is inf / inf; there p = q = 1, because
-    admissible dimensions would overflow p^2 first.
+    which would come out as 0 rather than an error.  At n = 800 it would be
+    inf / inf, but no consistent request gets there: admissible dimensions
+    overflow p^2 first, and p = q = 1 fail p + q = [n+1] before any entry
+    is formed.
     """
-    dim = repr(nu_from_delta(2.5).qint(n + 1) / 2.0) if admissible else "1"
+    total = QuantumContext(2.5).qint(n + 1)
+    dim = repr(total / 2.0) if admissible else "1"
     argv = ["matrix", "--n", str(n), "--delta", "2.5", "--p", dim, "--q", dim, "--format", fmt]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
         f"branch matrix entries for n = {n} overflow double precision"
+        if admissible
+        else f"p + q = 2.0 does not match [n+1] = {total!r}"
     ]
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_matrix_lambda_overflow_is_an_error_not_nan(fmt, capsys):
     """At n = 369 and delta 3 every entry is finite, but [n][n+2] overflows in lambda."""
-    half = repr(nu_from_delta(3.0).qint(370) / 2.0)
+    half = repr(QuantumContext(3.0).qint(370) / 2.0)
     argv = ["matrix", "--n", "369", "--delta", "3", "--p", half, "--q", half, "--format", fmt]
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -775,6 +806,16 @@ def test_matrix_lambda_overflow_is_an_error_not_nan(fmt, capsys):
 def test_matrix_rejects_inconsistent_sum(capsys):
     assert main(["matrix", "--n", "4", "--delta", "2.1", "--p", "3.0", "--q", "2.5"]) == 2
     assert "[n+1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_matrix_checks_the_sum_before_the_phases(fmt, capsys):
+    """p - q = 8 > 1, but p + q = 12 is not [5] = 7.2181: an input error, not an exclusion."""
+    argv = ["matrix", "--n", "4", "--delta", "2.1", "--p", "10", "--q", "2", "--format", fmt]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["p + q = 12.0 does not match [n+1] = 7.2181"]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import helpers
 from tripoint import branch, obstruct
-from tripoint.branch import build_branch_matrix, extract_lambda
+from tripoint.branch import build_branch_matrix
 from tripoint.cli import main
 from tripoint.errors import InvalidArgument
 from tripoint.graph import TriplePointData, extract_triple_point
@@ -20,7 +20,7 @@ from tripoint.obstruct import (
     run_battery,
     triple_single,
 )
-from tripoint.qnum import nu_from_delta
+from tripoint.qnum import QuantumContext
 
 
 @pytest.mark.parametrize(
@@ -80,7 +80,7 @@ def test_parity():
 
 
 def test_triple_single_verdicts():
-    ctx = nu_from_delta(2.4)
+    ctx = QuantumContext(2.4)
     assert triple_single(make_tp(ctx, 4, 0.5)) is Verdict.PASS
     assert triple_single(make_tp(ctx, 4, 1.0)) is Verdict.PASS
     assert triple_single(make_tp(ctx, 4, 1.2)) is Verdict.FAIL
@@ -88,7 +88,7 @@ def test_triple_single_verdicts():
 
 
 def test_rotational_equal_dims():
-    ctx = nu_from_delta(2.2)
+    ctx = QuantumContext(2.2)
     verdict, trace, candidates = rotational_test(make_tp(ctx, 4, 0.0))
     assert verdict is Verdict.PASS
     assert trace == pytest.approx(-2.0, abs=1e-12)
@@ -97,7 +97,7 @@ def test_rotational_equal_dims():
 
 
 def test_rotational_gap_one():
-    ctx = nu_from_delta(2.2)
+    ctx = QuantumContext(2.2)
     verdict, trace, candidates = rotational_test(make_tp(ctx, 6, 1.0))
     assert verdict is Verdict.PASS
     assert trace == pytest.approx(2.0, abs=1e-9)
@@ -105,7 +105,7 @@ def test_rotational_gap_one():
 
 
 def test_rotational_off_root_fails():
-    ctx = nu_from_delta(2.1)
+    ctx = QuantumContext(2.1)
     tp = make_tp(ctx, 4, 0.9)
     verdict, trace, candidates = rotational_test(tp)
     # independent oracle: brute-force distance scan over the allowed traces
@@ -121,7 +121,7 @@ def test_rotational_off_root_fails():
 
 
 def test_rotational_inapplicable_cases():
-    ctx = nu_from_delta(2.2)
+    ctx = QuantumContext(2.2)
     verdict, _, _ = rotational_test(make_tp(ctx, 4, 0.0, univalent=False))
     assert verdict is Verdict.INAPPLICABLE
     verdict, _, _ = rotational_test(make_tp(ctx, 5, 0.0))
@@ -129,7 +129,7 @@ def test_rotational_inapplicable_cases():
 
 
 def test_rotational_candidate_list_shape():
-    ctx = nu_from_delta(2.2)
+    ctx = QuantumContext(2.2)
     for n in (4, 6, 8, 10):
         _, _, candidates = rotational_test(make_tp(ctx, n, 0.3))
         assert sorted(c.k for c in candidates) == list(range(n // 2 + 1))
@@ -139,7 +139,7 @@ def test_rotational_candidate_list_shape():
 
 
 def test_qt_needs_both_valence_hypotheses():
-    ctx = nu_from_delta(2.2)
+    ctx = QuantumContext(2.2)
     assert helpers.qt_test(make_tp(ctx, 4, 0.0, trivalent=True)) is Verdict.PASS
     assert helpers.qt_test(make_tp(ctx, 4, 0.0, trivalent=False)) is Verdict.INAPPLICABLE
     assert (
@@ -152,7 +152,7 @@ def test_qt_needs_both_valence_hypotheses():
 
 
 def test_qt_agrees_with_rotational_when_both_apply():
-    ctx = nu_from_delta(2.3)
+    ctx = QuantumContext(2.3)
     for n in (4, 6):
         for gap in (0.0, 0.5, 1.0, 1.5):
             tp = make_tp(ctx, n, gap, trivalent=True)
@@ -167,7 +167,7 @@ def test_qt_agrees_with_rotational_when_both_apply():
     gap=st.floats(0.0, 2.0),
 )
 def test_rotational_pass_implies_triple_single_pass(delta, n, gap):
-    ctx = nu_from_delta(delta)
+    ctx = QuantumContext(delta)
     tp = make_tp(ctx, n, gap)
     rot, _, _ = rotational_test(tp)
     if rot is Verdict.PASS:
@@ -190,7 +190,7 @@ def test_rotational_subsumes_triple_single_and_quadratic_tangles(delta, n, gap, 
     it is at least 2 + 8 tol.  A trace within tol of some 2 cos(2 pi k / n),
     so at most 2 + tol, therefore has p - q < 1 + tol.
     """
-    tp = make_tp(nu_from_delta(delta), n, gap, trivalent=trivalent)
+    tp = make_tp(QuantumContext(delta), n, gap, trivalent=trivalent)
     rot, _, _ = rotational_test(tp, tol)
     if rot is Verdict.PASS:
         assert triple_single(tp, tol) is Verdict.PASS
@@ -201,7 +201,7 @@ def test_rotational_subsumes_triple_single_and_quadratic_tangles(delta, n, gap, 
 # allowed_ratios
 
 def test_ratio_table_boundary_rows():
-    ctx = nu_from_delta(2.1)
+    ctx = QuantumContext(2.1)
     for n in (4, 6, 8):
         rows = allowed_ratios(ctx, n)
         assert len(rows) == n // 2 + 1
@@ -211,7 +211,7 @@ def test_ratio_table_boundary_rows():
 
 
 def test_ratio_table_structure():
-    ctx = nu_from_delta(2.1)
+    ctx = QuantumContext(2.1)
     rows = allowed_ratios(ctx, 4)
     assert [row.k for row in rows] == [0, 1, 2]
     gaps = [row.p - row.q for row in rows]
@@ -225,7 +225,7 @@ def test_ratio_table_structure():
 
 def test_ratio_rows_round_trip_through_rotational():
     for delta in (2.05, 2.3):
-        ctx = nu_from_delta(delta)
+        ctx = QuantumContext(delta)
         for n in (4, 6, 10):
             for row in allowed_ratios(ctx, n):
                 tp = TriplePointData(
@@ -245,7 +245,7 @@ def test_ratio_rows_round_trip_through_rotational():
 
 
 def test_ratio_table_rejects_odd_n():
-    ctx = nu_from_delta(2.1)
+    ctx = QuantumContext(2.1)
     with pytest.raises(InvalidArgument):
         allowed_ratios(ctx, 3)
     with pytest.raises(InvalidArgument):
@@ -253,10 +253,10 @@ def test_ratio_table_rejects_odd_n():
 
 
 def test_ratio_trace_agrees_with_branch_lambda():
-    ctx = nu_from_delta(2.2)
+    ctx = QuantumContext(2.2)
     for n in (4, 6, 8):
         for row in allowed_ratios(ctx, n):
-            lam = extract_lambda(build_branch_matrix(ctx, n, row.p, row.q))
+            lam = build_branch_matrix(ctx, n, row.p, row.q).lam
             assert 2.0 * lam.real == pytest.approx(row.lambda_trace, abs=1e-8)
 
 
@@ -306,9 +306,8 @@ def test_battery_builds_no_branch_matrix(monkeypatch, tmp_path):
         raise AssertionError("the battery reached the branch matrix")
 
     monkeypatch.setattr(branch, "build_branch_matrix", refuse)
-    monkeypatch.setattr(branch, "extract_lambda", refuse)
-    monkeypatch.setattr(branch, "solve_phases", refuse)
-    assert not {"build_branch_matrix", "extract_lambda"} & set(vars(obstruct))
+    monkeypatch.setattr(branch, "_solve_phases", refuse)
+    assert "build_branch_matrix" not in vars(obstruct)
     for name, principal, dual in helpers.battery_corpus():
         run_battery(principal, dual)
         path = tmp_path / f"{name}.pair"

@@ -11,7 +11,7 @@ from tripoint import cli as cli_module
 from tripoint import graph as graph_module
 from tripoint.errors import InvalidArgument, UnsupportedIndex
 from tripoint.obstruct import run_battery
-from tripoint.qnum import QuantumContext, nu_from_delta
+from tripoint.qnum import NUMERIC_TOL, QuantumContext
 
 
 def direct_qint(delta: float, k: int) -> float:
@@ -22,12 +22,12 @@ def direct_qint(delta: float, k: int) -> float:
 
 def test_nu_at_boundary():
     """At delta = 2, nu = 1, where the closed form is 0/0: [k] = k exactly."""
-    assert nu_from_delta(2.0).qints(12) == [float(k) for k in range(13)]
+    assert QuantumContext(2.0).qints(12) == [float(k) for k in range(13)]
 
 
 def test_nu_at_two_and_a_half():
     """delta = 2.5 is nu = 2, where [k] = (2^k - 2^-k) / (2 - 1/2)."""
-    ctx = nu_from_delta(2.5)
+    ctx = QuantumContext(2.5)
     for k in range(20):
         assert ctx.qint(k) == pytest.approx((2.0**k - 2.0**-k) / 1.5, rel=1e-12)
 
@@ -35,7 +35,7 @@ def test_nu_at_two_and_a_half():
 def test_nu_at_sqrt_five_is_golden_ratio():
     # nu is the golden ratio phi, and phi - 1/phi = 1, so [k] = phi^k - phi^-k
     phi = (1.0 + math.sqrt(5.0)) / 2.0
-    ctx = nu_from_delta(math.sqrt(5.0))
+    ctx = QuantumContext(math.sqrt(5.0))
     for k in range(20):
         assert ctx.qint(k) == pytest.approx(phi**k - phi**-k, rel=1e-12)
 
@@ -43,7 +43,7 @@ def test_nu_at_sqrt_five_is_golden_ratio():
 def test_context_invariant():
     """[2] is delta, and [k]^2 - [k-1][k+1] = 1 (the quantum Cassini identity)."""
     for delta in (2.0, 2.1, 2.25, math.sqrt(5.0), 2.5):
-        q = nu_from_delta(delta).qints(20)
+        q = QuantumContext(delta).qints(20)
         assert q[2] == delta
         for k in range(1, 20):
             assert abs(q[k] ** 2 - q[k - 1] * q[k + 1] - 1.0) <= 1e-12 * q[k + 1] ** 2
@@ -58,7 +58,7 @@ def test_values_of_another_type_are_never_equal():
 
 def test_delta_below_two_rejected():
     with pytest.raises(UnsupportedIndex):
-        nu_from_delta(1.5)
+        QuantumContext(1.5)
     with pytest.raises(UnsupportedIndex):
         QuantumContext(1.9)
 
@@ -77,38 +77,42 @@ def test_context_validates_delta_directly():
 
 def test_delta_must_be_finite():
     with pytest.raises(InvalidArgument):
-        nu_from_delta(math.nan)
+        QuantumContext(math.nan)
     with pytest.raises(InvalidArgument):
-        nu_from_delta(math.inf)
+        QuantumContext(math.inf)
 
 
 def test_slightly_low_delta_clamps_to_two():
-    ctx = nu_from_delta(2.0 - 1e-12)
-    assert ctx.delta == 2.0
-    assert ctx.qint(7) == 7.0
+    """The one constructor clamps [2 - NUMERIC_TOL, 2) to 2 and refuses anything lower."""
+    for delta in (2.0 - 1e-12, 2.0 - NUMERIC_TOL):
+        ctx = QuantumContext(delta)
+        assert ctx.delta == 2.0
+        assert ctx.qint(7) == 7.0
+    with pytest.raises(UnsupportedIndex, match="index < 4"):
+        QuantumContext(2.0 - 2.0 * NUMERIC_TOL)
 
 
 def test_qint_base_cases():
     for delta in (2.0, 2.3, 2.5):
-        ctx = nu_from_delta(delta)
+        ctx = QuantumContext(delta)
         assert ctx.qint(0) == 0.0
         assert ctx.qint(1) == 1.0
         assert ctx.qint(2) == pytest.approx(delta, abs=1e-15)
 
 
 def test_qint_example_values():
-    assert nu_from_delta(2.5).qint(3) == pytest.approx(5.25, abs=1e-12)
-    assert nu_from_delta(2.0).qint(7) == 7.0
+    assert QuantumContext(2.5).qint(3) == pytest.approx(5.25, abs=1e-12)
+    assert QuantumContext(2.0).qint(7) == 7.0
 
 
 def test_qint_negative_rejected():
-    ctx = nu_from_delta(2.2)
+    ctx = QuantumContext(2.2)
     with pytest.raises(InvalidArgument):
         ctx.qint(-1)
 
 
 def test_qints_prefix():
-    ctx = nu_from_delta(2.5)
+    ctx = QuantumContext(2.5)
     assert ctx.qints(0) == [0.0]
     assert ctx.qints(3) == [0.0, 1.0, 2.5, 5.25]
     assert ctx.qints(12) == [ctx.qint(k) for k in range(13)]
@@ -117,7 +121,7 @@ def test_qints_prefix():
 
 
 def test_overflow_raises_unsupported_index():
-    ctx = nu_from_delta(2.5)
+    ctx = QuantumContext(2.5)
     with pytest.raises(UnsupportedIndex, match="overflows"):
         ctx.qint(1100)
     with pytest.raises(UnsupportedIndex, match="overflows"):
@@ -127,7 +131,7 @@ def test_overflow_raises_unsupported_index():
 @settings(max_examples=200, deadline=None)
 @given(delta=st.floats(2.0, 2.5), k=st.integers(1, 30))
 def test_recurrence_identity(delta, k):
-    ctx = nu_from_delta(delta)
+    ctx = QuantumContext(delta)
     lhs = ctx.delta * ctx.qint(k)
     rhs = ctx.qint(k - 1) + ctx.qint(k + 1)
     assert abs(lhs - rhs) <= 1e-9 * max(1.0, ctx.qint(k + 1))
@@ -136,7 +140,7 @@ def test_recurrence_identity(delta, k):
 @settings(max_examples=200, deadline=None)
 @given(delta=st.floats(2.0, 2.5), n=st.integers(1, 20))
 def test_square_identity(delta, n):
-    ctx = nu_from_delta(delta)
+    ctx = QuantumContext(delta)
     lhs = ctx.qint(n + 1) ** 2
     rhs = ctx.qint(n) * ctx.qint(n + 2) + 1.0
     assert abs(lhs - rhs) <= 1e-9 * ctx.qint(n + 2) ** 2
@@ -145,13 +149,13 @@ def test_square_identity(delta, n):
 @settings(max_examples=200, deadline=None)
 @given(delta=st.floats(2.0, 2.5), k=st.integers(1, 30))
 def test_positivity(delta, k):
-    assert nu_from_delta(delta).qint(k) > 0.0
+    assert QuantumContext(delta).qint(k) > 0.0
 
 
 @settings(max_examples=200, deadline=None)
 @given(delta=st.floats(2.0 + 1e-6, 2.5), k=st.integers(0, 30))
 def test_recurrence_matches_closed_form(delta, k):
-    ctx = nu_from_delta(delta)
+    ctx = QuantumContext(delta)
     expected = direct_qint(delta, k)
     assert ctx.qint(k) == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
@@ -175,7 +179,7 @@ def counting_contexts(monkeypatch, module) -> list[QuantumContext]:
         contexts.append(QuantumContext(counted))
         return contexts[-1]
 
-    monkeypatch.setattr(module, "nu_from_delta", context)
+    monkeypatch.setattr(module, "QuantumContext", context)
     return contexts
 
 
@@ -189,7 +193,7 @@ def test_one_recurrence_per_accepted_pair(monkeypatch):
 
 
 def test_one_recurrence_per_matrix_request(monkeypatch, capsys):
-    """build_branch_matrix and extract_lambda share one run of the recurrence."""
+    """The dimension-sum check, the entries and lambda share one run of the recurrence."""
     contexts = counting_contexts(monkeypatch, cli_module)
     argv = ["matrix", "--n", "30", "--delta", "3", "--p", "2026369768940.75",
             "--q", "2026369768940.25"]
@@ -197,5 +201,5 @@ def test_one_recurrence_per_matrix_request(monkeypatch, capsys):
     assert "lambda + 1/lambda = -1\n" in capsys.readouterr().out
     (ctx,) = contexts
     qints = QuantumContext(3.0).qints(32)
-    # [1]..[31] once each for the recurrence, then delta [30] for an entry
+    # [1]..[30] for [31] in the dimension-sum check, [31] for [32], then delta [30] for an entry
     assert ctx.delta.factors == qints[1:32] + [qints[30]]
