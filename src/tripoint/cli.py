@@ -174,9 +174,8 @@ def _cmd_ratios(args: argparse.Namespace) -> int:
     if args.delta is not None:
         delta = args.delta
     else:
-        if args.index < 4:
-            raise InvalidArgument(f"index = {args.index} must be >= 4")
-        delta = math.sqrt(args.index)
+        # max() keeps a negative index out of sqrt's domain; NaN passes through
+        delta = math.sqrt(max(args.index, 0.0))
     ctx = QuantumContext(delta)
     rows = allowed_ratios(ctx, args.n)
     if args.format == "json":

@@ -246,12 +246,21 @@ class _Numbers(dict):
 
     A hit is about twice as fast as ``int()``, and every count and edge
     number of a realistic candidate graph is one.  A miss, such as ``007``,
-    ``+1``, a non-ASCII digit or a number too long for ``int()``, gives
-    exactly what ``int()`` gives, ``ValueError`` included, and is not stored.
+    ``+1`` or a non-ASCII digit, gives what ``int()`` gives and is not
+    stored.  This is the one rule for a number too long to convert: a
+    signed or unsigned run of decimal digits that ``int()`` refuses (more
+    digits than it converts, 4,300 by default) gives ``math.inf``, which
+    every reader reports as too long or out of range.  Any other token
+    raises ``ValueError``.
     """
 
-    def __missing__(self, token: str) -> int:
-        return int(token)
+    def __missing__(self, token: str) -> int | float:
+        try:
+            return int(token)
+        except ValueError:
+            if re.fullmatch(r"[+-]?\d+", token):
+                return math.inf
+            raise
 
 
 @cache
@@ -261,14 +270,12 @@ def _small_numbers() -> _Numbers:
 
 
 def _parse_block_exact(lines: list[tuple[int, str]]) -> GradedBigraph:
-    # int() refuses a decimal number of more digits than it converts (4,300
-    # by default): such a number is reported, never raised as a ValueError.
+    number = _small_numbers().__getitem__
     lineno, text = _take_key(lines, "depths")
     tokens = text.split()
-    try:
-        depth_count = int(tokens[0]) if len(tokens) == 1 and tokens[0].isdecimal() else 0
-    except ValueError:
-        raise ParseError("'depths:' has a number too long to convert", lineno) from None
+    depth_count = number(tokens[0]) if len(tokens) == 1 and tokens[0].isdecimal() else 0
+    if depth_count == math.inf:
+        raise ParseError("'depths:' has a number too long to convert", lineno)
     if depth_count < 1:
         raise ParseError("'depths:' needs a single positive integer", lineno)
 
@@ -278,14 +285,12 @@ def _parse_block_exact(lines: list[tuple[int, str]]) -> GradedBigraph:
         raise ParseError(
             f"'counts:' needs exactly {depth_count} entries, got {len(tokens)}", lineno
         )
-    number = _small_numbers().__getitem__
     try:
         counts = tuple(map(number, tokens))
     except ValueError:
-        # every entry well formed: int() refused one for its length
-        if all(re.fullmatch(r"[+-]?\d+", t) for t in tokens):
-            raise ParseError("'counts:' has a number too long to convert", lineno) from None
         raise ParseError("'counts:' entries must be integers", lineno) from None
+    if math.inf in counts:
+        raise ParseError("'counts:' has a number too long to convert", lineno)
 
     # The line is read whole, up to its first malformed token, so the first
     # bad token in line order is the one reported, malformed or out of range.
@@ -293,11 +298,7 @@ def _parse_block_exact(lines: list[tuple[int, str]]) -> GradedBigraph:
     lineno, text = _take_key(lines, "edges")
     good = text[: _EDGES_RE.match(text).end()]
     pieces = good.replace(":", " ").replace("-", " ").split()
-    try:
-        numbers = list(map(number, pieces))
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        numbers = [int(x) if len(x) <= limit else math.inf for x in pieces]
+    numbers = list(map(number, pieces))
     edges = list(zip(numbers[::3], numbers[1::3], numbers[2::3]))
     for d, u, v in edges:
         if d >= depth_count - 1 or u >= counts[d] or v >= counts[d + 1]:

@@ -682,7 +682,19 @@ def test_ratios_rejects_odd_n(capsys):
 
 
 def test_ratios_rejects_small_index(capsys):
-    assert main(["ratios", "--n", "4", "--index", "3.9"]) == 2
+    """--index and --delta share one rule: a hair under index 4 is 4, anything lower exits 2."""
+    for fmt in ("text", "json"):
+        assert main(["ratios", "--n", "4", "--delta", "1.9999999995", "--format", fmt]) == 0
+        by_delta = capsys.readouterr()
+        assert main(["ratios", "--n", "4", "--index", "3.999999998", "--format", fmt]) == 0
+        assert capsys.readouterr() == by_delta
+        assert by_delta.err == ""
+    assert json.loads(by_delta.out)["delta"] == 2.0
+    for index in ("-1", "3.9", "nan", "inf"):
+        assert main(["ratios", "--n", "4", "--index", index]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
     assert main(["ratios", "--n", "4", "--delta", "1.9"]) == 2
 
 

@@ -410,8 +410,9 @@ def test_numbers_too_long_for_int_are_parse_errors(name):
 
 
 def test_counts_malformed_or_not_decimal_say_so():
-    with pytest.raises(ParseError, match="'counts:' entries must be integers"):
-        parse_graph(f"depths: 3\ncounts: 1 x {HUGE}\nedges: 0:0-0 1:0-0")
+    for counts in (f"1 x {HUGE}", f"1 {HUGE} x"):
+        with pytest.raises(ParseError, match="'counts:' entries must be integers"):
+            parse_graph(f"depths: 3\ncounts: {counts}\nedges: 0:0-0 1:0-0")
     # isdigit() accepts superscripts, which int() refuses
     with pytest.raises(ParseError, match="'depths:' needs a single positive integer"):
         parse_graph("depths: \u00b2\ncounts: 1 1\nedges: 0:0-0")
@@ -452,6 +453,10 @@ def test_tokens_outside_the_number_table_parse_as_int_reads_them():
         ),
         (
             f"depths: 2\ncounts: 1 {HUGE}\nedges: 0:0-0",
+            (ParseError, "line 2: 'counts:' has a number too long to convert", 2),
+        ),
+        (
+            f"depths: 2\ncounts: 1 -{HUGE}\nedges: 0:0-0",
             (ParseError, "line 2: 'counts:' has a number too long to convert", 2),
         ),
         (

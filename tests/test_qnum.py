@@ -56,13 +56,6 @@ def test_values_of_another_type_are_never_equal():
     assert ctx == QuantumContext(2.5)
 
 
-def test_delta_below_two_rejected():
-    with pytest.raises(UnsupportedIndex):
-        QuantumContext(1.5)
-    with pytest.raises(UnsupportedIndex):
-        QuantumContext(1.9)
-
-
 def test_context_validates_delta_directly():
     for bad in (math.nan, math.inf):
         with pytest.raises(InvalidArgument, match="delta must be finite"):
@@ -73,13 +66,6 @@ def test_context_validates_delta_directly():
         ctx = QuantumContext(delta)
         assert ctx.delta == delta
         assert ctx.qints(2) == [0.0, 1.0, delta]
-
-
-def test_delta_must_be_finite():
-    with pytest.raises(InvalidArgument):
-        QuantumContext(math.nan)
-    with pytest.raises(InvalidArgument):
-        QuantumContext(math.inf)
 
 
 def test_slightly_low_delta_clamps_to_two():
