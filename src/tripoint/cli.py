@@ -2,10 +2,15 @@
 
 Exit codes: 0 all applicable tests pass, 1 some obstruction fails, 2 on
 usage or input errors, on output that could not be written and on any
-crash.  ``main`` turns a ``TripointError`` into one stderr line and exit 2;
-only ``check``, which reports each file, catches its own.  ``run`` is the
-process entry: it turns what escapes ``main`` into exit 2 and ends the
-process without interpreter teardown.
+crash.  A value that parses but lies outside a command's domain (a
+``check --tol`` that is not positive and finite, a size above
+``SIZE_LIMIT``, a delta below 2) is refused with a ``TripointError``,
+which ``main`` turns into one stderr line and exit 2.  Besides ``check``,
+which reports each file's error and goes on, only ``matrix`` catches one:
+``NoUnitaryPhase`` is its answer, printed on stdout with exit 1.  ``run``
+is the process entry: it prints a file name that is not valid UTF-8 as the
+bytes given, turns what escapes ``main`` into exit 2 and ends the process
+without interpreter teardown.
 """
 
 from __future__ import annotations
@@ -69,6 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol", type=float, default=DEFAULT_TRACE_TOL,
         help=f"tolerance for obstruction verdicts (default {DEFAULT_TRACE_TOL:g})",
     )
+    p_check.set_defaults(handler=_cmd_check)
 
     p_ratios = sub.add_parser(
         "ratios", parents=[common], help="tabulate admissible dimension ratios"
@@ -79,6 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     which = p_ratios.add_mutually_exclusive_group(required=True)
     which.add_argument("--delta", type=float, help="graph norm (>= 2)")
     which.add_argument("--index", type=float, help="index delta^2 (>= 4)")
+    p_ratios.set_defaults(handler=_cmd_ratios)
 
     p_matrix = sub.add_parser(
         "matrix", parents=[common], help="print the branch matrix, phases and lambda"
@@ -87,24 +94,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_matrix.add_argument("--delta", type=float, required=True)
     p_matrix.add_argument("--p", type=float, required=True)
     p_matrix.add_argument("--q", type=float, required=True)
+    p_matrix.set_defaults(handler=_cmd_matrix)
 
     p_qnum = sub.add_parser("qnum", parents=[common], help="print quantum integers")
     p_qnum.add_argument("--delta", type=float, required=True)
     p_qnum.add_argument(
         "--max", dest="max_k", type=int, required=True, help=f"largest k (at most {SIZE_LIMIT})"
     )
+    p_qnum.set_defaults(handler=_cmd_qnum)
 
     return parser
 
 
 # ---------------------------------------------------------------------------
 # check
-
-def _check_one(path: str, tol: float) -> ObstructionReport:
-    with open(path, "rb") as fh:
-        principal, dual = parse_pair(fh.read().decode())
-    return run_battery(principal, dual, tol=tol)
-
 
 def _render_report_json(path: str, report: ObstructionReport) -> str:
     return _encode({
@@ -141,23 +144,23 @@ def _render_report_text(path: str, report: ObstructionReport) -> str:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    had_error = False
-    had_failure = False
+    if not 0 < args.tol < math.inf:
+        raise InvalidArgument("--tol must be positive and finite")
+    render = _render_report_json if args.format == "json" else _render_report_text
+    status = 0
     for path in args.files:
         try:
-            report = _check_one(path, args.tol)
+            with open(path, "rb") as fh:
+                principal, dual = parse_pair(fh.read().decode())
+            report = run_battery(principal, dual, tol=args.tol)
         except (TripointError, OSError, UnicodeDecodeError) as exc:
-            had_error = True
+            status = 2
             print(f"{path}: {exc}", file=sys.stderr)
             continue
-        had_failure = had_failure or report.has_failure
-        if args.format == "json":
-            print(_render_report_json(path, report))
-        else:
-            print(_render_report_text(path, report))
-    if had_error:
-        return 2
-    return 1 if had_failure else 0
+        if report.has_failure:
+            status = max(status, 1)
+        print(render(path, report))
+    return status
 
 
 def _check_limit(flag: str, value: int) -> None:
@@ -185,10 +188,8 @@ def _cmd_ratios(args: argparse.Namespace) -> int:
         print(f"admissible ratios for n = {args.n}, delta = {_fmt(ctx.delta)}")
         print(f"{'k':>3}  {'lambda_trace':>18}  {'r':>18}  {'p':>18}  {'q':>18}  {'p-q':>18}")
         for row in rows:
-            print(
-                f"{row.k:>3}  {row.lambda_trace:>18.12g}  {row.r:>18.12g}"
-                f"  {row.p:>18.12g}  {row.q:>18.12g}  {row.p - row.q:>18.12g}"
-            )
+            values = (row.lambda_trace, row.r, row.p, row.q, row.p - row.q)
+            print(f"{row.k:>3}" + "".join(f"  {_fmt(x):>18}" for x in values))
     return 0
 
 
@@ -254,18 +255,9 @@ def _cmd_qnum(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "check" and not 0 < args.tol < math.inf:
-        parser.error("--tol must be positive and finite")
-    handlers = {
-        "check": _cmd_check,
-        "ratios": _cmd_ratios,
-        "matrix": _cmd_matrix,
-        "qnum": _cmd_qnum,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except TripointError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -280,6 +272,13 @@ def _warn(message: str) -> None:
         pass
 
 
+def _unwritten(exc: OSError) -> int:
+    """Exit status 2 for output that could not be written: silent when the reader has gone."""
+    if not isinstance(exc, BrokenPipeError):
+        _warn(f"cannot write output: {exc}")
+    return 2
+
+
 def run() -> NoReturn:
     """Run ``main`` as the whole process, then end it at once.
 
@@ -287,30 +286,30 @@ def run() -> NoReturn:
     here.  Nothing escapes as exit 1, which reads as an exclusion: a stdout
     pipe whose reader has gone exits 2 silently, any other failure to write
     the output exits 2 with one stderr line, and a crash exits 2 with its
-    traceback; argparse keeps its own status.  Once stdout and stderr are
-    flushed, ``os._exit`` skips the teardown of every module and object,
-    which would cost a short process about a tenth of its time; no
+    traceback; argparse keeps its own status.  A file name that is not valid
+    UTF-8 prints as the bytes given, as ``ls`` prints it.  Once stdout and
+    stderr are flushed, ``os._exit`` skips the teardown of every module and
+    object, which would cost a short process about a tenth of its time; no
     ``atexit`` hook runs.
     """
+    if sys.stdout is not None:  # None when the process started with no stdout
+        sys.stdout.reconfigure(errors="surrogateescape")
     try:
-        try:
-            status = main()
-        except SystemExit as exc:  # argparse: 2 after a usage error, 0 after --help
-            status = exc.code
-        except OSError:  # writing the output failed; handled below
-            raise
-        except Exception:
-            import traceback  # here, not at start-up: it loads tokenize
+        status = main()
+    except SystemExit as exc:  # argparse: 2 after a usage error, 0 after --help
+        status = exc.code
+    except OSError as exc:  # writing the output failed
+        status = _unwritten(exc)
+    except Exception:
+        import traceback  # here, not at start-up: it loads tokenize
 
-            _warn(traceback.format_exc().rstrip("\n"))
-            status = 2
-        if sys.stdout is not None:  # None when the process started with no stdout
+        _warn(traceback.format_exc().rstrip("\n"))
+        status = 2
+    try:
+        if sys.stdout is not None:
             sys.stdout.flush()
-    except BrokenPipeError:
-        status = 2
     except OSError as exc:
-        _warn(f"cannot write output: {exc}")
-        status = 2
+        status = _unwritten(exc)
     try:
         if sys.stderr is not None:
             sys.stderr.flush()

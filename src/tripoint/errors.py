@@ -10,7 +10,11 @@ class InvalidArgument(TripointError):
 
 
 class UnsupportedIndex(TripointError):
-    """Outside the supported regime: delta < 2, or [k] or dimensions beyond double precision."""
+    """Outside the supported regime: delta < 2, or [k] or dimensions beyond double precision.
+
+    A Perron solve that fails raises it too: no convergence, a zero pivot, a
+    ``LinAlgError`` from numpy, or a vector that is not strictly positive.
+    """
 
 
 class ParseError(TripointError):

@@ -86,17 +86,6 @@ def _root_traces(n: int) -> list[float]:
     return [2.0 * math.cos(2.0 * math.pi * k / n) for k in range(n // 2 + 1)]
 
 
-def _trace_and_candidates(tp: TriplePointData) -> tuple[float, tuple[RootCandidate, ...]]:
-    qn, _, qn2 = tp.ctx.qints(tp.n + 2)[tp.n :]
-    big = qn * qn2
-    trace = (tp.p - tp.q) ** 2 * big / (tp.p * tp.q) - 2.0
-    candidates = sorted(
-        (RootCandidate(k, abs(trace - root)) for k, root in enumerate(_root_traces(tp.n))),
-        key=itemgetter(1, 0),
-    )
-    return trace, tuple(candidates)
-
-
 def rotational_test(
     tp: TriplePointData, tol: float = DEFAULT_TRACE_TOL
 ) -> tuple[Verdict, float, tuple[RootCandidate, ...]]:
@@ -107,7 +96,12 @@ def rotational_test(
     when the dual branch vertex is 1-valent and the branch depth is odd; the
     trace and candidate list are reported either way.
     """
-    trace, candidates = _trace_and_candidates(tp)
+    qn, _, qn2 = tp.ctx.qints(tp.n + 2)[tp.n :]
+    trace = (tp.p - tp.q) ** 2 * (qn * qn2) / (tp.p * tp.q) - 2.0
+    candidates = tuple(sorted(
+        (RootCandidate(k, abs(trace - root)) for k, root in enumerate(_root_traces(tp.n))),
+        key=itemgetter(1, 0),
+    ))
     if not (tp.gamma3_univalent and tp.branch_depth_odd):
         return Verdict.INAPPLICABLE, trace, candidates
     # every 2 cos(2 pi k / n) lies in [-2, 2], so a trace this close to one

@@ -881,11 +881,10 @@ def test_qnum_json(capsys):
 # ---------------------------------------------------------------------------
 # global flags
 
-def test_tol_must_be_positive(passing_file):
+def test_tol_must_be_positive(passing_file, capsys):
     for tol in ("-1", "0", "inf", "nan"):
-        with pytest.raises(SystemExit) as exc:
-            main(["check", passing_file, "--tol", tol])
-        assert exc.value.code == 2, tol
+        assert main(["check", passing_file, "--tol", tol]) == 2, tol
+        assert capsys.readouterr() == ("", "--tol must be positive and finite\n"), tol
 
 
 @pytest.mark.parametrize("argv", [
@@ -967,6 +966,32 @@ def test_a_stream_closed_at_start_is_left_alone(passing_file, capsys, redirect):
         capture_output=True, text=True, env=subprocess_env(), timeout=60,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, printed, "")
+
+
+#: the README's candidate pair, which ``check`` excludes
+README_PAIR = re.search(
+    r"^```\n(\[principal\]\n.*?)^```$",
+    (Path(__file__).resolve().parent.parent / "README.md").read_text(),
+    flags=re.MULTILINE | re.DOTALL,
+).group(1)
+
+
+def test_check_prints_a_file_name_that_is_not_utf8_as_its_bytes(tmp_path):
+    bad = os.path.join(os.fsencode(tmp_path), b"bad\xff.pair")
+    plain = tmp_path / "plain.pair"
+    try:
+        with open(bad, "w") as fh:
+            fh.write(README_PAIR)
+    except OSError:
+        pytest.skip("the filesystem refuses a file name that is not UTF-8")
+    plain.write_text(README_PAIR)
+    proc = subprocess.run(
+        [sys.executable, "-m", "tripoint.cli", "check", bad, os.fsencode(plain)],
+        capture_output=True, env=dict(subprocess_env(), PYTHONIOENCODING="utf-8"), timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (1, b"")
+    names = [line for line in proc.stdout.splitlines() if line.startswith(b"file: ")]
+    assert names == [b"file: " + bad, b"file: " + os.fsencode(plain)]
 
 
 CRASH_PROBE = """

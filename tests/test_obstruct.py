@@ -336,9 +336,10 @@ def test_battery_triple_single_is_the_plain_verdict(tol):
 def test_battery_computes_the_trace_once(monkeypatch, tol):
     """The quadratic-tangles verdict comes from the rotational one, not a second trace."""
     calls = []
-    trace_and_candidates = obstruct._trace_and_candidates
+    rotational_test = obstruct.rotational_test
     monkeypatch.setattr(
-        obstruct, "_trace_and_candidates", lambda tp: calls.append(tp) or trace_and_candidates(tp)
+        obstruct, "rotational_test",
+        lambda tp, tol: calls.append(tp) or rotational_test(tp, tol),
     )
     applicable = 0
     for name, principal, dual in helpers.battery_corpus():
