@@ -25,13 +25,13 @@ give the vector.  A graph with a cycle takes a dense half-size solve with
 numpy: a graded graph is bipartite between even and odd depths, so the norm
 is the square root of the largest eigenvalue of ``B B^T``, with B the
 even-by-odd biadjacency, and the same two inverse-iteration steps give the
-vector.  Either way every entry, however small, comes out to a few ulps
-relative, and any failure raises ``UnsupportedIndex``.  Note that for an
-incomplete candidate graph these dimensions differ from those of any
-completion, so verdicts derived from a truncated graph are advisory.  Root
-normalization needs the root entry of the unit eigenvector to lie above
-double-precision resolution; a graph whose dimensions grow past that raises
-``UnsupportedIndex``.
+vector.  Either way every entry, however small, keeps most of double
+precision (figures in ``GradedBigraph._perron``), and any failure raises
+``UnsupportedIndex``.  Note that for an incomplete candidate graph these
+dimensions differ from those of any completion, so verdicts derived from a
+truncated graph are advisory.  Root normalization needs the root entry of
+the unit eigenvector to lie above double-precision resolution; a graph
+whose dimensions grow past that raises ``UnsupportedIndex``.
 
 The norm of a pair's principal graph is the pair's delta.  Extraction builds
 the quantum context from it and stores it with the triple-point data, so no
@@ -69,7 +69,7 @@ from .errors import (
     SupertransitivityMismatch,
     UnsupportedIndex,
 )
-from .qnum import NUMERIC_TOL, Frozen, QuantumContext
+from .qnum import NUMERIC_TOL, QuantumContext
 
 Edge = tuple[int, int, int]
 
@@ -77,7 +77,12 @@ Edge = tuple[int, int, int]
 _EDGES_RE = re.compile(r"(?:\s*\d+:\d+-\d+(?!\S))*\s*")
 
 
-class GradedBigraph(Frozen):
+class _Graph(NamedTuple):
+    vertex_counts: tuple[int, ...]
+    edges: tuple[Edge, ...]
+
+
+class GradedBigraph(_Graph):
     """A connected graph graded by distance from a unique root vertex.
 
     Graphs come from ``parse_graph`` or ``parse_pair``: the parser checks
@@ -88,13 +93,14 @@ class GradedBigraph(Frozen):
     neighbour one depth up (-2 once it has two) and its edges down and up:
     the graded check, the tree links and every degree lookup read those
     lists, and none of them bisects.
+
+    A graph is a tuple of its two fields, like every value of the package
+    (see ``qnum``): they cannot be assigned or deleted, equality and hashing
+    go by them, ``_replace`` and ``_make`` rerun these checks, and the
+    vertex index and the cached solves live in the instance dict.
     """
 
-    _fields = ("vertex_counts", "edges")
-    vertex_counts: tuple[int, ...]
-    edges: tuple[Edge, ...]
-
-    def __init__(self, counts: tuple[int, ...], edges: Iterable[Edge]) -> None:
+    def __new__(cls, counts: tuple[int, ...], edges: Iterable[Edge]) -> GradedBigraph:
         edges = tuple(sorted(edges))
         if counts[0] != 1:
             raise InvalidGraph("exactly one vertex at depth 0 required")
@@ -123,8 +129,13 @@ class GradedBigraph(Frozen):
             raise InvalidGraph(
                 f"vertex {v} at depth {d} has no edge to depth {d - 1} (graph not graded)"
             )
-        self._freeze(counts, edges)
+        self = super().__new__(cls, counts, edges)
         vars(self).update(_offsets=offsets, _parent=parent, _down=down, _up=up)
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> GradedBigraph:
+        return cls(*iterable)  # so ``_replace`` checks too
 
     @property
     def vertex_count(self) -> int:
@@ -177,8 +188,14 @@ class GradedBigraph(Frozen):
         ``sigma = delta (1 + 4 eps)``, starting from ones.  Unlike a dense
         eigensolver, whose vector entries carry an absolute error of about
         eps, this keeps small entries (the root of a graph whose dimensions
-        grow far from it) to a few ulps relative.  One step is not enough
-        there; two are.  Any failure raises ``UnsupportedIndex``.
+        grow far from it) to a small relative error.  Against a 60-digit
+        inverse iteration on doubled tails of t vertices after the branch,
+        the worst entry of the unit vector is off by at most 3 eps through
+        t = 40, then 6.5 eps at 50, 12 at 58, 65 at 60 and 195 at 62, the
+        longest tail whose dimensions root-normalize; p and q stay within
+        3e-14 relative.  The dense solve keeps its test graphs (a cycle, and
+        dimensions up to 2e14) within 6 eps.  One step is not enough there;
+        two are.  Any failure raises ``UnsupportedIndex``.
         """
         if self.vertex_count == 1:
             return 0.0, (1.0,)

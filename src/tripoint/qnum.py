@@ -4,11 +4,21 @@ A context holds delta alone and validates it on construction, and computes
 each [k] from it once.  ``QuantumContext(delta)`` is its one constructor; a
 graph pair's context is built from its principal graph's norm by
 ``graph.extract_triple_point``.
+
+Every value of the package is a ``typing.NamedTuple`` or a subclass of one.
+A field cannot be assigned or deleted, and equality, hashing and ``repr``
+go by the fields, as for a tuple, so a value equals a plain tuple of the
+same fields.  ``QuantumContext`` and ``graph.GradedBigraph`` check their
+fields in ``__new__``, and their ``_make``, and so ``_replace``, go through
+it; their derived caches (the list of [k]; the vertex index and the solve)
+live in the instance dict, outside the fields.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
+from typing import NamedTuple
 
 from .errors import DimensionSumMismatch, InvalidArgument, UnsupportedIndex
 
@@ -18,52 +28,11 @@ from .errors import DimensionSumMismatch, InvalidArgument, UnsupportedIndex
 NUMERIC_TOL = 1e-9
 
 
-class Frozen:
-    """Base of the immutable values that carry derived state, in place of a frozen dataclass.
-
-    Two values have it: ``GradedBigraph`` (its vertex index and its solve)
-    and ``QuantumContext`` (its list of [k]).  Every other value is a plain
-    ``NamedTuple`` record, made by the one function that builds it.  A
-    subclass lists its fields in ``_fields`` and its ``__init__`` validates
-    them and then sets them, in that order, with ``_freeze``.  From then on
-    assigning or deleting an attribute raises ``AttributeError``, and
-    equality, hashing and ``repr`` go by the fields.  ``functools.
-    cached_property`` still works, since it writes the instance dict
-    directly, and so does other derived state, such as
-    ``QuantumContext._qints``: it lives outside ``_fields`` and so takes no
-    part in equality, hashing or ``repr``.
-    ``dataclasses`` is not used: importing it loads ``inspect`` and ``ast``,
-    which take longer than importing the whole CLI without them.
-    """
-
-    _fields: tuple[str, ...] = ()
-
-    def _freeze(self, *values: object) -> None:
-        vars(self).update(zip(self._fields, values, strict=True))
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
+class _Context(NamedTuple):
+    delta: float
 
 
-class QuantumContext(Frozen):
+class QuantumContext(_Context):
     """Evaluation context for quantum integers.
 
     ``delta`` is the value [2], so the index is delta squared; it must be
@@ -73,10 +42,7 @@ class QuantumContext(Frozen):
     checks use ``NUMERIC_TOL``.
     """
 
-    _fields = ("delta",)
-    delta: float
-
-    def __init__(self, delta: float) -> None:
+    def __new__(cls, delta: float) -> QuantumContext:
         if not math.isfinite(delta):
             raise InvalidArgument("delta must be finite")
         if 2.0 - NUMERIC_TOL <= delta < 2.0:
@@ -85,8 +51,13 @@ class QuantumContext(Frozen):
             raise UnsupportedIndex(
                 f"delta = {delta} < 2 means index < 4, outside the supported regime"
             )
-        self._freeze(delta)
-        vars(self)["_qints"] = [0.0, 1.0]  # derived state, see ``_extended``
+        self = super().__new__(cls, delta)
+        self._qints = [0.0, 1.0]  # derived state, see ``_extended``
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable[float]) -> QuantumContext:
+        return cls(*iterable)  # so ``_replace`` checks too
 
     def qint(self, k: int) -> float:
         """The quantum integer [k]."""

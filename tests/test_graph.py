@@ -622,7 +622,7 @@ def mpmath_perron(g: GradedBigraph, digits: int = 50) -> list:
         return [x[k] / x[0] for k in range(g.vertex_count)]
 
 
-@pytest.mark.parametrize("tail", [10, 20, 30, 50])
+@pytest.mark.parametrize("tail", [10, 20, 30, 50, 58, 62])
 def test_branch_dimensions_match_50_digit_inverse_iteration(tail):
     """Long doubled tails: the solver keeps the branch dimensions to 1e-12.
 
@@ -631,7 +631,8 @@ def test_branch_dimensions_match_50_digit_inverse_iteration(tail):
     an absolute error of about eps, which root normalization turns into a
     relative error of 8.6e-6 in p at tail 50; a single inverse-iteration step
     is off by 9e-3 there.  So this pins the solver, not only the code around
-    it.
+    it.  Tail 62 is the longest that root-normalizes; there the root entry
+    is off by about 195 eps and p and q by 3e-14 relative.
     """
     g = helpers.grade_tree(helpers.branched_tree(3, (), (tail,), doubled_tail=True), "p0")
     exact = mpmath_perron(g)

@@ -1,6 +1,8 @@
 """Obstruction battery: individual tests, ratio tables, orchestration."""
 
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +12,14 @@ import helpers
 from tripoint import branch, obstruct
 from tripoint.branch import build_branch_matrix
 from tripoint.cli import main
-from tripoint.errors import InvalidArgument
-from tripoint.graph import TriplePointData, extract_triple_point
+from tripoint.errors import InvalidArgument, InvalidGraph, UnsupportedIndex
+from tripoint.graph import (
+    GradedBigraph,
+    TriplePointData,
+    extract_triple_point,
+    graph_norm,
+    parse_graph,
+)
 from tripoint.obstruct import (
     Verdict,
     allowed_ratios,
@@ -51,6 +59,43 @@ def test_values_refuse_assignment_and_deletion(kind, field):
         delattr(value, field)
     assert getattr(value, field) is before
     assert repr(value).startswith(f"{kind}(")
+
+
+def test_replace_and_make_rerun_the_checks():
+    """A value made from another by ``_replace`` or ``_make`` is checked like a new one."""
+    graph = parse_graph("depths: 3\ncounts: 1 1 1\nedges: 0:0-0 1:0-0")
+    with pytest.raises(InvalidGraph, match="not graded"):
+        graph._replace(vertex_counts=(1, 5, 1))
+    with pytest.raises(InvalidGraph, match="not graded"):
+        GradedBigraph._make(((1, 5, 1), graph.edges))
+    ctx = QuantumContext(2.5)
+    with pytest.raises(UnsupportedIndex, match="index < 4"):
+        ctx._replace(delta=1.0)
+    with pytest.raises(UnsupportedIndex, match="index < 4"):
+        QuantumContext._make([1.0])
+    # the constructor runs whole: it clamps delta and sorts the edges
+    assert ctx._replace(delta=2.0 - 1e-12) == QuantumContext(2.0)
+    assert graph._replace(edges=graph.edges[::-1]).edges == graph.edges
+    assert graph_norm(graph._replace()) == pytest.approx(math.sqrt(2.0))
+    # equality and hashing go by the fields, as for a plain tuple
+    assert graph == ((1, 1, 1), ((0, 0, 0), (1, 0, 0)))
+    assert hash(ctx) == hash((2.5,))
+
+
+@pytest.mark.parametrize(
+    "round_trip", [lambda value: pickle.loads(pickle.dumps(value)), copy.deepcopy],
+    ids=["pickle", "deepcopy"],
+)
+def test_round_trips_give_equal_values_that_still_work(round_trip):
+    principal, dual = helpers.two_rooted_pair(0)
+    tp = extract_triple_point(principal, dual)  # solves both graphs first
+    graph, ctx = round_trip(principal), round_trip(tp.ctx)
+    assert type(graph) is GradedBigraph and graph == principal and graph is not principal
+    assert graph_norm(graph) == graph_norm(principal)
+    assert extract_triple_point(graph, round_trip(dual)) == tp
+    assert type(ctx) is QuantumContext and ctx == tp.ctx and ctx is not tp.ctx
+    assert ctx.qint(40) == tp.ctx.qint(40)
+    assert ctx.qints(3) == [0.0, 1.0, ctx.delta, ctx.delta * ctx.delta - 1.0]
 
 
 def make_tp(ctx, n, gap, univalent=True, trivalent=False):

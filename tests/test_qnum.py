@@ -49,7 +49,7 @@ def test_context_invariant():
             assert abs(q[k] ** 2 - q[k - 1] * q[k + 1] - 1.0) <= 1e-12 * q[k + 1] ** 2
 
 
-def test_values_of_another_type_are_never_equal():
+def test_a_context_never_equals_a_bare_float():
     ctx = QuantumContext(2.5)
     assert ctx.__eq__(2.5) is NotImplemented
     assert ctx != 2.5
