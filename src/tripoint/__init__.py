@@ -1,13 +1,11 @@
 """Triple point obstruction checks for candidate subfactor principal graph pairs.
 
 The package computes quantum integers from an index parameter, Perron-
-Frobenius dimensions of depth-graded candidate graphs, the battery of
-obstruction tests at an initial triple point, and the branch matrix there
-with the rotational eigenvalue it exposes.
+Frobenius dimensions of depth-graded candidate graphs, and the battery of
+obstruction tests at an initial triple point.
 """
 
 from . import errors
-from .branch import BranchMatrix, build_branch_matrix
 from .graph import (
     GradedBigraph,
     TriplePointData,
@@ -34,7 +32,6 @@ from .qnum import QuantumContext
 __version__ = "0.1.0"
 
 __all__ = [
-    "BranchMatrix",
     "DEFAULT_TRACE_TOL",
     "GradedBigraph",
     "ObstructionReport",
@@ -44,7 +41,6 @@ __all__ = [
     "TriplePointData",
     "Verdict",
     "allowed_ratios",
-    "build_branch_matrix",
     "errors",
     "extract_triple_point",
     "graph_norm",

@@ -9,9 +9,9 @@ the middle coordinate of the image exposes the rotational eigenvalue lambda.
 Im(tau) is taken >= 0: the other root conjugates lambda and leaves
 lambda + 1/lambda, the only value the battery reads, unchanged.
 
-``build_branch_matrix`` is the one builder of a ``BranchMatrix``.  It checks
-p + q = [n+1] before it solves for the phases, so an inconsistent request is
-an input error and never reads as "no unitary phase".
+``build_branch_matrix``, the engine of ``tripoint matrix``, checks
+p + q = [n+1] before it solves for the phases, so an inconsistent request
+is an input error and never reads as "no unitary phase".
 """
 
 from __future__ import annotations
@@ -35,10 +35,6 @@ class BranchMatrix(NamedTuple):
     since p + q = [n+1].
     """
 
-    n: int
-    ctx: QuantumContext
-    p: float
-    q: float
     sigma: complex
     tau: complex
     entries: Entries
@@ -107,4 +103,4 @@ def build_branch_matrix(ctx: QuantumContext, n: int, p: float, q: float) -> Bran
     lam = (sigma - tau) ** 2 * (p * q) / (qn * qn_plus2)
     if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
         raise UnsupportedIndex(f"lambda for n = {n} overflows double precision")
-    return BranchMatrix(n, ctx, p, q, sigma, tau, entries, lam)
+    return BranchMatrix(sigma, tau, entries, lam)

@@ -22,7 +22,6 @@ import os
 import sys
 from typing import NoReturn
 
-from .branch import build_branch_matrix
 from .errors import InvalidArgument, NoUnitaryPhase, TripointError
 from .graph import parse_pair
 from .obstruct import DEFAULT_TRACE_TOL, ObstructionReport, allowed_ratios, run_battery
@@ -197,6 +196,8 @@ def _cmd_ratios(args: argparse.Namespace) -> int:
 # matrix
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
+    from .branch import build_branch_matrix  # here, not at start-up: no other command needs it
+
     _check_limit("--n", args.n)
     ctx = QuantumContext(args.delta)
     try:

@@ -42,9 +42,9 @@ root-normalized straight from the cached Perron vector.
 
 The parser reads each ``edges:`` line whole and converts and range-checks
 each edge once, looking numbers below 512 up in a table; the graph then
-sorts its edges and indexes its vertices in one pass over them.  A self-dual
-pair file, whose two sections describe the same graph, yields one graph
-object for both sections, so it is parsed and solved once.  numpy is
+sorts its edges, and checks them and indexes its vertices in one pass.  A
+self-dual pair file, whose two sections describe the same graph, yields one
+graph object for both sections, so it is parsed and solved once.  numpy is
 imported only when a graph with a cycle is first solved, so importing this
 module, parsing, checking a pair of trees and the non-spectral commands
 never load it.
@@ -86,8 +86,8 @@ class GradedBigraph(_Graph):
     """A connected graph graded by distance from a unique root vertex.
 
     Graphs come from ``parse_graph`` or ``parse_pair``: the parser checks
-    every number of its input and the range of every edge, and the
-    constructor checks only what the counts and the grading need.  It sorts
+    every number of its input and the range of every edge; the constructor
+    checks the counts, that every edge fits them, and the grading.  It sorts
     the edges, so two descriptions of one graph compare and hash equal.  One
     pass over the sorted edges lists, per vertex in flat order, its first
     neighbour one depth up (-2 once it has two) and its edges down and up:
@@ -102,7 +102,7 @@ class GradedBigraph(_Graph):
 
     def __new__(cls, counts: tuple[int, ...], edges: Iterable[Edge]) -> GradedBigraph:
         edges = tuple(sorted(edges))
-        if counts[0] != 1:
+        if not counts or counts[0] != 1:
             raise InvalidGraph("exactly one vertex at depth 0 required")
         if min(counts) < 1:
             raise InvalidGraph("every depth must have at least one vertex")
@@ -113,7 +113,10 @@ class GradedBigraph(_Graph):
         graded = offsets[-1] <= len(edges) + 1
         if graded:
             parent, down, up = [-1] * offsets[-1], [0] * offsets[-1], [0] * offsets[-1]
+            last = len(counts) - 1
             for d, u, v in edges:
+                if not (0 <= d < last and 0 <= u < counts[d] and 0 <= v < counts[d + 1]):
+                    raise InvalidGraph(f"edge {(d, u, v)} does not fit the counts {counts}")
                 above, child = offsets[d] + u, offsets[d + 1] + v
                 if parent[child] != above:
                     parent[child] = above if parent[child] == -1 else -2

@@ -65,14 +65,14 @@ def qt_test(tp: TriplePointData, tol: float = DEFAULT_TRACE_TOL) -> Verdict:
     return rotational_test(tp, tol)[0] if tp.gamma2_trivalent else Verdict.INAPPLICABLE
 
 
-def apply_to_perp_vector(u: BranchMatrix) -> tuple[complex, complex, None]:
-    """Image of (0, sqrt(q), -sqrt(p)) under the known entries of the matrix.
+def apply_to_perp_vector(u: BranchMatrix, p: float, q: float) -> tuple[complex, complex, None]:
+    """Image of (0, sqrt(q), -sqrt(p)) under the known entries of the matrix built from p and q.
 
     The first coordinate vanishes identically; the third depends on the
     unknown entries and is reported as ``None``.
     """
-    sq = math.sqrt(u.q)
-    sp = math.sqrt(u.p)
+    sq = math.sqrt(q)
+    sp = math.sqrt(p)
     c1 = u.entries[0][1] * sq - u.entries[0][2] * sp
     c2 = u.entries[1][1] * sq - u.entries[1][2] * sp
     return c1, c2, None

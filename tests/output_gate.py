@@ -16,7 +16,9 @@ replaced by ``<tmp>``; a request that raises records the exception instead.
 It prints the request count, the count of each exit code and the sha256 of
 the records, one JSON object per line, which ``--out FILE`` also writes.
 Two checkouts that print the same digest answer every request alike,
-byte for byte.  ``--src DIR`` imports ``tripoint`` from DIR instead of this
+byte for byte.  ``tests/output_gate.sha256`` holds the digest under Python
+3.11, and CI fails on 3.11 when the printed one differs; a change that
+alters output bytes on purpose updates that file.  ``--src DIR`` imports ``tripoint`` from DIR instead of this
 checkout's ``src``, so that another checkout, such as a parent commit, can
 be gated with the same inputs.  This file is not a test module; pytest does
 not collect it.

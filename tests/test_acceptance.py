@@ -156,7 +156,7 @@ def test_branch_matrix_invariants():
         total = ctx.qint(n + 1)
         p, q = (total + gap) / 2.0, (total - gap) / 2.0
         u = build_branch_matrix(ctx, n, p, q)
-        c1, _, _ = helpers.apply_to_perp_vector(u)
+        c1, _, _ = helpers.apply_to_perp_vector(u, p, q)
         worst_c1 = max(
             worst_c1, abs(c1) / (1e-12 * math.sqrt(ctx.qint(n - 1) * p * q))
         )

@@ -19,7 +19,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "tripoint"
 
 PUBLIC_NAMES = [
-    "BranchMatrix",
     "DEFAULT_TRACE_TOL",
     "GradedBigraph",
     "ObstructionReport",
@@ -29,7 +28,6 @@ PUBLIC_NAMES = [
     "TriplePointData",
     "Verdict",
     "allowed_ratios",
-    "build_branch_matrix",
     "errors",
     "extract_triple_point",
     "graph_norm",

@@ -287,7 +287,7 @@ def test_first_coordinate_vanishes():
             for gap in (0.0, 0.5, 1.0):
                 p, q = pq_from_gap(ctx, n, gap)
                 u = build_branch_matrix(ctx, n, p, q)
-                c1, _, c3 = apply_to_perp_vector(u)
+                c1, _, c3 = apply_to_perp_vector(u, p, q)
                 assert abs(c1) <= 1e-12 * math.sqrt(ctx.qint(n - 1) * p * q)
                 assert c3 is None
 
@@ -297,7 +297,7 @@ def test_middle_coordinate_equal_dims():
     n = 4
     p, q = pq_from_gap(ctx, n, 0.0)
     u = build_branch_matrix(ctx, n, p, q)
-    _, c2, _ = apply_to_perp_vector(u)
+    _, c2, _ = apply_to_perp_vector(u, p, q)
     expected = (u.sigma - u.tau) * q / math.sqrt(ctx.delta * ctx.qint(n))
     assert c2 == pytest.approx(expected, rel=1e-12)
     assert abs((u.sigma - u.tau).real) <= 1e-12
@@ -310,7 +310,7 @@ def test_middle_coordinate_modulus():
         for gap in (0.0, 0.5, 1.0):
             p, q = pq_from_gap(ctx, n, gap)
             u = build_branch_matrix(ctx, n, p, q)
-            _, c2, _ = apply_to_perp_vector(u)
+            _, c2, _ = apply_to_perp_vector(u, p, q)
             assert abs(c2) == pytest.approx(
                 math.sqrt(ctx.qint(n + 2) / ctx.delta), rel=1e-9
             )

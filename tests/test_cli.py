@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import helpers
 import tripoint
 from tripoint import graph as graph_module
-from tripoint import cli
+from tripoint import branch, cli
 from tripoint.branch import build_branch_matrix
 from tripoint.cli import SIZE_LIMIT, main
 from tripoint.errors import TripointError
@@ -306,9 +306,9 @@ def test_json_refuses_a_non_finite_float_in_any_payload(passing_file, monkeypatc
         )
         argv = ["ratios", "--n", "4", "--delta", "2.2"]
     elif command == "matrix":
-        build = cli.build_branch_matrix
+        build = branch.build_branch_matrix
         monkeypatch.setattr(
-            cli, "build_branch_matrix", lambda *a: build(*a)._replace(lam=complex(1.0, bad))
+            branch, "build_branch_matrix", lambda *a: build(*a)._replace(lam=complex(1.0, bad))
         )
         argv = ["matrix", "--n", "4", "--delta", "2.2", "--p", "5.2028", "--q", "4.7028"]
     else:
@@ -553,11 +553,16 @@ if sys.argv[2] == "blocked":
 
 import tripoint.cli
 
-loaded = {"import tripoint.cli": "numpy" in sys.modules}
+
+def modules():
+    return sys.modules.get("numpy") is not None, "tripoint.branch" in sys.modules
+
+
+loaded = {"import tripoint.cli": modules()}
 for argv in json.loads(sys.argv[1]):
     with redirect_stdout(io.StringIO()) as out:
         code = tripoint.cli.main(argv)
-    loaded[" ".join(argv)] = (sys.modules.get("numpy") is not None, code, out.getvalue())
+    loaded[" ".join(argv)] = (*modules(), code, out.getvalue())
 print(json.dumps(loaded))
 """
 
@@ -571,25 +576,31 @@ def probe_numpy(commands: list[list[str]], numpy: str = "allowed") -> dict:
 
 
 def test_numpy_loads_only_when_a_graph_is_solved(passing_file, cycle_file):
-    """Only a graph with a cycle loads numpy; trees and the other commands never do."""
+    """Only a graph with a cycle loads numpy, and only ``matrix`` loads ``tripoint.branch``.
+
+    The commands run in one process, so each entry says what is loaded
+    after it: (numpy, tripoint.branch, exit code, stdout).
+    """
     half = repr(QuantumContext(2.1).qint(5) / 2.0)
     commands = [
         ["qnum", "--delta", "2.5", "--max", "8"],
         ["ratios", "--n", "4", "--index", "4.41", "--format", "json"],
-        ["matrix", "--n", "4", "--delta", "2.1", "--p", half, "--q", half],
         ["check", passing_file],
+        ["matrix", "--n", "4", "--delta", "2.1", "--p", half, "--q", half],
         ["check", cycle_file],
     ]
     loaded = probe_numpy(commands)
-    assert loaded.pop("import tripoint.cli") is False
-    *plain, tree_check, cycle_check = (loaded[" ".join(argv)] for argv in commands)
-    assert [entry[:2] for entry in plain] == [[False, 0]] * 3
-    assert tree_check[:2] == [False, 0]
-    assert cycle_check[:2] == [True, 0]  # the probe does see numpy once a cycle is solved
+    assert loaded.pop("import tripoint.cli") == [False, False]
+    *plain, tree_check, matrix, cycle_check = (loaded[" ".join(argv)] for argv in commands)
+    assert [entry[:3] for entry in plain] == [[False, False, 0]] * 2
+    assert tree_check[:3] == [False, False, 0]
+    assert matrix[:3] == [False, True, 0]
+    assert matrix[3].startswith("branch matrix for n = 4, delta = 2.1,")
+    assert cycle_check[:3] == [True, True, 0]  # the probe does see numpy once a cycle is solved
 
     blocked = probe_numpy([["check", passing_file]], numpy="blocked")
-    assert blocked[f"check {passing_file}"] == [False, 0, tree_check[2]]
-    assert tree_check[2].startswith(f"file: {passing_file}")
+    assert blocked[f"check {passing_file}"] == [False, False, 0, tree_check[3]]
+    assert tree_check[3].startswith(f"file: {passing_file}")
 
 
 START_UP_PROBE = """
@@ -610,6 +621,8 @@ print(json.dumps({"import": sorted(imported), "check": sorted(checked), "code": 
 def test_start_up_loads_no_dataclasses_machinery(passing_file):
     """Neither the import of the CLI nor a tree check loads dataclasses or what it pulls in.
 
+    Nor do they load ``tripoint.branch``, which only ``matrix`` imports.
+
     This is why no value of the package is a dataclass: importing
     ``dataclasses`` loads ``inspect`` and ``ast``, 6.4 to 9.6 ms by
     ``python -X importtime`` (Python 3.11.7, 2 shared vCPUs), against 16 to
@@ -622,7 +635,7 @@ def test_start_up_loads_no_dataclasses_machinery(passing_file):
     loaded = json.loads(proc.stdout.splitlines()[-1])
     assert loaded["code"] == 0
     assert "tripoint.cli" in loaded["import"]  # the probe does see what the import loads
-    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "tripoint.branch"}
     assert heavy.intersection(loaded["import"]) == set()
     assert heavy.intersection(loaded["check"]) == set()
 

@@ -197,6 +197,26 @@ def test_invalid_graph_ungraded_vertex():
         parse_graph("depths: 3\ncounts: 1 2 1\nedges: 0:0-0 1:0-0 1:1-0")
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        # vertex 1 at depth 1 does not exist; the edge would land on depth 2
+        (lambda: GradedBigraph((1, 1, 1), [(0, 0, 0), (0, 0, 1)]), r"edge \(0, 0, 1\) does not fit"),
+        # index -1 would wrap round to the root
+        (lambda: GradedBigraph((1, 2), [(0, 0, 0), (0, 0, -1)]), r"edge \(0, 0, -1\) does not fit"),
+        (lambda: GradedBigraph((1, 2), [(0, 0, 0), (0, 0, 1), (1, 0, 0)]), r"edge \(1, 0, 0\) does not fit"),
+        (lambda: GradedBigraph((), []), "exactly one vertex at depth 0 required"),
+        (lambda: helpers.two_rooted_pair(0)[0]._replace(vertex_counts=(1, 5, 1)),
+         r"edge \(2, 0, 0\) does not fit the counts \(1, 5, 1\)"),
+    ],
+    ids=["past-the-count", "negative-index", "past-the-last-depth", "no-counts", "replace"],
+)
+def test_constructor_refuses_edges_that_do_not_fit_the_counts(build, message):
+    """A graph built in code, not parsed, gets the parser's range check as ``InvalidGraph``."""
+    with pytest.raises(InvalidGraph, match=message):
+        build()
+
+
 @st.composite
 def graded_candidates(draw):
     """Vertex counts and an edge list (with repeats) between consecutive depths.
@@ -513,7 +533,8 @@ def test_tree_classifier_and_both_solves_agree(candidate):
     """A graph is a tree when no vertex has two distinct neighbours one depth up.
 
     For trees the standard-library solve must match the dense one, which is
-    the only solver for graphs with a cycle.
+    the only solver for graphs with a cycle; there the norm and every
+    dimension must match a dense eigensolve of the full adjacency matrix.
     """
     counts, edges = candidate
     try:
@@ -524,7 +545,12 @@ def test_tree_classifier_and_both_solves_agree(candidate):
     for d, u, v in edges:
         lower.setdefault((d + 1, v), set()).add(u)
     assert (g._tree is None) == any(len(ups) > 1 for ups in lower.values())
-    if g._tree is None or g.vertex_count == 1:
+    if g._tree is None:
+        expected_delta, expected_vec = eigh_perron(g)
+        assert graph_norm(g) == pytest.approx(expected_delta, rel=1e-13)
+        assert list(helpers.dimension_vector(g).values()) == pytest.approx(list(expected_vec), rel=1e-10)
+        return
+    if g.vertex_count == 1:
         return
     delta, vec = graph_module._tree_perron(g._tree)
     dense_delta, dense_vec = graph_module._dense_perron(g)
