@@ -3,14 +3,14 @@
 Exit codes: 0 all applicable tests pass, 1 some obstruction fails, 2 on
 usage or input errors, on output that could not be written and on any
 crash.  A value that parses but lies outside a command's domain (a
-``check --tol`` that is not positive and finite, a size above
-``SIZE_LIMIT``, a delta below 2) is refused with a ``TripointError``,
-which ``main`` turns into one stderr line and exit 2.  Besides ``check``,
-which reports each file's error and goes on, only ``matrix`` catches one:
-``NoUnitaryPhase`` is its answer, printed on stdout with exit 1.  ``run``
-is the process entry: it prints a file name that is not valid UTF-8 as the
-bytes given, turns what escapes ``main`` into exit 2 and ends the process
-without interpreter teardown.
+``check --tol`` that is not positive and finite, as ``obstruct``
+decides, a size above ``SIZE_LIMIT``, a delta below 2) is refused with a
+``TripointError``, which ``main`` turns into one stderr line and exit 2.
+Besides ``check``, which reports each file's error and goes on, only
+``matrix`` catches one: ``NoUnitaryPhase`` is its answer, printed on stdout
+with exit 1.  ``run`` is the process entry: it prints a file name that is
+not valid UTF-8 as the bytes given, turns what escapes ``main`` into exit 2
+and ends the process without interpreter teardown.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import NoReturn
 
 from .errors import InvalidArgument, NoUnitaryPhase, TripointError
 from .graph import parse_pair
-from .obstruct import DEFAULT_TRACE_TOL, ObstructionReport, allowed_ratios, run_battery
+from .obstruct import DEFAULT_TRACE_TOL, ObstructionReport, _check_tol, allowed_ratios, run_battery
 from .qnum import NUMERIC_TOL, QuantumContext
 
 #: Largest ``qnum --max``, ``ratios --n`` and ``matrix --n``; far above any
@@ -143,14 +143,13 @@ def _render_report_text(path: str, report: ObstructionReport) -> str:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    if not 0 < args.tol < math.inf:
-        raise InvalidArgument("--tol must be positive and finite")
+    _check_tol(args.tol)  # once, before any file is read
     render = _render_report_json if args.format == "json" else _render_report_text
     status = 0
     for path in args.files:
         try:
             with open(path, "rb") as fh:
-                principal, dual = parse_pair(fh.read().decode())
+                principal, dual = parse_pair(fh.read().decode("utf-8-sig"))
             report = run_battery(principal, dual, tol=args.tol)
         except (TripointError, OSError, UnicodeDecodeError) as exc:
             status = 2

@@ -197,7 +197,7 @@ class GradedBigraph(_Graph):
         t = 40, then 6.5 eps at 50, 12 at 58, 65 at 60 and 195 at 62, the
         longest tail whose dimensions root-normalize; p and q stay within
         3e-14 relative.  The dense solve keeps its test graphs (a cycle, and
-        dimensions up to 2e14) within 6 eps.  One step is not enough there;
+        dimensions up to 2e14) within 6.5 eps.  One step is not enough there;
         two are.  Any failure raises ``UnsupportedIndex``.
         """
         if self.vertex_count == 1:
@@ -525,47 +525,40 @@ def _tree_perron(tree: Tree) -> tuple[float, list[float]]:
 def _dense_perron(g: GradedBigraph) -> tuple[float, list[float]]:
     """Norm and unit Perron vector of any graded graph by a half-size numpy solve.
 
-    Depth parity splits the graph into even and odd sides, so its adjacency
-    is ``[[0, B], [B^T, 0]]`` with B the even-by-odd biadjacency.  delta is
-    the square root of the largest eigenvalue of ``G = B B^T``, whose
-    entries are small integers and so exact.  Each inverse-iteration step
-    is solved through the Schur complement ``sigma^2 I - G`` on the even
-    side.
+    Depth parity splits the graph into even and odd sides, so on them its
+    adjacency is ``[[0, B], [B^T, 0]]`` with B the even-by-odd block.  A
+    mask of the even depths over the graph's flat index cuts B out of the
+    edge counts: the edges down from an even vertex, plus, transposed, those
+    down from an odd one.  delta is the square root of the largest
+    eigenvalue of ``G = B B^T``, whose entries are small integers and so
+    exact.  Each inverse-iteration step is solved through the Schur
+    complement ``sigma^2 I - G`` on the even side, and the two halves of the
+    vector go back into flat order through the same mask.
     """
     import numpy as np
 
-    counts = g.vertex_counts
-    sides = [0, 0]
-    side_offsets = []
-    for d, count in enumerate(counts):
-        side_offsets.append(sides[d % 2])
-        sides[d % 2] += count
-    n_even, n_odd = sides
-    cells = [
-        (side_offsets[d] + u) * n_odd + side_offsets[d + 1] + v
-        if d % 2 == 0
-        else (side_offsets[d + 1] + v) * n_odd + side_offsets[d] + u
-        for d, u, v in g.edges
-    ]
-    b = np.bincount(cells, minlength=n_even * n_odd).reshape(n_even, n_odd).astype(float)
+    offsets = g._offsets
+    size = offsets[-1]
+    cells = [(offsets[d] + u) * size + offsets[d + 1] + v for d, u, v in g.edges]
+    down = np.bincount(cells, minlength=size * size).reshape(size, size)  # row above, column below
+    even = np.zeros(size, dtype=bool)
+    for lo, hi in zip(offsets[::2], offsets[1::2]):
+        even[lo:hi] = True
+    b = (down[np.ix_(even, ~even)] + down[np.ix_(~even, even)].T).astype(float)
     gram = b @ b.T
     try:
         delta = math.sqrt(np.linalg.eigvalsh(gram)[-1])
         sigma = delta * (1 + 4 * sys.float_info.epsilon)
         schur = -gram
-        schur.flat[:: n_even + 1] += sigma * sigma
-        x_even, x_odd = np.ones(n_even), np.ones(n_odd)
+        schur.flat[:: len(gram) + 1] += sigma * sigma
+        x_even, x_odd = np.ones(b.shape[0]), np.ones(b.shape[1])
         for _ in range(2):
             x_even = np.linalg.solve(schur, sigma * x_even + b @ x_odd)
             x_odd = (x_odd + b.T @ x_even) / sigma
     except np.linalg.LinAlgError as exc:
         raise UnsupportedIndex(f"Perron solve failed: {exc}") from None
-    order = [
-        side_offsets[d] + i + (0 if d % 2 == 0 else n_even)
-        for d, count in enumerate(counts)
-        for i in range(count)
-    ]
-    vec = np.concatenate((x_even, x_odd))[order]
+    vec = np.empty(size)
+    vec[even], vec[~even] = x_even, x_odd
     vec /= math.copysign(math.sqrt(vec @ vec), vec.sum())
     return delta, vec.tolist()
 

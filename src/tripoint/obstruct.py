@@ -4,7 +4,10 @@ Verdicts are three-valued: a test whose hypotheses are not met reports
 ``Inapplicable`` rather than passing, so enumeration workflows can tell
 "not excluded" apart from "hypothesis failed".  A candidate is excluded as
 soon as any applicable test fails, but the battery always runs everything
-for full diagnostics.
+for full diagnostics.  Every verdict compares against a tolerance, and this
+module alone decides which tolerances are valid: positive and finite.  Each
+function that takes one refuses any other with ``InvalidArgument``, and the
+command line asks the same check.
 """
 
 from __future__ import annotations
@@ -22,6 +25,12 @@ from .qnum import QuantumContext
 #: may miss a root of unity, before a test fails.  It sets only verdicts;
 #: internal consistency checks use ``qnum.NUMERIC_TOL``.
 DEFAULT_TRACE_TOL = 1e-6
+
+
+def _check_tol(tol: float) -> None:
+    """Raise ``InvalidArgument`` unless the verdict tolerance is positive and finite."""
+    if not 0 < tol < math.inf:
+        raise InvalidArgument(f"tol = {tol!r} must be positive and finite")
 
 
 class Verdict(enum.Enum):
@@ -73,6 +82,7 @@ def ocneanu_parity(branch_depth: int) -> Verdict:
 
 def triple_single(tp: TriplePointData, tol: float = DEFAULT_TRACE_TOL) -> Verdict:
     """With a 1-valent dual branch vertex, p - q may not exceed 1."""
+    _check_tol(tol)
     if not tp.gamma3_univalent:
         return Verdict.INAPPLICABLE
     return Verdict.PASS if tp.p - tp.q <= 1.0 + tol else Verdict.FAIL
@@ -96,6 +106,7 @@ def rotational_test(
     when the dual branch vertex is 1-valent and the branch depth is odd; the
     trace and candidate list are reported either way.
     """
+    _check_tol(tol)
     qn, _, qn2 = tp.ctx.qints(tp.n + 2)[tp.n :]
     trace = (tp.p - tp.q) ** 2 * (qn * qn2) / (tp.p * tp.q) - 2.0
     candidates = tuple(sorted(
@@ -159,8 +170,10 @@ def run_battery(
     rotational test already needs a 1-valent gamma3.  No branch matrix is
     built: once extraction has checked p + q = [n+1], its lambda has modulus
     1 and 2 Re lambda equals the trace formula for every (p, q) (see
-    ``tests/test_branch.py``).
+    ``tests/test_branch.py``).  A ``tol`` that is not positive and finite
+    raises ``InvalidArgument`` before anything is solved.
     """
+    _check_tol(tol)
     tp = extract_triple_point(principal, dual)
     parity = ocneanu_parity(tp.n - 1) if tp.ctx.delta > 2.0 else Verdict.INAPPLICABLE
     verdicts = {"ocneanu_parity": parity}

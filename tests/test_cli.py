@@ -903,7 +903,7 @@ def test_qnum_json(capsys):
 def test_tol_must_be_positive(passing_file, capsys):
     for tol in ("-1", "0", "inf", "nan"):
         assert main(["check", passing_file, "--tol", tol]) == 2, tol
-        assert capsys.readouterr() == ("", "--tol must be positive and finite\n"), tol
+        assert capsys.readouterr() == ("", f"tol = {float(tol)!r} must be positive and finite\n"), tol
 
 
 @pytest.mark.parametrize("argv", [
@@ -1011,6 +1011,17 @@ def test_check_prints_a_file_name_that_is_not_utf8_as_its_bytes(tmp_path):
     assert (proc.returncode, proc.stderr) == (1, b"")
     names = [line for line in proc.stdout.splitlines() if line.startswith(b"file: ")]
     assert names == [b"file: " + bad, b"file: " + os.fsencode(plain)]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_check_ignores_a_leading_byte_order_mark(tmp_path, capsys, fmt):
+    path = tmp_path / "candidate.pair"
+    results = []
+    for mark in (b"\xef\xbb\xbf", b""):
+        path.write_bytes(mark + README_PAIR.encode())
+        results.append((main(["check", str(path), "--format", fmt]), capsys.readouterr()))
+    assert results[0] == results[1]
+    assert results[0][0] == 1 and results[0][1].err == ""
 
 
 CRASH_PROBE = """

@@ -404,6 +404,29 @@ def test_battery_skewed_pair_fails_rotational_only():
     assert -2.0 <= report.lambda_trace <= 2.0
 
 
+BAD_TOLS = [-1.0, 0.0, math.inf, math.nan]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_verdict_tests_refuse_a_tol_that_is_not_positive_and_finite(tol):
+    tp = extract_triple_point(*helpers.two_rooted_pair(0))
+    message = f"tol = {tol!r} must be positive and finite"
+    with pytest.raises(InvalidArgument, match=f"^{message}$"):
+        triple_single(tp, tol)
+    with pytest.raises(InvalidArgument, match=f"^{message}$"):
+        rotational_test(tp, tol)
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_battery_refuses_a_bad_tol_before_it_extracts(monkeypatch, tol):
+    def no_extraction(*args):
+        raise AssertionError("extracted despite a bad tol")
+
+    monkeypatch.setattr(obstruct, "extract_triple_point", no_extraction)
+    with pytest.raises(InvalidArgument, match=f"^tol = {tol!r} must be positive and finite$"):
+        run_battery(*helpers.two_rooted_pair(0), tol=tol)
+
+
 def test_battery_report_fields_consistent():
     for name, principal, dual in helpers.battery_corpus():
         report = run_battery(principal, dual)
