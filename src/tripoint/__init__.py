@@ -3,52 +3,51 @@
 The package computes quantum integers from an index parameter, Perron-
 Frobenius dimensions of depth-graded candidate graphs, and the battery of
 obstruction tests at an initial triple point.
+
+Importing the package loads only ``tripoint.errors``.  Every other public
+name is imported from its home module on first access, so a program that
+uses only quantum integers or ratio tables never loads the graph layer.
 """
 
 from . import errors
-from .graph import (
-    GradedBigraph,
-    TriplePointData,
-    extract_triple_point,
-    graph_norm,
-    parse_graph,
-    parse_pair,
-    supertransitivity,
-)
-from .obstruct import (
-    DEFAULT_TRACE_TOL,
-    ObstructionReport,
-    RatioRow,
-    RootCandidate,
-    Verdict,
-    allowed_ratios,
-    ocneanu_parity,
-    rotational_test,
-    run_battery,
-    triple_single,
-)
-from .qnum import QuantumContext
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_TRACE_TOL",
-    "GradedBigraph",
-    "ObstructionReport",
-    "QuantumContext",
-    "RatioRow",
-    "RootCandidate",
-    "TriplePointData",
-    "Verdict",
-    "allowed_ratios",
-    "errors",
-    "extract_triple_point",
-    "graph_norm",
-    "ocneanu_parity",
-    "parse_graph",
-    "parse_pair",
-    "rotational_test",
-    "run_battery",
-    "supertransitivity",
-    "triple_single",
-]
+#: Home module of each public name besides ``errors``.
+_HOMES = {
+    "DEFAULT_TRACE_TOL": "obstruct",
+    "GradedBigraph": "graph",
+    "ObstructionReport": "obstruct",
+    "QuantumContext": "qnum",
+    "RatioRow": "obstruct",
+    "RootCandidate": "obstruct",
+    "TriplePointData": "graph",
+    "Verdict": "obstruct",
+    "allowed_ratios": "obstruct",
+    "extract_triple_point": "graph",
+    "graph_norm": "graph",
+    "ocneanu_parity": "obstruct",
+    "parse_graph": "graph",
+    "parse_pair": "graph",
+    "rotational_test": "obstruct",
+    "run_battery": "obstruct",
+    "supertransitivity": "graph",
+    "triple_single": "obstruct",
+}
+
+__all__ = sorted([*_HOMES, "errors"])
+
+
+def __getattr__(name: str):
+    try:
+        home = _HOMES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{home}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -10,7 +10,9 @@ Besides ``check``, which reports each file's error and goes on, only
 ``matrix`` catches one: ``NoUnitaryPhase`` is its answer, printed on stdout
 with exit 1.  ``run`` is the process entry: it prints a file name that is
 not valid UTF-8 as the bytes given, turns what escapes ``main`` into exit 2
-and ends the process without interpreter teardown.
+and ends the process without interpreter teardown.  Each command imports
+only what it runs: ``check`` alone loads the graph layer and ``matrix``
+alone the branch matrix, so start-up loads neither.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import sys
 from typing import NoReturn
 
 from .errors import InvalidArgument, NoUnitaryPhase, TripointError
-from .graph import parse_pair
 from .obstruct import DEFAULT_TRACE_TOL, ObstructionReport, _check_tol, allowed_ratios, run_battery
 from .qnum import NUMERIC_TOL, QuantumContext
 
@@ -143,6 +144,8 @@ def _render_report_text(path: str, report: ObstructionReport) -> str:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from .graph import parse_pair  # here, not at start-up: no other command needs it
+
     _check_tol(args.tol)  # once, before any file is read
     render = _render_report_json if args.format == "json" else _render_report_text
     status = 0

@@ -527,24 +527,32 @@ def _dense_perron(g: GradedBigraph) -> tuple[float, list[float]]:
 
     Depth parity splits the graph into even and odd sides, so on them its
     adjacency is ``[[0, B], [B^T, 0]]`` with B the even-by-odd block.  A
-    mask of the even depths over the graph's flat index cuts B out of the
-    edge counts: the edges down from an even vertex, plus, transposed, those
-    down from an odd one.  delta is the square root of the largest
-    eigenvalue of ``G = B B^T``, whose entries are small integers and so
-    exact.  Each inverse-iteration step is solved through the Schur
-    complement ``sigma^2 I - G`` on the even side, and the two halves of the
-    vector go back into flat order through the same mask.
+    mask of the even depths over the graph's flat index ranks each vertex
+    on its side, and each edge is counted straight into B at the ranks of
+    its even and its odd end, so nothing of size V x V is allocated.  delta
+    is the square root of the largest eigenvalue of ``G = B B^T``, whose
+    entries are small integers and so exact.  Each inverse-iteration step
+    is solved through the Schur complement ``sigma^2 I - G`` on the even
+    side, and the two halves of the vector go back into flat order through
+    the same mask.
     """
     import numpy as np
 
     offsets = g._offsets
     size = offsets[-1]
-    cells = [(offsets[d] + u) * size + offsets[d + 1] + v for d, u, v in g.edges]
-    down = np.bincount(cells, minlength=size * size).reshape(size, size)  # row above, column below
     even = np.zeros(size, dtype=bool)
     for lo, hi in zip(offsets[::2], offsets[1::2]):
         even[lo:hi] = True
-    b = (down[np.ix_(even, ~even)] + down[np.ix_(~even, even)].T).astype(float)
+    even_rank, odd_rank = np.cumsum(even) - 1, np.cumsum(~even) - 1
+    n_even = int(np.count_nonzero(even))
+    n_odd = size - n_even
+    depth, u, v = np.array(g.edges).T
+    starts = np.array(offsets)
+    top, bottom = starts[depth] + u, starts[depth + 1] + v  # flat index of each end
+    odd_top = depth % 2 == 1
+    cells = (even_rank[np.where(odd_top, bottom, top)] * n_odd
+             + odd_rank[np.where(odd_top, top, bottom)])
+    b = np.bincount(cells, minlength=n_even * n_odd).reshape(n_even, n_odd).astype(float)
     gram = b @ b.T
     try:
         delta = math.sqrt(np.linalg.eigvalsh(gram)[-1])

@@ -7,7 +7,9 @@ soon as any applicable test fails, but the battery always runs everything
 for full diagnostics.  Every verdict compares against a tolerance, and this
 module alone decides which tolerances are valid: positive and finite.  Each
 function that takes one refuses any other with ``InvalidArgument``, and the
-command line asks the same check.
+command line asks the same check.  The graph layer is imported only when
+``run_battery`` extracts a pair, so the ratio tables and the command line's
+start-up do without it.
 """
 
 from __future__ import annotations
@@ -15,11 +17,13 @@ from __future__ import annotations
 import enum
 import math
 from operator import itemgetter
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidArgument, UnsupportedIndex
-from .graph import GradedBigraph, TriplePointData, extract_triple_point
 from .qnum import QuantumContext
+
+if TYPE_CHECKING:
+    from .graph import GradedBigraph, TriplePointData
 
 #: Default verdict tolerance: how far p - q may exceed 1, and how far the trace
 #: may miss a root of unity, before a test fails.  It sets only verdicts;
@@ -173,6 +177,8 @@ def run_battery(
     ``tests/test_branch.py``).  A ``tol`` that is not positive and finite
     raises ``InvalidArgument`` before anything is solved.
     """
+    from .graph import extract_triple_point  # here, not at start-up: only a pair needs it
+
     _check_tol(tol)
     tp = extract_triple_point(principal, dual)
     parity = ocneanu_parity(tp.n - 1) if tp.ctx.delta > 2.0 else Verdict.INAPPLICABLE

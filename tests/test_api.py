@@ -8,7 +8,11 @@ source file must parse as 3.10 syntax.
 """
 
 import ast
+import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,9 +45,66 @@ PUBLIC_NAMES = [
 ]
 
 
+#: The module that defines each public name besides ``errors``.
+HOMES = {
+    "graph": [
+        "GradedBigraph", "TriplePointData", "extract_triple_point", "graph_norm",
+        "parse_graph", "parse_pair", "supertransitivity",
+    ],
+    "obstruct": [
+        "DEFAULT_TRACE_TOL", "ObstructionReport", "RatioRow", "RootCandidate", "Verdict",
+        "allowed_ratios", "ocneanu_parity", "rotational_test", "run_battery", "triple_single",
+    ],
+    "qnum": ["QuantumContext"],
+}
+
+
 def test_public_names_are_exactly_these():
     assert tripoint.__all__ == PUBLIC_NAMES
     assert all(hasattr(tripoint, name) for name in PUBLIC_NAMES)
+
+
+def test_each_public_name_is_the_object_of_its_home_module():
+    assert sorted([*(name for names in HOMES.values() for name in names), "errors"]) == PUBLIC_NAMES
+    for module, names in HOMES.items():
+        home = importlib.import_module(f"tripoint.{module}")
+        for name in names:
+            assert getattr(tripoint, name) is getattr(home, name), name
+    assert tripoint.errors is importlib.import_module("tripoint.errors")
+
+
+def test_star_import_and_dir_list_every_public_name():
+    namespace: dict = {}
+    exec("from tripoint import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == PUBLIC_NAMES
+    assert set(PUBLIC_NAMES) <= set(dir(tripoint))
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'tripoint' has no attribute 'graph_norms'$"):
+        tripoint.graph_norms
+
+
+IMPORT_PROBE = """
+import sys
+
+import tripoint
+
+print(" ".join(sorted(name for name in sys.modules if name.startswith("tripoint"))))
+"""
+
+
+def test_importing_the_package_loads_only_its_errors():
+    """Every other module loads at the first access to one of its names."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE],
+        capture_output=True, text=True, env=env, check=True, timeout=60,
+    )
+    assert proc.stdout.split() == ["tripoint", "tripoint.errors"]
 
 
 def public_functions(tree: ast.Module):

@@ -555,7 +555,11 @@ import tripoint.cli
 
 
 def modules():
-    return sys.modules.get("numpy") is not None, "tripoint.branch" in sys.modules
+    return (
+        sys.modules.get("numpy") is not None,
+        "tripoint.branch" in sys.modules,
+        "tripoint.graph" in sys.modules,
+    )
 
 
 loaded = {"import tripoint.cli": modules()}
@@ -576,31 +580,32 @@ def probe_numpy(commands: list[list[str]], numpy: str = "allowed") -> dict:
 
 
 def test_numpy_loads_only_when_a_graph_is_solved(passing_file, cycle_file):
-    """Only a graph with a cycle loads numpy, and only ``matrix`` loads ``tripoint.branch``.
+    """Only a graph with a cycle loads numpy, only ``matrix`` loads ``tripoint.branch``
+    and only ``check`` loads ``tripoint.graph``.
 
     The commands run in one process, so each entry says what is loaded
-    after it: (numpy, tripoint.branch, exit code, stdout).
+    after it: (numpy, tripoint.branch, tripoint.graph, exit code, stdout).
     """
     half = repr(QuantumContext(2.1).qint(5) / 2.0)
     commands = [
         ["qnum", "--delta", "2.5", "--max", "8"],
         ["ratios", "--n", "4", "--index", "4.41", "--format", "json"],
-        ["check", passing_file],
         ["matrix", "--n", "4", "--delta", "2.1", "--p", half, "--q", half],
+        ["check", passing_file],
         ["check", cycle_file],
     ]
     loaded = probe_numpy(commands)
-    assert loaded.pop("import tripoint.cli") == [False, False]
-    *plain, tree_check, matrix, cycle_check = (loaded[" ".join(argv)] for argv in commands)
-    assert [entry[:3] for entry in plain] == [[False, False, 0]] * 2
-    assert tree_check[:3] == [False, False, 0]
-    assert matrix[:3] == [False, True, 0]
-    assert matrix[3].startswith("branch matrix for n = 4, delta = 2.1,")
-    assert cycle_check[:3] == [True, True, 0]  # the probe does see numpy once a cycle is solved
+    assert loaded.pop("import tripoint.cli") == [False, False, False]
+    *plain, matrix, tree_check, cycle_check = (loaded[" ".join(argv)] for argv in commands)
+    assert [entry[:4] for entry in plain] == [[False, False, False, 0]] * 2
+    assert matrix[:4] == [False, True, False, 0]
+    assert matrix[4].startswith("branch matrix for n = 4, delta = 2.1,")
+    assert tree_check[:4] == [False, True, True, 0]
+    assert cycle_check[:4] == [True, True, True, 0]  # the probe does see numpy once a cycle is solved
 
     blocked = probe_numpy([["check", passing_file]], numpy="blocked")
-    assert blocked[f"check {passing_file}"] == [False, False, 0, tree_check[3]]
-    assert tree_check[3].startswith(f"file: {passing_file}")
+    assert blocked[f"check {passing_file}"] == [False, False, True, 0, tree_check[4]]
+    assert tree_check[4].startswith(f"file: {passing_file}")
 
 
 START_UP_PROBE = """
@@ -624,9 +629,11 @@ def test_start_up_loads_no_dataclasses_machinery(passing_file):
     Nor do they load ``tripoint.branch``, which only ``matrix`` imports.
 
     This is why no value of the package is a dataclass: importing
-    ``dataclasses`` loads ``inspect`` and ``ast``, 6.4 to 9.6 ms by
-    ``python -X importtime`` (Python 3.11.7, 2 shared vCPUs), against 16 to
-    19 ms for all of ``import tripoint.cli``.  The values are named tuples instead.
+    ``dataclasses`` loads ``inspect`` and ``ast``, 9.2 to 11.6 ms by
+    ``python -X importtime`` (Python 3.11.7, 2 shared vCPUs), against 12 to
+    18 ms for all of ``import tripoint.cli`` compiled from source (no
+    bytecode on disk, as under ``PYTHONDONTWRITEBYTECODE=1``) and 6 to 10 ms
+    with its bytecode cached.  The values are named tuples instead.
     """
     proc = subprocess.run(
         [sys.executable, "-c", START_UP_PROBE, passing_file],

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import helpers
 from tripoint import branch, obstruct
+from tripoint import graph as graph_module
 from tripoint.branch import build_branch_matrix
 from tripoint.cli import main
 from tripoint.errors import InvalidArgument, InvalidGraph, UnsupportedIndex
@@ -422,7 +423,7 @@ def test_battery_refuses_a_bad_tol_before_it_extracts(monkeypatch, tol):
     def no_extraction(*args):
         raise AssertionError("extracted despite a bad tol")
 
-    monkeypatch.setattr(obstruct, "extract_triple_point", no_extraction)
+    monkeypatch.setattr(graph_module, "extract_triple_point", no_extraction)
     with pytest.raises(InvalidArgument, match=f"^tol = {tol!r} must be positive and finite$"):
         run_battery(*helpers.two_rooted_pair(0), tol=tol)
 
