@@ -10,14 +10,17 @@ Besides ``check``, which reports each file's error and goes on, only
 ``matrix`` catches one: ``NoUnitaryPhase`` is its answer, printed on stdout
 with exit 1.  ``run`` is the process entry: it prints a file name that is
 not valid UTF-8 as the bytes given, turns what escapes ``main`` into exit 2
-and ends the process without interpreter teardown.  Each command imports
-only what it runs: ``check`` alone loads the graph layer and ``matrix``
-alone the branch matrix, so start-up loads neither.
+and ends the process without interpreter teardown; it alone lets a large
+``check`` batch fork (``tripoint.workers``), with the output and exit
+status of one process.  Each command imports only what it runs: ``check``
+alone loads the graph layer and ``matrix`` alone the branch matrix, so
+start-up loads neither.
 """
 
 from __future__ import annotations
 
 import argparse
+import codecs
 import json
 import math
 import os
@@ -148,20 +151,30 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
     _check_tol(args.tol)  # once, before any file is read
     render = _render_report_json if args.format == "json" else _render_report_text
-    status = 0
-    for path in args.files:
-        try:
-            with open(path, "rb") as fh:
-                principal, dual = parse_pair(fh.read().decode("utf-8-sig"))
-            report = run_battery(principal, dual, tol=args.tol)
-        except (TripointError, OSError, UnicodeDecodeError) as exc:
-            status = 2
-            print(f"{path}: {exc}", file=sys.stderr)
-            continue
-        if report.has_failure:
-            status = max(status, 1)
-        print(render(path, report))
-    return status
+
+    def check(paths: list[str]) -> int:
+        """Report on each file in turn, on stdout or stderr; the status of the run."""
+        status = 0
+        for path in paths:
+            try:
+                with open(path, "rb") as fh:
+                    text = fh.read().removeprefix(codecs.BOM_UTF8).decode()
+                principal, dual = parse_pair(text)
+                report = run_battery(principal, dual, tol=args.tol)
+            except (TripointError, OSError, UnicodeDecodeError) as exc:
+                status = 2
+                print(f"{path}: {exc}", file=sys.stderr)
+                continue
+            if report.has_failure:
+                status = max(status, 1)
+            print(render(path, report))
+        return status
+
+    if not args.may_fork or len(args.files) == 1:
+        return check(args.files)
+    from .workers import check_batch  # here, not at start-up: only a batch may fork
+
+    return check_batch(check, args.files)
 
 
 def _check_limit(flag: str, value: int) -> None:
@@ -257,8 +270,10 @@ def _cmd_qnum(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def main(argv: list[str] | None = None, *, may_fork: bool = False) -> int:
+    """Run one command; its exit status.  It forks only with ``may_fork``, which ``run`` sets."""
     args = build_parser().parse_args(argv)
+    args.may_fork = may_fork  # only check reads it
     try:
         return args.handler(args)
     except TripointError as exc:
@@ -294,11 +309,16 @@ def run() -> NoReturn:
     stderr are flushed, ``os._exit`` skips the teardown of every module and
     object, which would cost a short process about a tenth of its time; no
     ``atexit`` hook runs.
+
+    ``run`` also lets a large ``check`` batch fork a worker for each further
+    CPU (see ``tripoint.workers``); the output, in file order, and the exit
+    status, a worker's crash included, are those of one process.  ``main``
+    called without ``may_fork`` never forks.
     """
     if sys.stdout is not None:  # None when the process started with no stdout
         sys.stdout.reconfigure(errors="surrogateescape")
     try:
-        status = main()
+        status = main(may_fork=True)
     except SystemExit as exc:  # argparse: 2 after a usage error, 0 after --help
         status = exc.code
     except OSError as exc:  # writing the output failed

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 import helpers
 import tripoint
 from tripoint import graph as graph_module
-from tripoint import branch, cli
+from tripoint import branch, cli, workers
 from tripoint.branch import build_branch_matrix
 from tripoint.cli import SIZE_LIMIT, main
 from tripoint.errors import TripointError
@@ -62,6 +63,31 @@ def malformed_file(tmp_path):
     path = tmp_path / "broken.pair"
     path.write_text("[principal]\ndepths: 2\ncounts: 1 1\nedges: 9:0-0\n[dual]\n")
     return str(path)
+
+
+#: files in ``batch_files``, in a cycle of pass, fail, malformed, missing and not UTF-8
+BATCH_SIZE = 30
+
+
+@pytest.fixture
+def batch_files(tmp_path, passing_file, even_depth_file, malformed_file):
+    """A ``check`` batch of ``4 * FORK_MIN_BYTES``, so ``run`` shares it with workers.
+
+    Each file that exists starts with a comment line that pads it to its
+    share of the bytes, so the batch is large yet quick to check.
+    """
+    texts = [Path(path).read_bytes() for path in (passing_file, even_depth_file, malformed_file)]
+    texts += [None, b"\xff\xfe[principal]\n"]
+    existing = BATCH_SIZE - BATCH_SIZE // len(texts)
+    pad = b"#" + b"." * (4 * workers.FORK_MIN_BYTES // existing) + b"\n"
+    paths = []
+    for i in range(BATCH_SIZE):
+        path = tmp_path / f"batch-{i:02d}.pair"
+        text = texts[i % len(texts)]
+        if text is not None:
+            path.write_bytes(pad + text)
+        paths.append(str(path))
+    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +635,7 @@ def test_numpy_loads_only_when_a_graph_is_solved(passing_file, cycle_file):
 
 
 START_UP_PROBE = """
+import os
 import sys
 
 before = set(sys.modules)
@@ -617,16 +644,27 @@ import tripoint.cli
 imported = set(sys.modules) - before
 code = tripoint.cli.main(["check", sys.argv[1]])
 checked = set(sys.modules) - before
+forks = []
+fork = os.fork
+os.fork = lambda: forks.append(None) or fork()
+os.sched_getaffinity = lambda pid: {0, 1}  # forks on a host with one CPU too
+tripoint.cli.main(["check", *sys.argv[2:]], may_fork=True)
+batch = set(sys.modules) - before
 import json
 
-print(json.dumps({"import": sorted(imported), "check": sorted(checked), "code": code}))
+print(json.dumps({"import": sorted(imported), "check": sorted(checked), "code": code,
+                  "batch": sorted(batch), "forks": len(forks)}))
 """
 
 
-def test_start_up_loads_no_dataclasses_machinery(passing_file):
+def test_start_up_loads_no_dataclasses_machinery(passing_file, batch_files):
     """Neither the import of the CLI nor a tree check loads dataclasses or what it pulls in.
 
-    Nor do they load ``tripoint.branch``, which only ``matrix`` imports.
+    Nor do they load ``tripoint.branch``, which only ``matrix`` imports,
+    ``tripoint.workers``, which only a ``check`` of more than one file under
+    ``run`` imports, the process pools and ``pickle``, which a forked batch
+    does without, or the
+    ``utf-8-sig`` codec, since ``check`` strips a byte-order mark itself.
 
     This is why no value of the package is a dataclass: importing
     ``dataclasses`` loads ``inspect`` and ``ast``, 9.2 to 11.6 ms by
@@ -636,15 +674,18 @@ def test_start_up_loads_no_dataclasses_machinery(passing_file):
     with its bytecode cached.  The values are named tuples instead.
     """
     proc = subprocess.run(
-        [sys.executable, "-c", START_UP_PROBE, passing_file],
+        [sys.executable, "-c", START_UP_PROBE, passing_file, *batch_files],
         capture_output=True, text=True, env=subprocess_env(), check=True, timeout=60,
     )
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert loaded["code"] == 0
+    assert (loaded["code"], loaded["forks"]) == (0, 1)
     assert "tripoint.cli" in loaded["import"]  # the probe does see what the import loads
-    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "tripoint.branch"}
+    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "tripoint.branch",
+             "multiprocessing", "concurrent.futures", "pickle", "encodings.utf_8_sig"}
     assert heavy.intersection(loaded["import"]) == set()
-    assert heavy.intersection(loaded["check"]) == set()
+    assert (heavy | {"tripoint.workers"}).intersection(loaded["check"]) == set()
+    assert heavy.intersection(loaded["batch"]) == set()
+    assert "tripoint.workers" in loaded["batch"]
 
 
 # ---------------------------------------------------------------------------
@@ -1029,6 +1070,14 @@ def test_check_ignores_a_leading_byte_order_mark(tmp_path, capsys, fmt):
         results.append((main(["check", str(path), "--format", fmt]), capsys.readouterr()))
     assert results[0] == results[1]
     assert results[0][0] == 1 and results[0][1].err == ""
+    # an error's position counts from after the mark, as the utf-8-sig codec counted it
+    path.write_bytes(b"\xef\xbb\xbf\xff")
+    assert main(["check", str(path), "--format", fmt]) == 2
+    message = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    assert capsys.readouterr() == ("", f"{path}: {message}\n")
+    with pytest.raises(UnicodeDecodeError) as sig:
+        path.read_bytes().decode("utf-8-sig")
+    assert str(sig.value) == message
 
 
 CRASH_PROBE = """
@@ -1075,11 +1124,13 @@ runpy.run_module("tripoint.cli", run_name="__main__")
 """
 
 
-#: ``{pass}``, ``{fail}`` and ``{malformed}`` stand for pair files that exit 0, 1 and 2
+#: ``{pass}``, ``{fail}`` and ``{malformed}`` stand for pair files that exit 0, 1 and 2,
+#: ``{batch}`` for the files of ``batch_files``, which ``run`` shares with workers
 ENTRY_REQUESTS = {
     "pass": ["check", "{pass}"],
     "fail": ["check", "{fail}", "--format", "json"],
     "error-then-pass": ["check", "{malformed}", "{pass}"],
+    "forked-batch": ["check", "{batch}"],
     "qnum": ["qnum", "--delta", "2.5", "--max", "8"],
     "input-error": ["ratios", "--n", "3", "--delta", "2.5"],
     "usage-error": ["qnum", "--delta", "2.5"],
@@ -1089,11 +1140,13 @@ ENTRY_REQUESTS = {
 
 @pytest.mark.parametrize("name", ENTRY_REQUESTS)
 def test_python_m_ends_with_mains_output_and_status_and_no_teardown(
-    passing_file, even_depth_file, malformed_file, capsys, monkeypatch, name,
+    passing_file, even_depth_file, malformed_file, batch_files, capsys, monkeypatch, name,
 ):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage lines to the same width
     files = {"pass": passing_file, "fail": even_depth_file, "malformed": malformed_file}
-    argv = [arg.format(**files) for arg in ENTRY_REQUESTS[name]]
+    argv = []
+    for arg in ENTRY_REQUESTS[name]:
+        argv += batch_files if arg == "{batch}" else [arg.format(**files)]
     proc = subprocess.run(
         [sys.executable, "-c", ATEXIT_PROBE, *argv],
         capture_output=True, text=True, env=subprocess_env(), timeout=60,
@@ -1105,6 +1158,221 @@ def test_python_m_ends_with_mains_output_and_status_and_no_teardown(
     captured = capsys.readouterr()
     assert "atexit hook ran" not in proc.stderr
     assert (proc.returncode, proc.stdout, proc.stderr) == (status, captured.out, captured.err)
+
+
+# ---------------------------------------------------------------------------
+# a check batch shared with forked workers
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Lets ``check`` fork as if on three CPUs; counts the forks."""
+    made = []
+    fork = os.fork
+
+    def counted_fork():
+        made.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    return made
+
+
+def assert_no_worker_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_forked_batch_prints_what_one_process_prints(batch_files, forks, capsys, fmt):
+    argv = ["check", "--format", fmt, *batch_files]
+    serial = main(argv), capsys.readouterr()
+    assert forks == []
+    assert serial[0] == 2 and serial[1].out and serial[1].err
+    assert (main(argv, may_fork=True), capsys.readouterr()) == serial
+    assert len(forks) == 2  # three chunks: this process and two workers
+    assert_no_worker_left()
+
+
+@pytest.mark.parametrize("last, status", [(1, 1), (2, 2)], ids=["fail", "malformed"])
+def test_a_forked_batch_exits_with_the_worst_status_of_any_chunk(
+    batch_files, forks, capsys, last, status,
+):
+    """Only the last worker's chunk holds a file that does not pass."""
+    assert main(["check", *[batch_files[0]] * 20, batch_files[last]], may_fork=True) == status
+    assert len(forks) == 2
+
+
+def test_a_chunk_that_cannot_be_forked_runs_here_in_its_turn(
+    batch_files, forks, capsys, monkeypatch,
+):
+    argv = ["check", *batch_files]
+    serial = main(argv), capsys.readouterr()
+    fork = os.fork
+
+    def fork_once():
+        if forks:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    assert (main(argv, may_fork=True), capsys.readouterr()) == serial
+    assert len(forks) == 1  # the second worker's chunk ran here
+    assert_no_worker_left()
+
+
+def test_one_file_or_a_small_batch_stays_in_one_process(passing_file, even_depth_file, forks):
+    for argv in (["check", *[passing_file] * 60], ["check", passing_file, even_depth_file]):
+        main(argv, may_fork=True)
+    assert forks == []
+
+
+def test_chunks_are_contiguous_and_of_about_equal_bytes(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    half = workers.FORK_MIN_BYTES // 2
+    sizes = [half] * 6 + [4 * half, 0]  # and a missing file: five shares of 2 halves
+    paths = []
+    for i, size in enumerate(sizes):
+        paths.append(str(tmp_path / f"{i}.pair"))
+        Path(paths[-1]).write_bytes(b"#" * size)
+    paths.append(str(tmp_path / "missing.pair"))
+    chunks = workers._chunks(paths)
+    assert [len(chunk) for chunk in chunks] == [2, 2, 2, 3]  # the large file's middle is in share 4
+    assert [p for chunk in chunks for p in chunk] == paths
+    assert workers._chunks(paths[:4]) == [paths[:2], paths[2:4]]  # FORK_MIN_BYTES for each of two
+    assert workers._chunks(paths[:3]) == [paths[:3]]
+
+
+#: the last line of the one file of ``crashing_batch`` whose check crashes
+CRASH_MARKER = "# crash here\n"
+
+
+@pytest.fixture
+def crashing_batch(batch_files):
+    """The first 26 files of ``batch_files``; the last passes, but its check crashes.
+
+    Past the fork threshold, the crashing file is in the last worker's chunk.
+    """
+    assert BATCH_SIZE >= 26 and 25 % 5 == 0  # a passing file
+    with open(batch_files[25], "a") as fh:
+        fh.write(CRASH_MARKER)
+    return batch_files[:26]
+
+
+def test_a_worker_crash_is_raised_after_the_lines_before_it(
+    crashing_batch, forks, capsys, monkeypatch,
+):
+    def parse_that_crashes_on_its_marker(text):
+        if text.endswith(CRASH_MARKER):
+            raise RuntimeError("injected fault")
+        return parse_pair(text)
+
+    monkeypatch.setattr(graph_module, "parse_pair", parse_that_crashes_on_its_marker)
+    main(["check", *crashing_batch[:-1]])
+    before = capsys.readouterr()
+    with pytest.raises(workers.WorkerCrash) as crash:
+        main(["check", *crashing_batch], may_fork=True)
+    assert len(forks) == 2
+    assert capsys.readouterr() == before
+    lines = str(crash.value).splitlines()
+    assert lines[0] == "Traceback (most recent call last):"
+    assert lines[-1] == "RuntimeError: injected fault"
+    assert_no_worker_left()
+
+
+WORKER_CRASH_PROBE = """
+import os
+import sys
+import tripoint.cli
+import tripoint.graph
+
+real_parse = tripoint.graph.parse_pair
+
+
+def parse_that_crashes_on_its_marker(text):
+    if text.endswith("# crash here\\n"):
+        raise RuntimeError("injected fault")
+    return real_parse(text)
+
+
+tripoint.graph.parse_pair = parse_that_crashes_on_its_marker
+os.sched_getaffinity = lambda pid: {0, 1}  # forks on a host with one CPU too
+sys.argv = ["tripoint", "check", *sys.argv[1:]]
+tripoint.cli.run()
+"""
+
+
+def test_a_worker_crash_exits_two_with_its_traceback(crashing_batch, capsys):
+    proc = subprocess.run(
+        [sys.executable, "-c", WORKER_CRASH_PROBE, *crashing_batch],
+        capture_output=True, text=True, env=subprocess_env(), timeout=60,
+    )
+    main(["check", *crashing_batch[:-1]])
+    before = capsys.readouterr()
+    assert proc.returncode == 2
+    assert proc.stdout == before.out
+    assert proc.stderr.startswith(before.err + "Traceback (most recent call last):\n")
+    assert proc.stderr.endswith("\nRuntimeError: injected fault\n")
+
+
+def test_a_worker_killed_from_outside_is_a_crash(crashing_batch, forks, capsys, monkeypatch):
+    pytest_pid = os.getpid()
+
+    def parse_killed_at_its_marker(text):
+        if text.endswith(CRASH_MARKER) and os.getpid() != pytest_pid:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return parse_pair(text)
+
+    monkeypatch.setattr(graph_module, "parse_pair", parse_killed_at_its_marker)
+    with pytest.raises(workers.WorkerCrash, match=f"ended with status {-signal.SIGKILL} "):
+        main(["check", *crashing_batch], may_fork=True)
+    assert len(forks) == 2
+    assert_no_worker_left()
+
+
+def test_an_interrupt_reaps_every_worker(batch_files, forks, monkeypatch):
+    """The interrupt comes in this process's own chunk, while the workers run."""
+    with open(batch_files[0], "a") as fh:
+        fh.write(CRASH_MARKER)
+
+    def parse_interrupted_at_its_marker(text):
+        if text.endswith(CRASH_MARKER):
+            raise KeyboardInterrupt
+        return parse_pair(text)
+
+    monkeypatch.setattr(graph_module, "parse_pair", parse_interrupted_at_its_marker)
+    with pytest.raises(KeyboardInterrupt):
+        main(["check", *batch_files], may_fork=True)
+    assert len(forks) == 2
+    assert_no_worker_left()
+
+
+class ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+def test_a_closed_stdout_ends_a_forked_batch_with_every_worker_reaped(
+    batch_files, forks, monkeypatch,
+):
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    with pytest.raises(BrokenPipeError):
+        main(["check", *batch_files], may_fork=True)
+    assert len(forks) == 2
+    assert_no_worker_left()
+
+
+def test_a_closed_stdout_exits_a_forked_batch_two_silently(batch_files):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tripoint.cli", "check", *batch_files], stdout=write_end,
+            stderr=subprocess.PIPE, text=True, env=subprocess_env(), timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, "")
 
 
 def test_the_console_script_calls_what_python_m_calls():
