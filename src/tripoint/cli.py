@@ -15,21 +15,31 @@ and ends the process without interpreter teardown; it alone lets a large
 status of one process.  Each command imports only what it runs: ``check``
 alone loads the graph layer and ``matrix`` alone the branch matrix, so
 start-up loads neither.
+
+The grammar is the table ``_COMMANDS``.  ``main`` reads a request in its
+plain form (see ``_parse_plain``) itself, so a well-formed request never
+loads ``argparse``, with its ``gettext`` and ``locale``; any other argv
+goes to the argparse parser that ``build_parser`` makes from the same
+table, which prints help and usage errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import codecs
 import json
 import math
 import os
 import sys
-from typing import NoReturn
+from collections.abc import Callable, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Any, NamedTuple, NoReturn
 
-from .errors import InvalidArgument, NoUnitaryPhase, TripointError
+from .errors import InvalidArgument, NoUnitaryPhase, TripointError, UnsupportedIndex
 from .obstruct import DEFAULT_TRACE_TOL, ObstructionReport, _check_tol, allowed_ratios, run_battery
 from .qnum import NUMERIC_TOL, QuantumContext
+
+if TYPE_CHECKING:
+    import argparse
 
 #: Largest ``qnum --max``, ``ratios --n`` and ``matrix --n``; far above any
 #: arm depth, and small enough to compute and print at once even at delta = 2,
@@ -57,56 +67,6 @@ def _fmt_complex(z: complex) -> str:
 
 def _complex_dict(z: complex) -> dict:
     return {"re": _num(z.real), "im": _num(z.imag)}
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tripoint",
-        description="Triple point obstruction checks for candidate principal graph pairs.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text")
-
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_check = sub.add_parser(
-        "check", parents=[common], help="run the obstruction battery on graph pair files"
-    )
-    p_check.add_argument("files", nargs="+", metavar="FILE")
-    p_check.add_argument(
-        "--tol", type=float, default=DEFAULT_TRACE_TOL,
-        help=f"tolerance for obstruction verdicts (default {DEFAULT_TRACE_TOL:g})",
-    )
-    p_check.set_defaults(handler=_cmd_check)
-
-    p_ratios = sub.add_parser(
-        "ratios", parents=[common], help="tabulate admissible dimension ratios"
-    )
-    p_ratios.add_argument(
-        "--n", type=int, required=True, help=f"arm depth (even, >= 2, at most {SIZE_LIMIT})"
-    )
-    which = p_ratios.add_mutually_exclusive_group(required=True)
-    which.add_argument("--delta", type=float, help="graph norm (>= 2)")
-    which.add_argument("--index", type=float, help="index delta^2 (>= 4)")
-    p_ratios.set_defaults(handler=_cmd_ratios)
-
-    p_matrix = sub.add_parser(
-        "matrix", parents=[common], help="print the branch matrix, phases and lambda"
-    )
-    p_matrix.add_argument("--n", type=int, required=True, help=f"arm depth (at most {SIZE_LIMIT})")
-    p_matrix.add_argument("--delta", type=float, required=True)
-    p_matrix.add_argument("--p", type=float, required=True)
-    p_matrix.add_argument("--q", type=float, required=True)
-    p_matrix.set_defaults(handler=_cmd_matrix)
-
-    p_qnum = sub.add_parser("qnum", parents=[common], help="print quantum integers")
-    p_qnum.add_argument("--delta", type=float, required=True)
-    p_qnum.add_argument(
-        "--max", dest="max_k", type=int, required=True, help=f"largest k (at most {SIZE_LIMIT})"
-    )
-    p_qnum.set_defaults(handler=_cmd_qnum)
-
-    return parser
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +149,14 @@ def _check_limit(flag: str, value: int) -> None:
 def _cmd_ratios(args: argparse.Namespace) -> int:
     _check_limit("--n", args.n)
     if args.delta is not None:
-        delta = args.delta
+        ctx = QuantumContext(args.delta)
     else:
-        # max() keeps a negative index out of sqrt's domain; NaN passes through
-        delta = math.sqrt(max(args.index, 0.0))
-    ctx = QuantumContext(delta)
+        try:
+            # max() keeps a negative index out of sqrt's domain; NaN passes through
+            ctx = QuantumContext(math.sqrt(max(args.index, 0.0)))
+        except (InvalidArgument, UnsupportedIndex) as exc:
+            # the context words its refusal by a delta that was never given
+            raise type(exc)(f"--index {args.index!r} is not a finite index of at least 4") from None
     rows = allowed_ratios(ctx, args.n)
     if args.format == "json":
         table = [dict(zip(row._fields, (row.k, *map(_num, row[1:])))) for row in rows]
@@ -260,6 +223,8 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 # qnum
 
 def _cmd_qnum(args: argparse.Namespace) -> int:
+    if args.max_k < 0:
+        raise InvalidArgument(f"--max {args.max_k} must be >= 0")
     _check_limit("--max", args.max_k)
     ctx = QuantumContext(args.delta)
     values = ctx.qints(args.max_k)
@@ -270,9 +235,165 @@ def _cmd_qnum(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None, *, may_fork: bool = False) -> int:
-    """Run one command; its exit status.  It forks only with ``may_fork``, which ``run`` sets."""
-    args = build_parser().parse_args(argv)
+# ---------------------------------------------------------------------------
+# the grammar
+
+class _Option(NamedTuple):
+    """A ``--flag value`` option: its argparse ``add_argument`` keywords."""
+
+    flag: str
+    dest: str
+    type: Callable[[str], Any] = str
+    required: bool = False
+    default: Any = None
+    choices: tuple[str, ...] | None = None
+    help: str | None = None
+
+
+class _Command(NamedTuple):
+    """A command: its handler, its help and its options, in the order of its ``--help``.
+
+    ``one_of`` is a required group of options of which exactly one is given;
+    ``files`` takes one or more FILE positionals into ``files``.
+    """
+
+    handler: Callable[[argparse.Namespace], int]
+    help: str
+    options: tuple[_Option, ...]
+    one_of: tuple[_Option, ...] = ()
+    files: bool = False
+
+
+_FORMAT = _Option("--format", "format", default="text", choices=("text", "json"))
+
+#: The command-line grammar, which ``_parse_plain`` reads and ``build_parser`` builds.
+_COMMANDS = {
+    "check": _Command(
+        _cmd_check,
+        "run the obstruction battery on graph pair files",
+        (
+            _FORMAT,
+            _Option("--tol", "tol", float, default=DEFAULT_TRACE_TOL,
+                    help=f"tolerance for obstruction verdicts (default {DEFAULT_TRACE_TOL:g})"),
+        ),
+        files=True,
+    ),
+    "ratios": _Command(
+        _cmd_ratios,
+        "tabulate admissible dimension ratios",
+        (_FORMAT, _Option("--n", "n", int, True, help=f"arm depth (even, >= 2, at most {SIZE_LIMIT})")),
+        one_of=(
+            _Option("--delta", "delta", float, help="graph norm (>= 2)"),
+            _Option("--index", "index", float, help="index delta^2 (>= 4)"),
+        ),
+    ),
+    "matrix": _Command(
+        _cmd_matrix,
+        "print the branch matrix, phases and lambda",
+        (
+            _FORMAT,
+            _Option("--n", "n", int, True, help=f"arm depth (at most {SIZE_LIMIT})"),
+            _Option("--delta", "delta", float, True),
+            _Option("--p", "p", float, True),
+            _Option("--q", "q", float, True),
+        ),
+    ),
+    "qnum": _Command(
+        _cmd_qnum,
+        "print quantum integers",
+        (
+            _FORMAT,
+            _Option("--delta", "delta", float, True),
+            _Option("--max", "max_k", int, True, help=f"largest k (at most {SIZE_LIMIT})"),
+        ),
+    ),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of ``_COMMANDS``; ``main`` needs it only for help and usage errors."""
+    import argparse  # here, not at start-up: it loads gettext and locale
+
+    parser = argparse.ArgumentParser(
+        prog="tripoint",
+        description="Triple point obstruction checks for candidate principal graph pairs.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        p_command = sub.add_parser(name, help=command.help)
+        groups = [(p_command, command.options)]
+        if command.one_of:
+            groups.append((p_command.add_mutually_exclusive_group(required=True), command.one_of))
+        for group, options in groups:
+            for option in options:
+                keywords = option._asdict()
+                group.add_argument(keywords.pop("flag"), **keywords)
+        if command.files:
+            p_command.add_argument("files", nargs="+", metavar="FILE")
+        p_command.set_defaults(handler=command.handler)
+    return parser
+
+
+def _parse_plain(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace argparse would give ``argv`` in the plain form, else None.
+
+    The plain form is the command first, then each option spelled in full
+    as its own token, followed by a value that does not start with ``-``,
+    and for ``check`` its files in one run; each value is converted by its
+    option's type and is among its choices, and every required option and
+    one option of a ``one_of`` group is given.  Anything else, help and
+    usage errors included, returns None and is argparse's to answer.
+    """
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    options = {option.flag: option for option in (*command.options, *command.one_of)}
+    values: dict[str, Any] = {}
+    files: list[str] = []
+    files_closed = False  # an option came after the files
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if not command.files or files_closed:
+                return None
+            files.append(token)
+            continue
+        files_closed = bool(files)
+        option = options.get(token)
+        value = next(tokens, "-")  # a flag with no value is not plain either
+        if option is None or value.startswith("-"):
+            return None
+        try:
+            value = option.type(value)
+        except ValueError:
+            return None
+        if option.choices is not None and value not in option.choices:
+            return None
+        values[option.dest] = value  # the last one given wins, as in argparse
+    if (command.files and not files
+            or any(option.required and option.dest not in values for option in command.options)
+            or command.one_of and sum(option.dest in values for option in command.one_of) != 1):
+        return None
+    args = SimpleNamespace(command=argv[0])
+    for option in options.values():
+        setattr(args, option.dest, values.get(option.dest, option.default))
+    if command.files:
+        args.files = files
+    args.handler = command.handler
+    return args
+
+
+def main(argv: Sequence[str] | None = None, *, may_fork: bool = False) -> int:
+    """Run one command; its exit status.  It forks only with ``may_fork``, which ``run`` sets.
+
+    A request in the plain form is parsed here, anything else by argparse,
+    which prints help and usage errors and exits; both give the same namespace.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_plain(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     args.may_fork = may_fork  # only check reads it
     try:
         return args.handler(args)

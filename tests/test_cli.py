@@ -761,7 +761,8 @@ def test_ratios_rejects_small_index(capsys):
         assert main(["ratios", "--n", "4", "--index", index]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert len(captured.err.splitlines()) == 1
+        # one line, which names the index given, not the delta derived from it
+        assert captured.err == f"--index {float(index)!r} is not a finite index of at least 4\n"
     assert main(["ratios", "--n", "4", "--delta", "1.9"]) == 2
 
 
@@ -939,6 +940,15 @@ def test_qnum_max_is_capped(capsys):
     assert capsys.readouterr().out.split()[-1] == str(SIZE_LIMIT)
 
 
+def test_qnum_max_must_not_be_negative(capsys):
+    """The refusal names the flag, as the one above ``SIZE_LIMIT`` does, and comes first."""
+    for delta in ("2", "1.5"):
+        assert main(["qnum", "--delta", delta, "--max", "-1"]) == 2
+        assert capsys.readouterr() == ("", "--max -1 must be >= 0\n")
+    assert main(["qnum", "--delta", "2", "--max", "0"]) == 0
+    assert capsys.readouterr().out == "0\n"
+
+
 def test_qnum_json(capsys):
     assert main(["qnum", "--delta", "2.5", "--max", "3", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -976,6 +986,169 @@ def test_tol_changes_verdict(tmp_path, capsys):
     assert main(["check", str(path), "--format", "json", "--tol", "1.0"]) == 0
     loose = json.loads(capsys.readouterr().out)
     assert loose["verdicts"]["rotational"] == "Pass"
+
+
+# ---------------------------------------------------------------------------
+# the grammar: the direct parse of the plain form, and argparse for the rest
+
+def option_value(option: cli._Option) -> st.SearchStrategy[str]:
+    """A value for ``option`` that its type converts and its choices hold."""
+    if option.choices is not None:
+        return st.sampled_from(option.choices)
+    if option.type is int:
+        return st.integers(0, SIZE_LIMIT).map(str)
+    return st.floats(min_value=0.0).map(repr) | st.sampled_from(["nan", "1e-3", "2.", " 2 ", "2_0"])
+
+
+#: values that are wrong for some option, or that start with ``-``
+ODD_VALUES = ["", "-1", "-1.5", "-inf", "-", "--", "x", "xml", "1.5", "check", "--n", "-h"]
+#: tokens that are no option of any command
+ODD_FLAGS = ["-h", "--help", "--", "-", "--bogus", "--bogus=1", "-n", "--Format"]
+FILES = ["a.pair", "b.pair", "", "check", "4", " c", "-a.pair", "--tol"]
+ALL_OPTIONS = [o for command in cli._COMMANDS.values() for o in (*command.options, *command.one_of)]
+
+
+def plain_pieces(data, name: str) -> list[list[str]]:
+    """A well-formed request of command ``name`` after the command, as a list of pieces.
+
+    Each option is a ``[flag, value]`` piece, in any order and some repeated;
+    ``check``'s files are one piece of one to three names, anywhere between them.
+    """
+    command = cli._COMMANDS[name]
+    chosen = [o for o in command.options if o.required or data.draw(st.booleans())]
+    if command.one_of:
+        chosen.append(data.draw(st.sampled_from(command.one_of)))
+    if chosen:  # some repeated; the last one given wins
+        chosen += data.draw(st.lists(st.sampled_from(chosen), max_size=2))
+    pieces = [[o.flag, data.draw(option_value(o))] for o in data.draw(st.permutations(chosen))]
+    if command.files:
+        plain_files = st.sampled_from([f for f in FILES if not f.startswith("-")])
+        at = data.draw(st.integers(0, len(pieces)))
+        pieces.insert(at, data.draw(st.lists(plain_files, min_size=1, max_size=3)))
+    return pieces
+
+
+def plain_request(data, name: str) -> list[str]:
+    return [name, *(token for piece in plain_pieces(data, name) for token in piece)]
+
+
+def spoil(data, pieces: list[list[str]]) -> None:
+    """Change one piece of a request in one of the ways that argparse reads, or refuses."""
+    at = data.draw(st.integers(0, len(pieces)))
+    kind = data.draw(st.sampled_from(
+        ["insert option", "insert token", "insert file", "drop", "no value", "odd value",
+         "abbreviate", "equals"]))
+    if kind == "insert option":  # repeated, from the one-of group, or another command's
+        option = data.draw(st.sampled_from(ALL_OPTIONS))
+        pieces.insert(at, [option.flag, data.draw(option_value(option))])
+    elif kind == "insert token":
+        pieces.insert(at, [data.draw(st.sampled_from(ODD_FLAGS))])
+    elif kind == "insert file":  # it may split check's files around an option
+        pieces.insert(at, [data.draw(st.sampled_from(FILES))])
+    elif at < len(pieces):
+        piece = pieces[at]
+        flag = piece[0]
+        if kind == "drop":  # a required option, the group's option or the files
+            del pieces[at]
+        elif not flag.startswith("--") or len(piece) != 2:
+            pass  # a file or a token: the next kinds change an option
+        elif kind == "no value":
+            pieces[at] = [flag]
+        elif kind == "odd value":
+            pieces[at] = [flag, data.draw(st.sampled_from(ODD_VALUES))]
+        elif kind == "abbreviate" and len(flag) > 3:
+            pieces[at] = [flag[: data.draw(st.integers(3, len(flag) - 1))], piece[1]]
+        elif kind == "equals":
+            pieces[at] = [f"{flag}={piece[1]}"]
+
+
+def any_request(data) -> list[str]:
+    """A well-formed request with one to three pieces changed, or with no command first."""
+    name = data.draw(st.sampled_from([*cli._COMMANDS, "bogus", "-h", "--help", ""]))
+    pieces = plain_pieces(data, name if name in cli._COMMANDS else "check")
+    for _ in range(data.draw(st.integers(1, 3))):
+        spoil(data, pieces)
+    return [name, *(token for piece in pieces for token in piece)]
+
+
+#: one argparse parser for every example; parsing leaves it as it was
+PARSER = cli.build_parser()
+
+
+def reprs(namespace) -> dict[str, str]:
+    """``vars(namespace)`` by ``repr``, so that NaN equals NaN, and 1 differs from 1.0."""
+    return {key: repr(value) for key, value in vars(namespace).items()}
+
+
+def argparse_reprs(argv: list[str]) -> dict[str, str] | None:
+    """``reprs`` of argparse's namespace for ``argv``, or None where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return reprs(PARSER.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_the_direct_parse_reads_every_plain_request_as_argparse_does(data):
+    argv = plain_request(data, data.draw(st.sampled_from(list(cli._COMMANDS))))
+    plain = cli._parse_plain(argv)
+    assert plain is not None, argv
+    assert reprs(plain) == argparse_reprs(argv), argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_the_direct_parse_agrees_with_argparse_or_declines(data):
+    """Where argparse exits, with help or a usage error, the direct parse declines."""
+    argv = any_request(data)
+    plain = cli._parse_plain(argv)
+    if plain is not None:
+        assert reprs(plain) == argparse_reprs(argv), argv
+
+
+QNUM = ["qnum", "--delta", "2", "--max", "3"]
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help"], ["bogus"], ["check"], ["check", "a", "-h"],
+    ["ratios", "--n", "4"],  # neither of the one-of group
+    ["ratios", "--n", "4", "--delta", "2.1", "--index", "4.41"],  # both
+    QNUM[:3], QNUM[:4],  # a required option, a value missing
+    ["qnum", "--delta=2", *QNUM[3:]], ["qnum", "--del", "2", *QNUM[3:]],
+    ["qnum", "--delta", "-1", *QNUM[3:]], ["qnum", "--delta", "-inf", *QNUM[3:]],
+    ["qnum", "--delta", "", *QNUM[3:]], ["qnum", "--delta", "two", *QNUM[3:]],
+    [*QNUM, "--format", "xml"], [*QNUM, "--tol", "1e-3"], [*QNUM, "--bogus", "text"],
+    [*QNUM, "--", "x"], [*QNUM, "extra"],
+    ["check", "a", "--tol", "1e-3", "b"],  # files split around an option
+    ["check", "-a.pair"], ["check", "a", "--", "b"], ["check", "--tol", "1e-3"],
+])
+def test_the_direct_parse_declines_all_but_the_plain_form(argv):
+    """Help, usage errors and every other spelling that argparse reads are argparse's."""
+    assert cli._parse_plain(argv) is None
+
+
+def help_of(*argv: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        PARSER.parse_args([*argv, "--help"])
+    assert exc.value.code == 0
+    return out.getvalue()
+
+
+def test_build_parser_prints_the_grammar():
+    """``build_parser`` is argparse's parser of the table: each command, option and help text."""
+    top = help_of()
+    assert top.startswith("usage: tripoint [-h] {check,ratios,matrix,qnum} ...\n")
+    for name, command in cli._COMMANDS.items():
+        assert top.count(command.help) == 1
+        text = help_of(name)
+        for option in (*command.options, *command.one_of):
+            assert f"{option.flag} {option.dest.upper()}" in text or option.choices
+            assert option.help is None or option.help in text
+    assert "--n N (--delta DELTA |" in " ".join(help_of("ratios").split())
+    assert "[--tol TOL] FILE [FILE ...]" in help_of("check")
 
 
 # ---------------------------------------------------------------------------
@@ -1111,6 +1284,34 @@ def test_a_crash_exits_two_with_its_traceback_after_the_earlier_output(passing_f
     lines = proc.stderr.splitlines()
     assert lines[0] == "Traceback (most recent call last):"
     assert lines[-1] == "RuntimeError: injected fault"
+
+
+def loaded_by(*argv: str) -> tuple[int, set[str]]:
+    """The exit status of ``python -m tripoint.cli argv`` and the modules it loads."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "tripoint.cli", *argv],
+        capture_output=True, text=True, env=subprocess_env(), timeout=60,
+    )
+    return proc.returncode, {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+                             if line.startswith("import time:")}
+
+
+def test_a_well_formed_request_loads_no_argparse(passing_file):
+    """Only help and usage errors load argparse, and with it ``gettext`` and ``locale``.
+
+    They cost a fresh process about 10 ms (``python -X importtime``, Python
+    3.11.7, 2 shared vCPUs), spent only on reading a few ``--flag value`` tokens.
+    """
+    argparse_modules = {"argparse", "gettext", "locale"}
+    for name in ("check", "ratios", "matrix", "qnum"):
+        argv = [arg.format(pair=passing_file) for arg in OUTPUT_REQUESTS[name]]
+        status, loaded = loaded_by(*argv)
+        assert status == 0, argv
+        assert "tripoint.obstruct" in loaded, argv  # the probe does see the program's imports
+        assert argparse_modules.intersection(loaded) == set(), argv
+    status, loaded = loaded_by("qnum", "--delta", "2.5")  # a usage error
+    assert status == 2
+    assert argparse_modules <= loaded
 
 
 ATEXIT_PROBE = """
