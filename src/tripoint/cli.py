@@ -4,8 +4,9 @@ Exit codes: 0 all applicable tests pass, 1 some obstruction fails, 2 on
 usage or input errors, on output that could not be written and on any
 crash.  A value that parses but lies outside a command's domain (a
 ``check --tol`` that is not positive and finite, as ``obstruct``
-decides, a size above ``SIZE_LIMIT``, a delta below 2) is refused with a
-``TripointError``, which ``main`` turns into one stderr line and exit 2.
+decides, a size out of its range or above ``SIZE_LIMIT``, a delta below
+2) is refused with a ``TripointError``, which ``main`` turns into one
+stderr line and exit 2.
 Besides ``check``, which reports each file's error and goes on, only
 ``matrix`` catches one: ``NoUnitaryPhase`` is its answer, printed on stdout
 with exit 1.  ``run`` is the process entry: it prints a file name that is
@@ -137,17 +138,24 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return check_batch(check, args.files)
 
 
-def _check_limit(flag: str, value: int) -> None:
-    """Raise ``InvalidArgument`` when ``value`` is above ``SIZE_LIMIT``."""
+def _check_size(flag: str, value: int, least: int, even: bool = False) -> None:
+    """Raise ``InvalidArgument``, naming ``flag``, when ``value`` is out of its command's range.
+
+    The range is ``least..SIZE_LIMIT``, even numbers only where ``even``.
+    The library functions keep their own checks; these word the refusal by
+    the flag as given.
+    """
     if value > SIZE_LIMIT:
         raise InvalidArgument(f"{flag} {value} exceeds the limit of {SIZE_LIMIT}")
+    if value < least or even and value % 2:
+        raise InvalidArgument(f"{flag} {value} must be {'even and ' if even else ''}>= {least}")
 
 
 # ---------------------------------------------------------------------------
 # ratios
 
 def _cmd_ratios(args: argparse.Namespace) -> int:
-    _check_limit("--n", args.n)
+    _check_size("--n", args.n, 2, even=True)
     if args.delta is not None:
         ctx = QuantumContext(args.delta)
     else:
@@ -176,7 +184,7 @@ def _cmd_ratios(args: argparse.Namespace) -> int:
 def _cmd_matrix(args: argparse.Namespace) -> int:
     from .branch import build_branch_matrix  # here, not at start-up: no other command needs it
 
-    _check_limit("--n", args.n)
+    _check_size("--n", args.n, 2)
     ctx = QuantumContext(args.delta)
     try:
         matrix = build_branch_matrix(ctx, args.n, args.p, args.q)
@@ -223,9 +231,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 # qnum
 
 def _cmd_qnum(args: argparse.Namespace) -> int:
-    if args.max_k < 0:
-        raise InvalidArgument(f"--max {args.max_k} must be >= 0")
-    _check_limit("--max", args.max_k)
+    _check_size("--max", args.max_k, 0)
     ctx = QuantumContext(args.delta)
     values = ctx.qints(args.max_k)
     if args.format == "json":

@@ -15,8 +15,9 @@ sections.
 
 Vertices are addressed as ``(depth, index)`` throughout.  Dimensions are the
 entries of the Perron-Frobenius eigenvector of the full adjacency matrix,
-normalized to 1 at the root.  One solve per graph yields both them and the
-graph norm.  A tree (every non-root vertex has one distinct neighbour one
+normalized to 1 at the root.  Each graph's norm is solved once, without its
+vector, and the vector is solved from that norm, once, only when dimensions
+are read.  A tree (every non-root vertex has one distinct neighbour one
 depth up; multiple edges are allowed) is solved in pure Python: the norm is
 the largest root of the last pivot of a leaf-to-root elimination of
 ``sigma I - A``, found by safeguarded Newton, and two steps of inverse
@@ -26,7 +27,7 @@ numpy: a graded graph is bipartite between even and odd depths, so the norm
 is the square root of the largest eigenvalue of ``B B^T``, with B the
 even-by-odd biadjacency, and the same two inverse-iteration steps give the
 vector.  Either way every entry, however small, keeps most of double
-precision (figures in ``GradedBigraph._perron``), and any failure raises
+precision (figures in ``GradedBigraph._vector``), and any failure raises
 ``UnsupportedIndex``.  Note that for an incomplete candidate graph these
 dimensions differ from those of any completion, so verdicts derived from a
 truncated graph are advisory.  Root normalization needs the root entry of
@@ -37,8 +38,11 @@ The norm of a pair's principal graph is the pair's delta.  Extraction builds
 the quantum context from it and stores it with the triple-point data, so no
 caller supplies delta and every test of the pair reads the same one.
 Extraction reads only the facts the obstructions use: the norms, the initial
-string, the branch vertices' edges and two depth-n dimensions per graph,
-root-normalized straight from the cached Perron vector.
+string, the branch vertices' edges, the principal graph's two depth-n
+dimensions, root-normalized straight from its cached Perron vector, and the
+dual graph's two depth-n valences.  So the principal graph is solved for its
+dimensions and the dual only for its norm: gamma2 and gamma3 are told apart
+by shape (see ``TriplePointData``).
 
 The parser reads each ``edges:`` line whole and converts and range-checks
 each edge once, looking numbers below 512 up in a table; the graph then
@@ -159,10 +163,10 @@ class GradedBigraph(_Graph):
         0, where the Perron vector of a candidate graph tends to be large.
         There the root pivot keeps its zero away from most of the poles that
         the subtree spectra put just below the norm, and ``_tree_norm``
-        divides out the nearest one.  From this root it needs 5.75 passes a
-        graph on the near-index-4 bench graphs (12.7 from depth 0), and 5 on
-        doubled tails of 10 to 62 (45 from depth 0).  Re-rooting reverses
-        only the path from that vertex down to depth 0.
+        divides out the nearest one.  From this root it needs about 5.8
+        passes a graph on the near-index-4 bench graphs (12.7 from depth 0),
+        and 5 on doubled tails of 10 to 62 (45 from depth 0).  Re-rooting
+        reverses only the path from that vertex down to depth 0.
         """
         parent, mult = self._parent, self._down
         if -2 in parent:
@@ -181,32 +185,54 @@ class GradedBigraph(_Graph):
         return Tree(n, path[0], tuple(links), degree)
 
     @cached_property
-    def _perron(self) -> tuple[float, tuple[float, ...]]:
-        """Largest eigenvalue and unit positive eigenvector, solved once per graph.
+    def _norm(self) -> float:
+        """Largest eigenvalue, solved once per graph and without its vector.
 
-        A tree is solved in pure Python (``_tree_perron``), so checking a
-        tree pair never imports numpy; a graph with a cycle takes a dense
-        half-size solve (``_dense_perron``).  Both paths take the vector from
-        two steps of inverse iteration with ``sigma I - A`` at
-        ``sigma = delta (1 + 4 eps)``, starting from ones.  Unlike a dense
-        eigensolver, whose vector entries carry an absolute error of about
-        eps, this keeps small entries (the root of a graph whose dimensions
-        grow far from it) to a small relative error.  Against a 60-digit
-        inverse iteration on doubled tails of t vertices after the branch,
-        the worst entry of the unit vector is off by at most 3 eps through
-        t = 40, then 6.5 eps at 50, 12 at 58, 65 at 60 and 195 at 62, the
-        longest tail whose dimensions root-normalize; p and q stay within
-        3e-14 relative.  The dense solve keeps its test graphs (a cycle, and
-        dimensions up to 2e14) within 6.5 eps.  One step is not enough there;
-        two are.  Any failure raises ``UnsupportedIndex``.
+        A tree is solved in pure Python (``_tree_norm``), so checking a tree
+        pair never imports numpy; a float norm within ``NUMERIC_TOL`` of 2 is
+        decided exactly (``_norm_is_two``).  A graph with a cycle takes one
+        ``eigvalsh`` of the even-side Gram matrix (``_dense_norm``).
+        """
+        tree = self._tree
+        if tree is None:
+            return self._dense[0]
+        delta = _tree_norm(tree)
+        return 2.0 if abs(delta - 2.0) <= NUMERIC_TOL and _norm_is_two(tree) else delta
+
+    @cached_property
+    def _vector(self) -> tuple[float, ...]:
+        """Unit positive Perron vector, solved from ``_norm`` only when dimensions are read.
+
+        Only ``_dimensions`` reads it, so of a pair only the principal graph
+        is solved for its vector: the dual gives its norm and its shape.
+        Both paths (``_tree_vector``, ``_dense_vector``) take two steps of
+        inverse iteration with ``sigma I - A`` at ``sigma = delta (1 + 4
+        eps)``, starting from ones, and the result is scaled to unit length
+        and a positive sum here.  Unlike a dense eigensolver, whose vector
+        entries carry an absolute error of about eps, this keeps small
+        entries (the root of a graph whose dimensions grow far from it) to a
+        small relative error.  Against a 60-digit inverse iteration on
+        doubled tails of t vertices after the branch, the worst entry of the
+        unit vector is off by at most 3 eps through t = 40, then 6.5 eps at
+        50, 12 at 58, 65 at 60 and 195 at 62, the longest tail whose
+        dimensions root-normalize; p and q stay within 3e-14 relative.  The
+        dense solve keeps its test graphs (a cycle, and dimensions up to
+        2e14) within 6.5 eps.  One step is not enough there; two are.  Any
+        failure raises ``UnsupportedIndex``.
         """
         if self.vertex_count == 1:
-            return 0.0, (1.0,)
-        tree = self._tree
-        delta, vec = _dense_perron(self) if tree is None else _tree_perron(tree)
-        if not all(map((0.0).__lt__, vec)):
+            return (1.0,)
+        sigma, tree = self._norm * (1 + 4 * sys.float_info.epsilon), self._tree
+        vec = _dense_vector(self, sigma) if tree is None else _tree_vector(tree, sigma)
+        norm = math.copysign(math.hypot(*vec), math.fsum(vec))
+        if not all(x / norm > 0 for x in vec):
             raise UnsupportedIndex("Perron vector is not strictly positive in double precision")
-        return delta, tuple(vec)
+        return tuple(x / norm for x in vec)
+
+    @cached_property
+    def _dense(self) -> tuple:
+        """``_dense_norm``: the norm of a graph with a cycle and what its vector solve reuses."""
+        return _dense_norm(self)
 
     def valence(self, depth: int, index: int) -> int:
         """Number of incident edges, counted with multiplicity."""
@@ -220,16 +246,23 @@ class TriplePointData(NamedTuple):
     ``ctx`` evaluates quantum integers at the pair's delta, the norm of its
     principal graph.  ``n`` is the depth of the two branch arms (the branch
     vertex sits at depth n-1), ``p >= q > 0`` are the principal-graph
-    dimensions at depth n and ``dual_dims`` the dual-graph ones, ordered the
-    same way.  ``dim_tie`` flags p and q agreeing within tolerance, in which
-    case the ordering is conventional.
+    dimensions at depth n.  ``dim_tie`` flags p and q agreeing within
+    tolerance, in which case the ordering is conventional.
+
+    The two flags describe the dual graph's shape, read from valences
+    without its dimensions.  Its two depth-n vertices hang from the branch
+    vertex alone, so a 1-valent one has the strictly smaller Perron entry:
+    it is gamma3, and ``gamma3_univalent`` holds when either is 1-valent.
+    ``gamma2_trivalent`` then checks that the other vertex, gamma2, is
+    3-valent.  When neither is 1-valent it is False; no verdict reads it
+    then, since the rotational and quadratic-tangles tests need a 1-valent
+    gamma3.
     """
 
     ctx: QuantumContext
     n: int
     p: float
     q: float
-    dual_dims: tuple[float, float]
     gamma3_univalent: bool
     gamma2_trivalent: bool
     dim_tie: bool = False
@@ -419,14 +452,18 @@ def _tree_norm(tree: Tree) -> float:
     that denominator is not positive.  It starts at the upper bound
     ``sqrt(max row sum of A^2)``, bisects the bracket [0, that bound]
     whenever a step leaves it, and stops at a step under half an ulp.  That
-    takes 5.75 passes a graph on the near-index-4 bench graphs (8.2 with
-    the plain step) and at most 6 on the battery corpus of the tests.  The
-    norm lands within an ulp of its exact value on that corpus, on paths
-    and on doubled tails, and within 1.3 ulps on 4,000 random trees with
-    multiple edges (1.9 with the plain step).
+    takes about 5.8 passes a graph on the near-index-4 bench graphs (8.2 with
+    the plain step) and at most 6 on the battery corpus of the tests.
+
+    The root pivot is summed with ``math.fsum``: rounded child by child,
+    its error grows with the root's child count, and on spiders of up to
+    60 legs the norm ended up to 4 ulps off.  The norm lands within an
+    ulp of its exact value on the battery corpus, on paths, on doubled
+    tails and on 4,000 such spiders, and within 1.3 ulps on 4,000 random
+    trees with multiple edges (1.9 with the plain step).
     """
     n, root, links, degree = tree
-    children = [v for v, p, _, _ in links if p == root]
+    children = [(v, w) for v, p, _, w in links if p == root]
     reach = [0] * n  # row sums of A^2
     for v, p, m, _ in links:
         reach[v] += m * degree[p]
@@ -446,14 +483,14 @@ def _tree_norm(tree: Tree) -> float:
             pivot[p] -= t
             slope[p] += t * slope[v] / a
         else:
-            a = pivot[root]
+            a = math.fsum([sigma, *(-w / pivot[v] for v, w in children)])  # not rounded per child
             if a == 0:
                 return sigma
             if a < 0:
                 lo = sigma
             else:
                 hi = sigma
-            c = min(children, key=pivot.__getitem__)
+            c = min(children, key=lambda vw: pivot[vw[0]])[0]
             # Newton on a(root) a(c), which the nearest pole leaves smooth
             slope_h = slope[root] + a * slope[c] / pivot[c]
             step = a / (slope_h if slope_h > 0 else slope[root])
@@ -483,8 +520,8 @@ def _norm_is_two(tree: Tree) -> bool:
     return pivot[tree.root] == 0
 
 
-def _tree_perron(tree: Tree) -> tuple[float, list[float]]:
-    """Norm and unit Perron vector of a tree, in O(V) per pass and without numpy.
+def _tree_vector(tree: Tree, sigma: float) -> list[float]:
+    """Perron vector of a tree by inverse iteration at ``sigma``, O(V) a pass, without numpy.
 
     Each inverse-iteration step solves ``(sigma I - A) y = x`` by the same
     leaf-to-root elimination as ``_tree_norm``, carrying the right-hand
@@ -497,10 +534,6 @@ def _tree_perron(tree: Tree) -> tuple[float, list[float]]:
     and rounded to double precision once.
     """
     n, root, links, _ = tree
-    delta = _tree_norm(tree)
-    if abs(delta - 2.0) <= NUMERIC_TOL and _norm_is_two(tree):
-        delta = 2.0
-    sigma = delta * (1 + 4 * sys.float_info.epsilon)
     one = 1 << PIVOT_BITS
     wide = one * one
     scale = 2.0 ** -PIVOT_BITS
@@ -518,23 +551,20 @@ def _tree_perron(tree: Tree) -> tuple[float, list[float]]:
                 x[v] = (x[v] + m * x[p]) / pivot[v]
     except ZeroDivisionError:
         raise UnsupportedIndex("Perron solve failed: zero pivot") from None
-    norm = math.copysign(math.hypot(*x), math.fsum(x))
-    return delta, [value / norm for value in x]
+    return x
 
 
-def _dense_perron(g: GradedBigraph) -> tuple[float, list[float]]:
-    """Norm and unit Perron vector of any graded graph by a half-size numpy solve.
+def _dense_norm(g: GradedBigraph) -> tuple:
+    """The norm of a graph with a cycle, with the even-depth mask, B and ``G = B B^T``.
 
     Depth parity splits the graph into even and odd sides, so on them its
-    adjacency is ``[[0, B], [B^T, 0]]`` with B the even-by-odd block.  A
+    adjacency is ``[[0, B], [B^T, 0]]``, with B the even-by-odd block.  A
     mask of the even depths over the graph's flat index ranks each vertex
     on its side, and each edge is counted straight into B at the ranks of
-    its even and its odd end, so nothing of size V x V is allocated.  delta
-    is the square root of the largest eigenvalue of ``G = B B^T``, whose
-    entries are small integers and so exact.  Each inverse-iteration step
-    is solved through the Schur complement ``sigma^2 I - G`` on the even
-    side, and the two halves of the vector go back into flat order through
-    the same mask.
+    its even and its odd end, so nothing of size V x V is allocated.  The
+    norm is the square root of the largest eigenvalue of G, whose entries
+    are small integers and so exact.  The mask, B and G come back with it
+    for ``_dense_vector``.
     """
     import numpy as np
 
@@ -555,30 +585,43 @@ def _dense_perron(g: GradedBigraph) -> tuple[float, list[float]]:
     b = np.bincount(cells, minlength=n_even * n_odd).reshape(n_even, n_odd).astype(float)
     gram = b @ b.T
     try:
-        delta = math.sqrt(np.linalg.eigvalsh(gram)[-1])
-        sigma = delta * (1 + 4 * sys.float_info.epsilon)
-        schur = -gram
-        schur.flat[:: len(gram) + 1] += sigma * sigma
-        x_even, x_odd = np.ones(b.shape[0]), np.ones(b.shape[1])
+        return math.sqrt(np.linalg.eigvalsh(gram)[-1]), even, b, gram
+    except np.linalg.LinAlgError as exc:
+        raise UnsupportedIndex(f"Perron solve failed: {exc}") from None
+
+
+def _dense_vector(g: GradedBigraph, sigma: float) -> list[float]:
+    """Perron vector of a graph with a cycle, by inverse iteration at ``sigma``.
+
+    Each step is solved through the Schur complement ``sigma^2 I - G`` on
+    the even side, with the mask, B and G of ``_dense_norm``, and the two
+    halves of the vector go back into flat order through the mask.
+    """
+    import numpy as np
+
+    _, even, b, gram = g._dense
+    schur = -gram
+    schur.flat[:: len(gram) + 1] += sigma * sigma
+    x_even, x_odd = np.ones(b.shape[0]), np.ones(b.shape[1])
+    try:
         for _ in range(2):
             x_even = np.linalg.solve(schur, sigma * x_even + b @ x_odd)
             x_odd = (x_odd + b.T @ x_even) / sigma
     except np.linalg.LinAlgError as exc:
         raise UnsupportedIndex(f"Perron solve failed: {exc}") from None
-    vec = np.empty(size)
+    vec = np.empty(len(even))
     vec[even], vec[~even] = x_even, x_odd
-    vec /= math.copysign(math.sqrt(vec @ vec), vec.sum())
-    return delta, vec.tolist()
+    return vec.tolist()
 
 
 def graph_norm(g: GradedBigraph) -> float:
-    """Spectral radius of the adjacency matrix (the graph norm)."""
-    return g._perron[0]
+    """Spectral radius of the adjacency matrix (the graph norm); solves no vector."""
+    return g._norm
 
 
 def _dimensions(g: GradedBigraph, first: int, stop: int) -> list[float]:
     """Root-normalized Perron entries of the vertices ``first..stop-1``, in flat order."""
-    vec = g._perron[1]
+    vec = g._vector
     root = vec[0]
     if not root > sys.float_info.epsilon * max(vec):
         raise UnsupportedIndex(
@@ -616,27 +659,17 @@ def _require_simple_triple_point(g: GradedBigraph, n: int, label: str) -> None:
         raise NotATriplePoint(f"{label} branch vertex has a multiple edge")
 
 
-def _ordered_depth_n(
-    g: GradedBigraph, n: int
-) -> tuple[tuple[float, float], tuple[int, int], bool]:
-    first = g.vertex_offset(n)
-    d0, d1 = _dimensions(g, first, first + 2)
-    tie = abs(d0 - d1) <= NUMERIC_TOL * max(1.0, d0, d1)
-    if d1 > d0:
-        return (d1, d0), (1, 0), tie
-    return (d0, d1), (0, 1), tie
-
-
 def extract_triple_point(principal: GradedBigraph, dual: GradedBigraph) -> TriplePointData:
     """Locate the initial triple point of a graph pair and collect its data.
 
     delta is the principal graph's norm (see ``qnum.QuantumContext`` for the
     clamp at 2), and the dual's norm must agree with it.  Both graphs must
     share their supertransitivity, and each must branch into a simple triple
-    point (three single edges: one down, two up).  Larger-dimension vertices
-    come first in the (p, q) and dual orderings; exact ties keep the input
-    index order and are flagged.  Each graph is solved once, however often
-    it is passed, and only its two depth-n dimensions are root-normalized.
+    point (three single edges: one down, two up).  p >= q are the principal
+    graph's depth-n dimensions, flagged when they tie; the dual's flags come
+    from its depth-n valences.  Each graph's norm is solved once, however
+    often it is passed, the vector of the principal graph alone, and only
+    its two depth-n dimensions are root-normalized.
     """
     norm_p = graph_norm(principal)
     ctx = QuantumContext(norm_p)
@@ -653,16 +686,17 @@ def extract_triple_point(principal: GradedBigraph, dual: GradedBigraph) -> Tripl
     _require_simple_triple_point(principal, n, "principal")
     _require_simple_triple_point(dual, n, "dual")
 
-    (p, q), _, tie = _ordered_depth_n(principal, n)
-    (g2, g3), (idx2, idx3), _ = _ordered_depth_n(dual, n)
+    first = principal.vertex_offset(n)
+    q, p = sorted(_dimensions(principal, first, first + 2))
     ctx.check_dimension_sum(n, p, q)
+    # the dual's shape decides which depth-n vertex is gamma3 (see TriplePointData)
+    low, high = sorted(dual.valence(n, i) for i in (0, 1))
     return TriplePointData(
         ctx=ctx,
         n=n,
         p=p,
         q=q,
-        dual_dims=(g2, g3),
-        gamma3_univalent=dual.valence(n, idx3) == 1,
-        gamma2_trivalent=dual.valence(n, idx2) == 3,
-        dim_tie=tie,
+        gamma3_univalent=low == 1,
+        gamma2_trivalent=low == 1 and high == 3,
+        dim_tie=p - q <= NUMERIC_TOL * max(1.0, p),
     )

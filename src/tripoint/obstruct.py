@@ -168,6 +168,10 @@ def run_battery(
     norm (see :func:`graph.extract_triple_point`), which is exactly 2 for a
     tree of norm 2; the parity test then does not apply.  ``tol`` sets the
     verdicts only.  The trace is computed once, from the trace formula.  The
+    numbers come from the principal graph alone, its norm and its two
+    dimensions at depth n; the dual graph gives its norm, checked against
+    delta, and its shape: gamma2 and gamma3 are told apart by valence, with
+    no dual dimension solved (see ``graph.TriplePointData``).  The
     quadratic-tangles test is the historical form of the rotational test,
     which also needs a 3-valent gamma2: its verdict is the rotational one
     where gamma2 is 3-valent and ``Inapplicable`` elsewhere, since the

@@ -11,6 +11,8 @@ through ``make_graph``, which writes it out and reads it back with
 
 ``adjacency``, ``reference_parse_graph`` and ``reference_rounded`` are
 oracles for the program's own graph index, parser and JSON rounding.
+``eigh_flags`` orders a dual graph's depth-n vertices by a dense eigensolve,
+an oracle for the structural gamma2/gamma3 flags of extraction.
 ``serialize_graph``, ``pair_text``, ``dimension_vector``, ``qt_test`` and
 ``apply_to_perp_vector`` are views of the program that only the tests need:
 the pair-file text of a graph, every root-normalized dimension, the
@@ -241,6 +243,24 @@ def adjacency(g: GradedBigraph) -> np.ndarray:
         a[i, j] += 1.0
         a[j, i] += 1.0
     return a
+
+
+def eigh_flags(dual: GradedBigraph, n: int) -> tuple[bool, bool]:
+    """``(gamma3_univalent, gamma2_trivalent)`` as the dual's Perron entries order them.
+
+    A dense eigensolve of the full adjacency matrix orders the two vertices
+    at depth n: gamma3 has the smaller entry, gamma2 the other.  Valences
+    are the adjacency's row sums.  gamma2 counts as 3-valent only beside a
+    1-valent gamma3, the convention of ``TriplePointData``.
+    """
+    a = adjacency(dual)
+    _, v = np.linalg.eigh(a)
+    first = sum(dual.vertex_counts[:n])
+    entries = np.abs(v[first : first + 2, -1])
+    g3 = first + int(entries[1] < entries[0])
+    g2 = 2 * first + 1 - g3
+    univalent = a[g3].sum() == 1
+    return bool(univalent), bool(univalent and a[g2].sum() == 3)
 
 
 _REFERENCE_EDGE_RE = re.compile(r"^(\d+):(\d+)-(\d+)$")

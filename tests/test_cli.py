@@ -425,45 +425,55 @@ def branched_pair_text(draw):
 @settings(max_examples=300, deadline=None)
 @given(data=st.one_of(mutated_pair_text(), branched_pair_text()))
 def test_extract_orders_positive_dimensions_on_drawn_pairs(data):
-    """Every pair that extracts has p >= q > 0 and g2 >= g3 > 0, set up by extraction."""
+    """Every pair that extracts has p >= q > 0, and its dual flags follow its dual's order.
+
+    gamma3 and gamma2 are read from the dual's valences, with no vector
+    solved for it; the oracle orders the dual's depth-n vertices by a dense
+    ``eigh`` of its full adjacency matrix (``helpers.eigh_flags``).
+    """
     try:
-        tp = extract_triple_point(*parse_pair(data.decode()))
+        principal, dual = parse_pair(data.decode())
+        tp = extract_triple_point(principal, dual)
     except TripointError:
         return
-    g2, g3 = tp.dual_dims
-    assert tp.p >= tp.q > 0 and g2 >= g3 > 0
+    assert tp.p >= tp.q > 0
+    assert (tp.gamma3_univalent, tp.gamma2_trivalent) == helpers.eigh_flags(dual, tp.n)
 
 
 def count_solves(monkeypatch) -> dict[str, list]:
-    """Record each tree solve (its vertex count) and ``eigvalsh`` or ``eigh`` call (its shape)."""
-    calls: dict[str, list] = {"tree": [], "eigvalsh": [], "eigh": []}
-    tree_perron = graph_module._tree_perron
+    """Record each solve: tree norms and vectors by vertex count, numpy routines by shape.
 
-    def tree_solve(tree):
-        calls["tree"].append(tree.n)
-        return tree_perron(tree)
+    ``eigvalsh`` gives a norm of a graph with a cycle and ``solve`` runs
+    twice for its vector, once per inverse-iteration step.
+    """
+    calls: dict[str, list] = {name: [] for name in ("norm", "vector", "eigvalsh", "eigh", "solve")}
 
-    def counting(name):
-        real = getattr(np.linalg, name)
+    def counting(module, name, key, size):
+        real = getattr(module, name)
 
         def call(a, *args, **kwargs):
-            calls[name].append(a.shape)
+            calls[key].append(size(a))
             return real(a, *args, **kwargs)
 
-        return call
+        monkeypatch.setattr(module, name, call)
 
-    monkeypatch.setattr(graph_module, "_tree_perron", tree_solve)
-    for name in ("eigvalsh", "eigh"):
-        monkeypatch.setattr(np.linalg, name, counting(name))
+    counting(graph_module, "_tree_norm", "norm", lambda tree: tree.n)
+    counting(graph_module, "_tree_vector", "vector", lambda tree: tree.n)
+    for name in ("eigvalsh", "eigh", "solve"):
+        counting(np.linalg, name, name, lambda a: a.shape)
     return calls
 
 
 def test_check_solves_each_graph_once(passing_file, monkeypatch):
+    """A distinct tree dual is solved for its norm alone; the principal for its vector too."""
     principal, dual = helpers.two_rooted_pair(0)
     calls = count_solves(monkeypatch)
     assert main(["check", passing_file]) == 0
-    sizes = [principal.vertex_count, dual.vertex_count]
-    assert calls == {"tree": sizes, "eigvalsh": [], "eigh": []}
+    assert calls == {
+        "norm": [principal.vertex_count, dual.vertex_count],
+        "vector": [principal.vertex_count],
+        "eigvalsh": [], "eigh": [], "solve": [],
+    }
 
 
 def test_check_solves_a_self_dual_graph_once(tmp_path, monkeypatch):
@@ -472,15 +482,21 @@ def test_check_solves_a_self_dual_graph_once(tmp_path, monkeypatch):
     path.write_text(helpers.pair_text(graph, graph))
     calls = count_solves(monkeypatch)
     assert main(["check", str(path)]) == 0
-    assert calls == {"tree": [graph.vertex_count], "eigvalsh": [], "eigh": []}
+    assert calls == {
+        "norm": [graph.vertex_count], "vector": [graph.vertex_count],
+        "eigvalsh": [], "eigh": [], "solve": [],
+    }
 
 
 def test_check_solves_each_graph_with_a_cycle_once_on_its_even_side(cycle_file, monkeypatch):
+    """One ``eigvalsh`` per graph; the two inverse-iteration solves are the principal's alone."""
     calls = count_solves(monkeypatch)
     assert main(["check", cycle_file]) == 0
     graph = helpers.grade_tree(helpers.reconverging_arms(3), "s0")
-    even_side = sum(graph.vertex_counts[::2])
-    assert calls == {"tree": [], "eigvalsh": [(even_side, even_side)] * 2, "eigh": []}
+    even = (sum(graph.vertex_counts[::2]),) * 2
+    assert calls == {
+        "norm": [], "vector": [], "eigvalsh": [even] * 2, "eigh": [], "solve": [even] * 2,
+    }
 
 
 def test_check_solves_a_self_dual_graph_with_a_cycle_once(tmp_path, monkeypatch):
@@ -489,8 +505,8 @@ def test_check_solves_a_self_dual_graph_with_a_cycle_once(tmp_path, monkeypatch)
     path.write_text(helpers.pair_text(graph, graph))
     calls = count_solves(monkeypatch)
     assert main(["check", str(path)]) == 0
-    even_side = sum(graph.vertex_counts[::2])
-    assert calls == {"tree": [], "eigvalsh": [(even_side, even_side)], "eigh": []}
+    even = (sum(graph.vertex_counts[::2]),) * 2
+    assert calls == {"norm": [], "vector": [], "eigvalsh": [even], "eigh": [], "solve": [even] * 2}
 
 
 def subprocess_env() -> dict:
@@ -560,8 +576,11 @@ def test_check_tree_solve_at_its_pass_cap_exits_two(passing_file, monkeypatch, c
 
 
 def test_check_tree_vector_that_is_not_one_signed_exits_two(passing_file, monkeypatch, capsys):
-    tree_norm = graph_module._tree_norm
-    monkeypatch.setattr(graph_module, "_tree_norm", lambda tree: tree_norm(tree) / 2)
+    """The vector solve's shift, halved, lies inside the spectrum; the norm stays right."""
+    tree_vector = graph_module._tree_vector
+    monkeypatch.setattr(
+        graph_module, "_tree_vector", lambda tree, sigma: tree_vector(tree, sigma / 2)
+    )
     assert main(["check", passing_file]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -735,6 +754,20 @@ def test_n_is_capped(argv, capsys):
     assert main([*argv, "--n", str(SIZE_LIMIT)]) == 0
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ratios", "--delta", "2.1", "--n", "-2"], "--n -2 must be even and >= 2"),
+        (["matrix", "--delta", "1.5", "--p", "2", "--q", "1", "--n", "1"], "--n 1 must be >= 2"),
+    ],
+    ids=["ratios", "matrix"],
+)
+def test_n_refusal_names_the_flag(argv, message, capsys):
+    """Like ``--max`` and ``--index``, a bad ``--n`` is named as given, before delta is read."""
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", message + "\n")
+
+
 def test_ratios_json(capsys):
     assert main(["ratios", "--n", "6", "--delta", "2.1", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -745,7 +778,7 @@ def test_ratios_json(capsys):
 
 def test_ratios_rejects_odd_n(capsys):
     assert main(["ratios", "--n", "3", "--index", "4.41"]) == 2
-    assert "even" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", "--n 3 must be even and >= 2\n")
 
 
 def test_ratios_rejects_small_index(capsys):

@@ -1,6 +1,7 @@
 """Graded graphs: parsing, spectra, supertransitivity, triple point extraction."""
 
 import math
+import sys
 import tracemalloc
 import warnings
 from collections import Counter
@@ -552,10 +553,11 @@ def test_tree_classifier_and_both_solves_agree(candidate):
         return
     if g.vertex_count == 1:
         return
-    delta, vec = graph_module._tree_perron(g._tree)
-    dense_delta, dense_vec = graph_module._dense_perron(g)
-    assert delta == pytest.approx(dense_delta, rel=1e-14)
-    assert vec == pytest.approx(dense_vec, abs=1e-12)
+    dense_delta = graph_module._dense_norm(g)[0]
+    assert graph_norm(g) == pytest.approx(dense_delta, rel=1e-14)
+    dense_vec = graph_module._dense_vector(g, dense_delta * (1 + 4 * sys.float_info.epsilon))
+    scale = math.copysign(math.hypot(*dense_vec), math.fsum(dense_vec))
+    assert list(g._vector) == pytest.approx([x / scale for x in dense_vec], abs=1e-12)
 
 
 def test_round_trip_identity():
@@ -694,9 +696,11 @@ def test_dense_solve_matches_50_digit_inverse_iteration_everywhere(tail):
 def test_dense_solve_allocates_no_vertex_by_vertex_matrix():
     """Edges are counted straight into the even-by-odd block B.
 
-    On this 1,999-vertex two-wide ladder the solve peaks at 24.2 MB, most
-    of it B, its Gram matrix and the Schur complement, each about 1,000 x
-    1,000 doubles; a V x V edge-count matrix first would add 32 MB.
+    On this 1,999-vertex two-wide ladder the norm and vector solves
+    together peak at 30.4 MB under numpy 2.4, most of it B, its Gram
+    matrix and the Schur complement, each about 1,000 x 1,000 doubles, and
+    the solvers' working copies; a V x V edge-count matrix first would add
+    32 MB.
     """
     ladder = [(0, 0, 0), (0, 0, 1)]
     ladder += [edge for d in range(1, 999) for edge in ((d, 0, 0), (d, 1, 1), (d, 0, 1))]
@@ -704,7 +708,7 @@ def test_dense_solve_allocates_no_vertex_by_vertex_matrix():
     assert g._tree is None and g.vertex_count == 1999
     tracemalloc.start()
     try:
-        delta, vec = graph_module._dense_perron(g)
+        delta, vec = graph_norm(g), g._vector
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -820,16 +824,28 @@ POLE_BELOW_NORM = parse_graph(
 )
 
 
+#: 39 legs from the root, 14 of length 3 and 25 of length 2, whose root
+#: pivot summed child by child put the norm 2.3 ulps off.
+SPIDER_OF_39_LEGS = GradedBigraph(
+    (1, 39, 39, 14),
+    [(0, 0, i) for i in range(39)] + [(1, i, i) for i in range(39)]
+    + [(2, u, v) for v, u in enumerate((0, 1, 2, 3, 4, 5, 11, 22, 33, 34, 35, 36, 37, 38))],
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(g=graded_multi_trees())
 @example(g=POLE_BELOW_NORM)
+@example(g=SPIDER_OF_39_LEGS)
 def test_tree_norm_is_within_two_ulps_on_random_multi_edge_trees(g):
     """Random trees with multiple edges: the norm lies within two ulps of its exact value.
 
     A multiple edge near the elimination root can put a pole of the root
     pivot a few ulps below the norm, where a plain Newton step stalls; the
-    example tree stopped 92.6 ulps short that way.  Over 4,000 random trees
-    the worst error was 1.3 ulps.  20 digits resolve an ulp here.
+    first example tree stopped 92.6 ulps short that way.  The second has a
+    39-child root, whose pivot, rounded child by child, ended 2.3 ulps off.
+    Over 4,000 random trees the worst error was 1.3 ulps.  20 digits
+    resolve an ulp here.
     """
     norm = graph_norm(g)
     assert abs(norm - tree_pivot_norm(g, 20)) <= 2 * math.ulp(norm), helpers.serialize_graph(g)
@@ -856,18 +872,24 @@ def test_tree_solve_stops_at_its_pass_cap(monkeypatch):
 
 
 def test_tree_solve_refuses_a_vector_that_is_not_one_signed(monkeypatch):
-    """A shift inside the spectrum makes inverse iteration find a sign-changing vector."""
+    """A shift inside the spectrum makes inverse iteration find a sign-changing vector.
+
+    The norm alone solves no vector, so only the dimensions see it.
+    """
     tree_norm = graph_module._tree_norm
     monkeypatch.setattr(graph_module, "_tree_norm", lambda tree: tree_norm(tree) / 2)
     g = helpers.grade_tree(helpers.branched_tree(3, (), (4,)), "p0")
+    assert graph_norm(g) > 0
     with pytest.raises(UnsupportedIndex, match="not strictly positive"):
-        graph_norm(g)
+        helpers.dimension_vector(g)
 
 
 def test_tree_solve_refuses_a_zero_pivot(monkeypatch):
     monkeypatch.setattr(graph_module, "_tree_norm", lambda tree: 0.0)
+    g = path_graph(5)
+    assert graph_norm(g) == 0.0
     with pytest.raises(UnsupportedIndex, match="Perron solve failed: zero pivot"):
-        graph_norm(path_graph(5))
+        helpers.dimension_vector(g)
 
 
 def test_exact_norm_test_stops_at_a_zero_subtree_pivot():
@@ -886,20 +908,24 @@ def test_exact_norm_test_stops_at_a_zero_subtree_pivot():
 
 @pytest.mark.parametrize("routine", ["eigvalsh", "solve"])
 def test_solver_linalg_error_is_unsupported_index(monkeypatch, routine):
+    """``eigvalsh`` gives the norm and ``solve`` the vector; reading dimensions needs both."""
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(np.linalg, routine, fail)
+    graph = helpers.grade_tree(helpers.reconverging_arms(3), "s0")  # nothing solved yet
     with pytest.raises(UnsupportedIndex, match="Perron solve failed: Singular matrix"):
-        graph_norm(CYCLE_GRAPH)
+        helpers.dimension_vector(graph)
 
 
 def test_solver_refuses_a_vector_that_is_not_one_signed(monkeypatch):
     """A shift inside the spectrum makes inverse iteration find a sign-changing vector."""
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: eigvalsh(g) / 2)
+    graph = helpers.grade_tree(helpers.reconverging_arms(3), "s0")
+    assert graph_norm(graph) > 0
     with pytest.raises(UnsupportedIndex, match="not strictly positive"):
-        graph_norm(CYCLE_GRAPH)
+        helpers.dimension_vector(graph)
 
 
 def test_dimension_vector_root_is_one():
@@ -1006,13 +1032,15 @@ def test_extract_clamps_a_norm_just_below_two(monkeypatch):
 
 
 def test_extract_reads_a_self_dual_graph_once(monkeypatch):
-    """One solve for a graph passed as both sides, and two root-normalized entries per side."""
+    """A graph passed as both sides: one norm and one vector solve, two entries root-normalized."""
     principal, dual = helpers.self_paired(helpers.branched_tree(3, (), (4,)))
     solves = []
-    tree_perron = graph_module._tree_perron
-    monkeypatch.setattr(
-        graph_module, "_tree_perron", lambda tree: solves.append(tree) or tree_perron(tree)
-    )
+    for name in ("_tree_norm", "_tree_vector"):
+        solve = getattr(graph_module, name)
+        monkeypatch.setattr(
+            graph_module, name,
+            lambda *args, name=name, solve=solve: solves.append(name) or solve(*args),
+        )
     normalized = []
     dimensions = graph_module._dimensions
     monkeypatch.setattr(
@@ -1021,9 +1049,9 @@ def test_extract_reads_a_self_dual_graph_once(monkeypatch):
         lambda g, first, stop: normalized.append(stop - first) or dimensions(g, first, stop),
     )
     tp = extract_triple_point(principal, dual)
-    assert len(solves) == 1
-    assert normalized == [2, 2]
-    assert tp.dual_dims == (tp.p, tp.q)
+    assert solves == ["_tree_norm", "_tree_vector"]
+    assert normalized == [2]
+    assert tp.gamma3_univalent
 
 
 def test_extract_sum_matches_quantum_integer_across_corpus():
@@ -1035,12 +1063,18 @@ def test_extract_sum_matches_quantum_integer_across_corpus():
 
 
 def test_extract_univalent_dual_dimensions():
-    # with a 1-valent gamma3: dim gamma3 = [n]/[2] and dim gamma2 = [n+2]/[2]
+    """With a 1-valent gamma3: dim gamma3 = [n]/[2] and dim gamma2 = [n+2]/[2].
+
+    Extraction names gamma3 by shape; the dual's own vector must agree.
+    """
     edges = helpers.branched_tree(3, (), (4,))
     principal, dual = helpers.self_paired(edges)
     ctx = QuantumContext(graph_norm(principal))
     tp = extract_triple_point(principal, dual)
-    g2, g3 = tp.dual_dims
+    assert tp.gamma3_univalent
+    dims = helpers.dimension_vector(dual)
+    g3_index = next(i for i in (0, 1) if dual.valence(tp.n, i) == 1)
+    g3, g2 = dims[(tp.n, g3_index)], dims[(tp.n, 1 - g3_index)]
     assert g3 == pytest.approx(ctx.qint(4) / ctx.delta, abs=1e-8)
     assert g2 == pytest.approx(ctx.qint(6) / ctx.delta, abs=1e-8)
 
@@ -1069,18 +1103,23 @@ def test_extract_dimension_tie_flagged():
 
 
 def test_extract_orders_positive_dimensions_across_corpus():
-    """Extraction sets up p >= q > 0 and g2 >= g3 > 0; ``TriplePointData`` does not re-check them."""
+    """Extraction sets up p >= q > 0; ``TriplePointData`` does not re-check it.
+
+    Its structural flags agree with the order of the dual's depth-n entries
+    from a dense eigensolve.
+    """
     for name, principal, dual in helpers.battery_corpus():
         tp = extract_triple_point(principal, dual)
-        g2, g3 = tp.dual_dims
-        assert tp.p >= tp.q > 0 and g2 >= g3 > 0, name
+        assert tp.p >= tp.q > 0, name
+        assert (tp.gamma3_univalent, tp.gamma2_trivalent) == helpers.eigh_flags(dual, tp.n), name
 
 
 def test_triple_point_data_ties_default_to_false():
     ctx = QuantumContext(2.5)
-    tp = TriplePointData(ctx, 4, 2.0, 1.0, (2.0, 1.0), True, False)
+    tp = TriplePointData(ctx, 4, 2.0, 1.0, True, False)
+    assert len(tp) == 7 and "dual_dims" not in tp._fields
     assert tp.dim_tie is False
-    assert TriplePointData(ctx, 4, 2.0, 1.0, (2.0, 1.0), True, False, dim_tie=True).dim_tie
+    assert TriplePointData(ctx, 4, 2.0, 1.0, True, False, dim_tie=True).dim_tie
 
 
 def test_extract_norm_mismatch():

@@ -108,7 +108,6 @@ def make_tp(ctx, n, gap, univalent=True, trivalent=False):
         n=n,
         p=p,
         q=q,
-        dual_dims=(ctx.qint(n + 2) / ctx.delta, ctx.qint(n) / ctx.delta),
         gamma3_univalent=univalent,
         gamma2_trivalent=trivalent,
     )
@@ -279,7 +278,6 @@ def test_ratio_rows_round_trip_through_rotational():
                     n=n,
                     p=row.p,
                     q=row.q,
-                    dual_dims=(ctx.qint(n + 2) / ctx.delta, ctx.qint(n) / ctx.delta),
                     gamma3_univalent=True,
                     gamma2_trivalent=False,
                 )
