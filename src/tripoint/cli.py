@@ -9,13 +9,17 @@ decides, a size out of its range or above ``SIZE_LIMIT``, a delta below
 stderr line and exit 2.
 Besides ``check``, which reports each file's error and goes on, only
 ``matrix`` catches one: ``NoUnitaryPhase`` is its answer, printed on stdout
-with exit 1.  ``run`` is the process entry: it prints a file name that is
-not valid UTF-8 as the bytes given, turns what escapes ``main`` into exit 2
+with exit 1.  ``run`` is the process entry: under it a text report prints
+a file name as the bytes given, whatever the output encoding and also when
+they are not valid UTF-8; it turns what escapes ``main`` into exit 2
 and ends the process without interpreter teardown; it alone lets a large
 ``check`` batch fork (``tripoint.workers``), with the output and exit
 status of one process.  Each command imports only what it runs: ``check``
-alone loads the graph layer and ``matrix`` alone the branch matrix, so
-start-up loads neither.
+alone loads the graph layer, ``check`` and ``ratios`` alone the
+obstruction tests and ``matrix`` alone the branch matrix, so start-up
+loads none of them.  Nor does any command load the ``json`` package,
+whose decoder no command needs: ``_json`` and ``_render_report_json``
+write the bytes of ``json.dumps`` with ``allow_nan=False``.
 
 The grammar is the table ``_COMMANDS``.  ``main`` reads a request in its
 plain form (see ``_parse_plain``) itself, so a well-formed request never
@@ -27,7 +31,6 @@ table, which prints help and usage errors.
 from __future__ import annotations
 
 import codecs
-import json
 import math
 import os
 import sys
@@ -36,11 +39,12 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, NamedTuple, NoReturn
 
 from .errors import InvalidArgument, NoUnitaryPhase, TripointError, UnsupportedIndex
-from .obstruct import DEFAULT_TRACE_TOL, ObstructionReport, _check_tol, allowed_ratios, run_battery
 from .qnum import NUMERIC_TOL, QuantumContext
 
 if TYPE_CHECKING:
     import argparse
+
+    from .obstruct import ObstructionReport
 
 #: Largest ``qnum --max``, ``ratios --n`` and ``matrix --n``; far above any
 #: arm depth, and small enough to compute and print at once even at delta = 2,
@@ -48,46 +52,86 @@ if TYPE_CHECKING:
 SIZE_LIMIT = 10_000
 
 
-#: The one JSON encoder of the process.  It refuses NaN and infinities, so
-#: none reaches the output; each command rounds its own floats with ``_num``.
-_encode = json.JSONEncoder(allow_nan=False).encode
-
-
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
-
-
-def _num(x: float) -> float:
-    """``x`` rounded to the 12 significant digits that the text output prints."""
-    return float(_fmt(x))
 
 
 def _fmt_complex(z: complex) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}i"
 
 
+# ---------------------------------------------------------------------------
+# JSON, written as ``json.dumps(value, allow_nan=False)`` writes it, with
+# every float rounded to the 12 significant digits that the text prints;
+# importing the ``json`` package would cost start-up more than all of this
+
+#: The escapes of ``json.dumps`` that are not ``\uXXXX``.
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def _escape(c: str) -> str:
+    """The character ``c`` inside a JSON string, in ASCII as ``json.dumps`` writes it."""
+    if c in _ESCAPES:
+        return _ESCAPES[c]
+    if " " <= c <= "~":
+        return c
+    code = ord(c)
+    if code > 0xFFFF:  # a UTF-16 surrogate pair
+        code -= 0x10000
+        return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
+    return f"\\u{code:04x}"  # a lone surrogate too, such as \udcff from a name that is not UTF-8
+
+
+def _json_str(s: str) -> str:
+    """``s`` as a JSON string."""
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return f'"{s}"'
+    return '"' + "".join(map(_escape, s)) + '"'
+
+
+def _json_num(x: float) -> str:
+    """``x`` rounded to 12 significant digits as a JSON number; NaN and infinities raise ``ValueError``."""
+    if not math.isfinite(x):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return repr(float(f"{x:.12g}"))
+
+
+def _json(value: Any) -> str:
+    """``value``, of None, ints, floats, strings, lists and dicts keyed by strings, as JSON."""
+    if isinstance(value, float):
+        return _json_num(value)
+    if type(value) is int:
+        return repr(value)
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{_json_str(key)}: {_json(item)}" for key, item in value.items()) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_json, value)) + "]"
+    raise TypeError(f"{type(value).__name__} is not written as JSON")
+
+
 def _complex_dict(z: complex) -> dict:
-    return {"re": _num(z.real), "im": _num(z.imag)}
+    return {"re": z.real, "im": z.imag}
 
 
 # ---------------------------------------------------------------------------
 # check
 
 def _render_report_json(path: str, report: ObstructionReport) -> str:
-    return _encode({
-        "file": path,
-        "n": report.n,
-        "delta": _num(report.delta),
-        "p": _num(report.p),
-        "q": _num(report.q),
-        "r": _num(report.r),
-        "lambda_trace": _num(report.lambda_trace),
-        "verdicts": {name: v.value for name, v in report.verdicts.items()},
-        "root_candidates": [
-            {"k": c.k, "distance": _num(c.distance)} for c in report.root_candidates
-        ],
-        "tol": _num(report.tol),
-    })
+    """The report as ``_json`` writes it, from a template: many pairs are rendered per process."""
+    num = _json_num
+    # test names and verdicts are ASCII identifiers of ``obstruct``: nothing to escape
+    verdicts = ", ".join(f'"{name}": "{verdict.value}"' for name, verdict in report.verdicts.items())
+    roots = ", ".join(f'{{"k": {c.k:d}, "distance": {num(c.distance)}}}' for c in report.root_candidates)
+    return (
+        f'{{"file": {_json_str(path)}, "n": {report.n:d}, "delta": {num(report.delta)},'
+        f' "p": {num(report.p)}, "q": {num(report.q)}, "r": {num(report.r)},'
+        f' "lambda_trace": {num(report.lambda_trace)}, "verdicts": {{{verdicts}}},'
+        f' "root_candidates": [{roots}], "tol": {num(report.tol)}}}'
+    )
 
 
 def _render_report_text(path: str, report: ObstructionReport) -> str:
@@ -108,10 +152,21 @@ def _render_report_text(path: str, report: ObstructionReport) -> str:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from .graph import parse_pair  # here, not at start-up: no other command needs it
+    # here, not at start-up: no other command needs them
+    from .graph import parse_pair
+    from .obstruct import DEFAULT_TRACE_TOL, _check_tol, run_battery
 
-    _check_tol(args.tol)  # once, before any file is read
-    render = _render_report_json if args.format == "json" else _render_report_text
+    tol = DEFAULT_TRACE_TOL if args.tol is None else args.tol
+    _check_tol(tol)  # once, before any file is read
+    if args.format == "json":
+        render = _render_report_json
+    else:
+        encoding = getattr(sys.stdout, "encoding", None)  # read before a fork: a worker's stdout has none
+
+        def render(path: str, report: ObstructionReport) -> str:
+            if encoding is not None:  # the name's own bytes, whatever the output encoding
+                path = os.fsencode(path).decode(encoding, "surrogateescape")
+            return _render_report_text(path, report)
 
     def check(paths: list[str]) -> int:
         """Report on each file in turn, on stdout or stderr; the status of the run."""
@@ -121,7 +176,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 with open(path, "rb") as fh:
                     text = fh.read().removeprefix(codecs.BOM_UTF8).decode()
                 principal, dual = parse_pair(text)
-                report = run_battery(principal, dual, tol=args.tol)
+                report = run_battery(principal, dual, tol=tol)
             except (TripointError, OSError, UnicodeDecodeError) as exc:
                 status = 2
                 print(f"{path}: {exc}", file=sys.stderr)
@@ -155,6 +210,8 @@ def _check_size(flag: str, value: int, least: int, even: bool = False) -> None:
 # ratios
 
 def _cmd_ratios(args: argparse.Namespace) -> int:
+    from .obstruct import allowed_ratios  # here, not at start-up: qnum and matrix do without it
+
     _check_size("--n", args.n, 2, even=True)
     if args.delta is not None:
         ctx = QuantumContext(args.delta)
@@ -167,8 +224,7 @@ def _cmd_ratios(args: argparse.Namespace) -> int:
             raise type(exc)(f"--index {args.index!r} is not a finite index of at least 4") from None
     rows = allowed_ratios(ctx, args.n)
     if args.format == "json":
-        table = [dict(zip(row._fields, (row.k, *map(_num, row[1:])))) for row in rows]
-        print(_encode({"n": args.n, "delta": _num(ctx.delta), "rows": table}))
+        print(_json({"n": args.n, "delta": ctx.delta, "rows": [row._asdict() for row in rows]}))
     else:
         print(f"admissible ratios for n = {args.n}, delta = {_fmt(ctx.delta)}")
         print(f"{'k':>3}  {'lambda_trace':>18}  {'r':>18}  {'p':>18}  {'q':>18}  {'p-q':>18}")
@@ -195,9 +251,9 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     if args.format == "json":
         payload = {
             "n": args.n,
-            "delta": _num(ctx.delta),
-            "p": _num(args.p),
-            "q": _num(args.q),
+            "delta": ctx.delta,
+            "p": args.p,
+            "q": args.q,
             "entries": [
                 [None if z is None else _complex_dict(z) for z in row]
                 for row in matrix.entries
@@ -205,9 +261,9 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
             "sigma": _complex_dict(matrix.sigma),
             "tau": _complex_dict(matrix.tau),
             "lambda": _complex_dict(matrix.lam),
-            "lambda_trace": _num(trace),
+            "lambda_trace": trace,
         }
-        print(_encode(payload))
+        print(_json(payload))
     else:
         print(
             f"branch matrix for n = {args.n}, delta = {_fmt(ctx.delta)},"
@@ -235,7 +291,7 @@ def _cmd_qnum(args: argparse.Namespace) -> int:
     ctx = QuantumContext(args.delta)
     values = ctx.qints(args.max_k)
     if args.format == "json":
-        print(_encode({"delta": _num(ctx.delta), "values": list(map(_num, values))}))
+        print(_json({"delta": ctx.delta, "values": values}))
     else:
         print(" ".join(_fmt(v) for v in values))
     return 0
@@ -245,7 +301,11 @@ def _cmd_qnum(args: argparse.Namespace) -> int:
 # the grammar
 
 class _Option(NamedTuple):
-    """A ``--flag value`` option: its argparse ``add_argument`` keywords."""
+    """A ``--flag value`` option: its argparse ``add_argument`` keywords.
+
+    A ``help`` that is a function is called for the text, only when the
+    argparse parser is built.
+    """
 
     flag: str
     dest: str
@@ -253,7 +313,7 @@ class _Option(NamedTuple):
     required: bool = False
     default: Any = None
     choices: tuple[str, ...] | None = None
-    help: str | None = None
+    help: str | Callable[[], str] | None = None
 
 
 class _Command(NamedTuple):
@@ -270,6 +330,13 @@ class _Command(NamedTuple):
     files: bool = False
 
 
+def _tol_help() -> str:
+    """The help of ``check --tol``: a ``--tol`` left out is ``None``, which is ``obstruct``'s default."""
+    from .obstruct import DEFAULT_TRACE_TOL
+
+    return f"tolerance for obstruction verdicts (default {DEFAULT_TRACE_TOL:g})"
+
+
 _FORMAT = _Option("--format", "format", default="text", choices=("text", "json"))
 
 #: The command-line grammar, which ``_parse_plain`` reads and ``build_parser`` builds.
@@ -279,8 +346,7 @@ _COMMANDS = {
         "run the obstruction battery on graph pair files",
         (
             _FORMAT,
-            _Option("--tol", "tol", float, default=DEFAULT_TRACE_TOL,
-                    help=f"tolerance for obstruction verdicts (default {DEFAULT_TRACE_TOL:g})"),
+            _Option("--tol", "tol", float, help=_tol_help),
         ),
         files=True,
     ),
@@ -333,6 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
         for group, options in groups:
             for option in options:
                 keywords = option._asdict()
+                if callable(option.help):
+                    keywords["help"] = option.help()
                 group.add_argument(keywords.pop("flag"), **keywords)
         if command.files:
             p_command.add_argument("files", nargs="+", metavar="FILE")

@@ -16,13 +16,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import helpers
 import tripoint
 from tripoint import graph as graph_module
-from tripoint import branch, cli, workers
+from tripoint import branch, cli, obstruct, workers
 from tripoint.branch import build_branch_matrix
 from tripoint.cli import SIZE_LIMIT, main
 from tripoint.errors import TripointError
@@ -302,33 +302,61 @@ def test_qnum_json_bytes_match_the_recursive_rounding(delta, max_k):
     assert out == reference_json(payload)
 
 
-def test_json_output_builds_no_encoder_per_call(passing_file, monkeypatch):
-    assert cli._encode.__self__.allow_nan is False
+#: characters that ``json.dumps`` escapes, or must not: quotes, backslashes, every
+#: control character, DEL, non-ASCII, astral and a lone surrogate from a name that is not UTF-8
+JSON_EDGE_CHARACTERS = ['"', "\\", "/", " ", "~", "\x7f", "\x80", "\xe9", "\u2028", "\uffff",
+                        "\U0001f600", "\U0010ffff", "\udcff", "\ud800", *map(chr, range(32))]
+JSON_TEXT = st.text(st.one_of(st.sampled_from(JSON_EDGE_CHARACTERS), st.characters(exclude_categories=())))
+#: zeros, subnormals, the largest floats and values next to a 12-digit rounding edge
+JSON_EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, 1.7976931348623157e308,
+                    -1.7976931348623157e308, 999999999999.5, 9.9999999999949996, 9.9999999999950004,
+                    1.0000000000005, 0.1 + 0.2, 1e16, 123456789012345.0, 1e-7, 2.5e-5]
+JSON_FLOATS = st.one_of(st.sampled_from(JSON_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+JSON_INTS = st.one_of(st.integers(), st.integers(-(10 ** 400), 10 ** 400))
 
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("a JSON encoder was built for one output")
 
-    monkeypatch.setattr(json.JSONEncoder, "__init__", refuse)
-    for argv in (
-        ["check", passing_file],
-        ["ratios", "--n", "4", "--delta", "2.2"],
-        ["matrix", "--n", "4", "--delta", "2.2", "--p", "5.2028", "--q", "4.7028"],
-        ["qnum", "--delta", "2.2", "--max", "3"],
-    ):
-        assert printed([*argv, "--format", "json"])[0] == 0
+@settings(max_examples=500, deadline=None)
+@given(text=JSON_TEXT)
+def test_json_strings_match_json_dumps(text):
+    assert cli._json_str(text) == json.dumps(text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(x=JSON_FLOATS)
+def test_json_numbers_match_json_dumps_of_the_rounded_float(x):
+    assert cli._json_num(x) == json.dumps(helpers.reference_rounded(x), allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=st.recursive(
+    st.one_of(st.none(), JSON_INTS, JSON_FLOATS, JSON_TEXT),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(JSON_TEXT, inner, max_size=4)),
+    max_leaves=20,
+))
+def test_json_writer_matches_json_dumps_of_the_rounded_payload(value):
+    assert cli._json(value) == json.dumps(helpers.reference_rounded(value), allow_nan=False)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.nan, math.inf, -math.inf])
+def test_json_writer_refuses_non_finite_floats(bad):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        json.dumps(bad, allow_nan=False)
+    for write in (cli._json_num, cli._json, lambda x: cli._json({"values": [0.0, x]})):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write(bad)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("command", ["check", "ratios", "matrix", "qnum"])
 def test_json_refuses_a_non_finite_float_in_any_payload(passing_file, monkeypatch, command, bad):
     if command == "check":
-        battery = cli.run_battery
-        monkeypatch.setattr(cli, "run_battery", lambda *a, **k: battery(*a, **k)._replace(r=bad))
+        battery = obstruct.run_battery
+        monkeypatch.setattr(obstruct, "run_battery", lambda *a, **k: battery(*a, **k)._replace(r=bad))
         argv = ["check", passing_file]
     elif command == "ratios":
-        table = cli.allowed_ratios
+        table = obstruct.allowed_ratios
         monkeypatch.setattr(
-            cli, "allowed_ratios", lambda ctx, n: [*table(ctx, n)[:-1], table(ctx, n)[-1]._replace(q=bad)]
+            obstruct, "allowed_ratios", lambda ctx, n: [*table(ctx, n)[:-1], table(ctx, n)[-1]._replace(q=bad)]
         )
         argv = ["ratios", "--n", "4", "--delta", "2.2"]
     elif command == "matrix":
@@ -422,20 +450,45 @@ def branched_pair_text(draw):
     return helpers.pair_text(*helpers.self_paired(edges)).encode()
 
 
+@st.composite
+def two_rooted_random_pair_text(draw):
+    """One random tree graded from two roots, as pair-file bytes: the dual mostly differs.
+
+    Two new vertices ``u`` and ``v`` each split an edge of a random tree, and
+    each carries an initial string of the same length, ending in the root
+    ``A`` or ``B``.  Graded from either root, the tree branches into a simple
+    triple point at the end of its string, with the same norm and the same
+    supertransitivity.
+    """
+    edges = [(f"t{draw(st.integers(0, i - 1))}", f"t{i}") for i in range(1, draw(st.integers(2, 16)))]
+    for vertex in ("u", "v"):
+        a, b = edges.pop(draw(st.integers(0, len(edges) - 1)))
+        edges += [(a, vertex), (vertex, b)]
+    length = draw(st.integers(1, 7))
+    for vertex, root in (("u", "A"), ("v", "B")):
+        string = [vertex, *(f"{root}{i}" for i in range(length - 1)), root]
+        edges += zip(string, string[1:])
+    return helpers.pair_text(helpers.grade_tree(edges, "A"), helpers.grade_tree(edges, "B")).encode()
+
+
 @settings(max_examples=300, deadline=None)
-@given(data=st.one_of(mutated_pair_text(), branched_pair_text()))
+@given(data=st.one_of(mutated_pair_text(), branched_pair_text(), two_rooted_random_pair_text()))
 def test_extract_orders_positive_dimensions_on_drawn_pairs(data):
     """Every pair that extracts has p >= q > 0, and its dual flags follow its dual's order.
 
     gamma3 and gamma2 are read from the dual's valences, with no vector
     solved for it; the oracle orders the dual's depth-n vertices by a dense
     ``eigh`` of its full adjacency matrix (``helpers.eigh_flags``).
+    ``--hypothesis-show-statistics`` shows how many drawn pairs had a dual
+    distinct from the principal graph.
     """
     try:
         principal, dual = parse_pair(data.decode())
         tp = extract_triple_point(principal, dual)
     except TripointError:
+        event("refused")
         return
+    event("self-paired" if dual == principal else "distinct dual")
     assert tp.p >= tp.q > 0
     assert (tp.gamma3_univalent, tp.gamma2_trivalent) == helpers.eigh_flags(dual, tp.n)
 
@@ -682,14 +735,15 @@ def test_start_up_loads_no_dataclasses_machinery(passing_file, batch_files):
     Nor do they load ``tripoint.branch``, which only ``matrix`` imports,
     ``tripoint.workers``, which only a ``check`` of more than one file under
     ``run`` imports, the process pools and ``pickle``, which a forked batch
-    does without, or the
-    ``utf-8-sig`` codec, since ``check`` strips a byte-order mark itself.
+    does without, the ``utf-8-sig`` codec, since ``check`` strips a
+    byte-order mark itself, or ``json``, since the CLI writes its own JSON.
+    The import alone loads no ``tripoint.obstruct`` either.
 
     This is why no value of the package is a dataclass: importing
     ``dataclasses`` loads ``inspect`` and ``ast``, 9.2 to 11.6 ms by
-    ``python -X importtime`` (Python 3.11.7, 2 shared vCPUs), against 12 to
-    18 ms for all of ``import tripoint.cli`` compiled from source (no
-    bytecode on disk, as under ``PYTHONDONTWRITEBYTECODE=1``) and 6 to 10 ms
+    ``python -X importtime`` (Python 3.11.7, 2 shared vCPUs), against 9 to
+    14 ms for all of ``import tripoint.cli`` compiled from source (no
+    bytecode on disk, as under ``PYTHONDONTWRITEBYTECODE=1``) and 2 to 4 ms
     with its bytecode cached.  The values are named tuples instead.
     """
     proc = subprocess.run(
@@ -700,8 +754,8 @@ def test_start_up_loads_no_dataclasses_machinery(passing_file, batch_files):
     assert (loaded["code"], loaded["forks"]) == (0, 1)
     assert "tripoint.cli" in loaded["import"]  # the probe does see what the import loads
     heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "tripoint.branch",
-             "multiprocessing", "concurrent.futures", "pickle", "encodings.utf_8_sig"}
-    assert heavy.intersection(loaded["import"]) == set()
+             "multiprocessing", "concurrent.futures", "pickle", "encodings.utf_8_sig", "json"}
+    assert (heavy | {"tripoint.obstruct"}).intersection(loaded["import"]) == set()
     assert (heavy | {"tripoint.workers"}).intersection(loaded["check"]) == set()
     assert heavy.intersection(loaded["batch"]) == set()
     assert "tripoint.workers" in loaded["batch"]
@@ -1179,7 +1233,8 @@ def test_build_parser_prints_the_grammar():
         text = help_of(name)
         for option in (*command.options, *command.one_of):
             assert f"{option.flag} {option.dest.upper()}" in text or option.choices
-            assert option.help is None or option.help in text
+            help = option.help() if callable(option.help) else option.help
+            assert help is None or help in text
     assert "--n N (--delta DELTA |" in " ".join(help_of("ratios").split())
     assert "[--tol TOL] FILE [FILE ...]" in help_of("check")
 
@@ -1267,6 +1322,46 @@ def test_check_prints_a_file_name_that_is_not_utf8_as_its_bytes(tmp_path):
     assert names == [b"file: " + bad, b"file: " + os.fsencode(plain)]
 
 
+#: ``python -m tripoint.cli`` as if on three CPUs; each fork is announced on stderr
+FORKING_ENTRY = """
+import os
+import runpy
+import sys
+
+fork = os.fork
+os.fork = lambda: os.write(2, b"fork\\n") and fork()
+os.sched_getaffinity = lambda pid: {0, 1, 2}
+sys.argv = ["tripoint", *sys.argv[1:]]
+runpy.run_module("tripoint.cli", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("forked", [False, True])
+def test_text_output_prints_a_name_the_output_encoding_cannot_encode(tmp_path, forked):
+    """Under an ASCII output encoding ``café.pair`` prints as its UTF-8 bytes, as under UTF-8.
+
+    The forked batch puts the file in the last of three chunks, so a worker
+    renders it; the comment line pads each file to ``FORK_MIN_BYTES``.
+    """
+    pad = "#" + "." * workers.FORK_MIN_BYTES + "\n" if forked else ""
+    paths = [tmp_path / f"{i}.pair" for i in range(5 if forked else 0)] + [tmp_path / "café.pair"]
+    for path in paths:
+        path.write_text(pad + README_PAIR)
+    entry = ["-c", FORKING_ENTRY] if forked else ["-m", "tripoint.cli"]
+    outputs = []
+    for encoding in ("ascii", "utf-8"):
+        proc = subprocess.run(
+            [sys.executable, *entry, "check", *map(os.fsencode, paths)],
+            capture_output=True, env=dict(subprocess_env(), PYTHONIOENCODING=encoding), timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (1, b"fork\n" * 2 if forked else b""), encoding
+        outputs.append(proc.stdout)
+    names = [line for line in outputs[0].splitlines() if line.startswith(b"file: ")]
+    assert names == [b"file: " + os.fsencode(path) for path in paths]
+    assert names[-1].endswith(b"/caf\xc3\xa9.pair")
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_check_ignores_a_leading_byte_order_mark(tmp_path, capsys, fmt):
     path = tmp_path / "candidate.pair"
@@ -1289,8 +1384,9 @@ def test_check_ignores_a_leading_byte_order_mark(tmp_path, capsys, fmt):
 CRASH_PROBE = """
 import sys
 import tripoint.cli
+import tripoint.obstruct
 
-real_battery = tripoint.cli.run_battery
+real_battery = tripoint.obstruct.run_battery
 calls = []
 
 def battery_that_crashes_on_its_second_call(*args, **kwargs):
@@ -1299,14 +1395,14 @@ def battery_that_crashes_on_its_second_call(*args, **kwargs):
         raise RuntimeError("injected fault")
     return real_battery(*args, **kwargs)
 
-tripoint.cli.run_battery = battery_that_crashes_on_its_second_call
+tripoint.obstruct.run_battery = battery_that_crashes_on_its_second_call
 sys.argv = ["tripoint", "check", *sys.argv[1:]]
 tripoint.cli.run()
 """
 
 
 def test_a_crash_exits_two_with_its_traceback_after_the_earlier_output(passing_file, capsys):
-    """The fault goes where ``check`` looks the battery up, in ``tripoint.cli``'s namespace."""
+    """The fault goes where ``check`` looks the battery up, in ``tripoint.obstruct``'s namespace."""
     proc = subprocess.run(
         [sys.executable, "-c", CRASH_PROBE, passing_file, passing_file],
         capture_output=True, text=True, env=subprocess_env(), timeout=60,
@@ -1340,11 +1436,31 @@ def test_a_well_formed_request_loads_no_argparse(passing_file):
         argv = [arg.format(pair=passing_file) for arg in OUTPUT_REQUESTS[name]]
         status, loaded = loaded_by(*argv)
         assert status == 0, argv
-        assert "tripoint.obstruct" in loaded, argv  # the probe does see the program's imports
+        assert "tripoint.qnum" in loaded, argv  # the probe does see the program's imports
         assert argparse_modules.intersection(loaded) == set(), argv
     status, loaded = loaded_by("qnum", "--delta", "2.5")  # a usage error
     assert status == 2
     assert argparse_modules <= loaded
+
+
+def test_no_command_loads_json(passing_file):
+    """Each command writes its JSON without the ``json`` package, and only
+    ``check`` and ``ratios`` load the obstruction tests.
+
+    ``json`` loads its decoder and scanner, which no command uses: 3 to 4 ms
+    of a fresh process with its bytecode cached, and ``tripoint.obstruct``
+    2 ms more (``python -X importtime``, Python 3.11.7, 2 shared vCPUs).
+    """
+    for name in ("check", "ratios", "matrix", "qnum"):
+        for fmt in ("text", "json"):
+            # the last --format given wins
+            argv = [*(arg.format(pair=passing_file) for arg in OUTPUT_REQUESTS[name]), "--format", fmt]
+            status, loaded = loaded_by(*argv)
+            assert status == 0, argv
+            assert "tripoint.qnum" in loaded, argv  # the probe does see the program's imports
+            assert "json" not in loaded, argv
+            assert ("tripoint.obstruct" in loaded) == (name in ("check", "ratios")), argv
+            assert ("tripoint.graph" in loaded) == (name == "check"), argv
 
 
 ATEXIT_PROBE = """
