@@ -175,11 +175,16 @@ def _cmd_check(args: argparse.Namespace) -> int:
             try:
                 with open(path, "rb") as fh:
                     text = fh.read().removeprefix(codecs.BOM_UTF8).decode()
-                principal, dual = parse_pair(text)
-                report = run_battery(principal, dual, tol=tol)
-            except (TripointError, OSError, UnicodeDecodeError) as exc:
+            except (OSError, ValueError) as exc:  # ValueError: a name open() refuses, or not UTF-8
+                failure: Exception | None = exc
+            else:
+                try:
+                    report, failure = run_battery(*parse_pair(text), tol=tol), None
+                except TripointError as exc:  # not ValueError: from here on, that is a bug
+                    failure = exc
+            if failure is not None:
                 status = 2
-                print(f"{path}: {exc}", file=sys.stderr)
+                print(f"{path}: {failure}", file=sys.stderr)
                 continue
             if report.has_failure:
                 status = max(status, 1)

@@ -28,7 +28,15 @@ class ParseError(TripointError):
 
 
 class InvalidGraph(TripointError):
-    """Graph data violates a structural invariant."""
+    """Graph data violates a structural invariant.
+
+    ``edge_index`` is the position, in the order given, of the first edge
+    that does not fit the counts, and None for any other violation.
+    """
+
+    def __init__(self, message: str, edge_index: int | None = None):
+        super().__init__(message)
+        self.edge_index = edge_index
 
 
 class NormMismatch(TripointError):

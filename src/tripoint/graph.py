@@ -44,14 +44,16 @@ dual graph's two depth-n valences.  So the principal graph is solved for its
 dimensions and the dual only for its norm: gamma2 and gamma3 are told apart
 by shape (see ``TriplePointData``).
 
-The parser reads each ``edges:`` line whole and converts and range-checks
-each edge once, looking numbers below 512 up in a table; the graph then
-sorts its edges, and checks them and indexes its vertices in one pass.  A
-self-dual pair file, whose two sections describe the same graph, yields one
-graph object for both sections, so it is parsed and solved once.  numpy is
-imported only when a graph with a cycle is first solved, so importing this
-module, parsing, checking a pair of trees and the non-spectral commands
-never load it.
+The parser checks syntax only: it reads each ``edges:`` line whole and
+converts each number once, looking numbers below 512 up in a table.  The
+graph alone checks that each edge fits the counts, in the order given, and
+the parser reports its first misfit as that token's error; the graph then
+sorts its edges and indexes its vertices in one pass.  A self-dual pair
+file, whose two sections describe the same graph, yields one graph object
+for both sections, so it is parsed and solved once.  numpy is imported
+only when a graph with a cycle is first solved, so importing this module,
+parsing, checking a pair of trees and the non-spectral commands never load
+it.
 """
 
 from __future__ import annotations
@@ -90,13 +92,15 @@ class GradedBigraph(_Graph):
     """A connected graph graded by distance from a unique root vertex.
 
     Graphs come from ``parse_graph`` or ``parse_pair``: the parser checks
-    every number of its input and the range of every edge; the constructor
-    checks the counts, that every edge fits them, and the grading.  It sorts
-    the edges, so two descriptions of one graph compare and hash equal.  One
-    pass over the sorted edges lists, per vertex in flat order, its first
-    neighbour one depth up (-2 once it has two) and its edges down and up:
-    the graded check, the tree links and every degree lookup read those
-    lists, and none of them bisects.
+    the syntax of its input, its numbers, the ``d:u-v`` form of each edge
+    and the length of the counts line.  The constructor checks that every
+    edge fits the counts, in the order given, and names the first that does
+    not (``InvalidGraph.edge_index``); then the counts, and the grading.  It
+    sorts the edges, so two descriptions of one graph compare and hash
+    equal.  One pass over the sorted edges lists, per vertex in flat order,
+    its first neighbour one depth up (-2 once it has two) and its edges down
+    and up: the graded check, the tree links and every degree lookup read
+    those lists, and none of them bisects.
 
     A graph is a tuple of its two fields, like every value of the package
     (see ``qnum``): they cannot be assigned or deleted, equality and hashing
@@ -105,6 +109,11 @@ class GradedBigraph(_Graph):
     """
 
     def __new__(cls, counts: tuple[int, ...], edges: Iterable[Edge]) -> GradedBigraph:
+        edges = tuple(edges)
+        last = len(counts) - 1
+        for index, (d, u, v) in enumerate(edges):  # in the order given: the first misfit is named
+            if not (0 <= d < last and 0 <= u < counts[d] and 0 <= v < counts[d + 1]):
+                raise InvalidGraph(f"edge {(d, u, v)} does not fit the counts {counts}", index)
         edges = tuple(sorted(edges))
         if not counts or counts[0] != 1:
             raise InvalidGraph("exactly one vertex at depth 0 required")
@@ -117,10 +126,7 @@ class GradedBigraph(_Graph):
         graded = offsets[-1] <= len(edges) + 1
         if graded:
             parent, down, up = [-1] * offsets[-1], [0] * offsets[-1], [0] * offsets[-1]
-            last = len(counts) - 1
             for d, u, v in edges:
-                if not (0 <= d < last and 0 <= u < counts[d] and 0 <= v < counts[d + 1]):
-                    raise InvalidGraph(f"edge {(d, u, v)} does not fit the counts {counts}")
                 above, child = offsets[d] + u, offsets[d + 1] + v
                 if parent[child] != above:
                     parent[child] = above if parent[child] == -1 else -2
@@ -345,27 +351,29 @@ def _parse_block_exact(lines: list[tuple[int, str]]) -> GradedBigraph:
     if math.inf in counts:
         raise ParseError("'counts:' has a number too long to convert", lineno)
 
-    # The line is read whole, up to its first malformed token, so the first
-    # bad token in line order is the one reported, malformed or out of range.
-    # A number too long to convert is out of range: every count was short enough.
+    # The line is read whole, up to its first malformed token, and the graph
+    # is built on that prefix.  The first bad token in line order is reported:
+    # the first edge that the constructor finds not to fit the counts, else the
+    # malformed token, before any other error of the graph.  A number too long
+    # to convert fits nothing: every count was short enough.
     lineno, text = _take_key(lines, "edges")
     good = text[: _EDGES_RE.match(text).end()]
-    pieces = good.replace(":", " ").replace("-", " ").split()
-    numbers = list(map(number, pieces))
+    numbers = list(map(number, good.replace(":", " ").replace("-", " ").split()))
     edges = list(zip(numbers[::3], numbers[1::3], numbers[2::3]))
-    for d, u, v in edges:
-        if d >= depth_count - 1 or u >= counts[d] or v >= counts[d + 1]:
-            token = good.split()[edges.index((d, u, v))]
-            if d >= depth_count - 1:
-                shown = d if d < math.inf else token.partition(":")[0]
-                problem = f"depth {shown} out of range for {depth_count} depths"
-            else:
-                problem = "vertex index out of range"
-            raise ParseError(f"edge {token!r}: {problem}", lineno)
+    try:
+        graph = GradedBigraph(counts, edges)
+    except InvalidGraph as exc:
+        if exc.edge_index is not None:
+            token, d = good.split()[exc.edge_index], edges[exc.edge_index][0]
+            shown = d if d < math.inf else token.partition(":")[0]
+            problem = ("vertex index out of range" if d < depth_count - 1
+                       else f"depth {shown} out of range for {depth_count} depths")
+            raise ParseError(f"edge {token!r}: {problem}", lineno) from None
+        if len(good) == len(text):
+            raise
     if len(good) < len(text):
         token = text[len(good) :].split()[0]
         raise ParseError(f"bad edge token {token!r} (expected d:u-v)", lineno)
-    graph = GradedBigraph(counts, edges)
     if lines:
         raise ParseError(f"unexpected content {lines[0][1]!r}", lines[0][0])
     return graph

@@ -47,7 +47,7 @@ def _chunks(paths: list[str]) -> list[list[str]]:
     for path in paths:
         try:
             sizes.append(os.stat(path).st_size)
-        except OSError:
+        except (OSError, ValueError):  # ValueError: a name that stat() refuses
             sizes.append(0)
     total = sum(sizes)
     count = min(cpus, len(paths), total // FORK_MIN_BYTES)

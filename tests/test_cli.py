@@ -1553,6 +1553,42 @@ def test_a_forked_batch_exits_with_the_worst_status_of_any_chunk(
     assert len(forks) == 2
 
 
+@pytest.mark.parametrize("may_fork", [False, True])
+def test_a_name_that_open_refuses_is_that_files_error(batch_files, forks, capsys, may_fork):
+    """A null byte (``ValueError``) or a lone surrogate (``UnicodeEncodeError``) in a name.
+
+    ``open()`` refuses both; each is reported as its file's error with
+    status 2, and the files after it are still checked, by a worker too.
+    stderr escapes what it cannot encode, as the interpreter's own does.
+    """
+    refused = ["a\x00.pair", "a\ud800.pair"]
+    passing = [batch_files[0]] * 20
+    argv = ["check", refused[0], *passing[:10], refused[1], *passing[10:]]
+    stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="backslashreplace")
+    with contextlib.redirect_stderr(stderr):
+        assert main(argv, may_fork=may_fork) == 2
+    stderr.flush()
+    reasons = []
+    for name in refused:
+        with pytest.raises(ValueError) as excinfo:
+            open(name, "rb")
+        reasons.append(f"{name}: {excinfo.value}\n")
+    assert stderr.buffer.getvalue() == "".join(reasons).encode("utf-8", "backslashreplace")
+    assert capsys.readouterr().out.count("file: ") == len(passing)
+    assert len(forks) == (2 if may_fork else 0)
+    assert_no_worker_left()
+
+
+def test_a_value_error_in_parsing_is_a_crash(passing_file, monkeypatch):
+    """Only reading a file may fail with ``ValueError`` as that file's error."""
+    def parse_that_fails(text):
+        raise ValueError("injected fault")
+
+    monkeypatch.setattr(graph_module, "parse_pair", parse_that_fails)
+    with pytest.raises(ValueError, match="injected fault"):
+        main(["check", passing_file])
+
+
 def test_a_chunk_that_cannot_be_forked_runs_here_in_its_turn(
     batch_files, forks, capsys, monkeypatch,
 ):

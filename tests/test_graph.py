@@ -9,7 +9,7 @@ from collections import Counter
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -209,11 +209,16 @@ def test_invalid_graph_ungraded_vertex():
         (lambda: GradedBigraph((), []), "exactly one vertex at depth 0 required"),
         (lambda: helpers.two_rooted_pair(0)[0]._replace(vertex_counts=(1, 5, 1)),
          r"edge \(2, 0, 0\) does not fit the counts \(1, 5, 1\)"),
+        # the first misfit in the order given, not in sorted order
+        (lambda: GradedBigraph((1, 2), [(0, 0, 5), (0, 0, 0), (0, 0, -1)]), r"edge \(0, 0, 5\)"),
+        # checked before the counts that the edges cannot cover
+        (lambda: GradedBigraph((1, 1, 1), [(0, 0, 9)]), r"edge \(0, 0, 9\) does not fit"),
     ],
-    ids=["past-the-count", "negative-index", "past-the-last-depth", "no-counts", "replace"],
+    ids=["past-the-count", "negative-index", "past-the-last-depth", "no-counts", "replace",
+         "first-in-given-order", "before-the-grading"],
 )
 def test_constructor_refuses_edges_that_do_not_fit_the_counts(build, message):
-    """A graph built in code, not parsed, gets the parser's range check as ``InvalidGraph``."""
+    """A graph built in code gets the range check that the parser reports, as ``InvalidGraph``."""
     with pytest.raises(InvalidGraph, match=message):
         build()
 
@@ -369,6 +374,12 @@ def corrupted_blocks(draw):
 def test_parser_matches_token_by_token_reference(text):
     """The line-at-once parser gives the old parser's graph, or its error type, message and line."""
     expected = outcome(helpers.reference_parse_graph, text)
+    if isinstance(expected, GradedBigraph):
+        event("outcome: graph")
+    else:
+        message = expected[1]
+        event("outcome: " + ("range misfit" if "out of range" in message
+                             else "bad token" if "bad edge token" in message else "other error"))
     assert outcome(parse_graph, text) == expected
     if isinstance(expected, GradedBigraph):
         assert parse_graph(helpers.serialize_graph(expected)) == expected
