@@ -9,17 +9,21 @@ decides, a size out of its range or above ``SIZE_LIMIT``, a delta below
 stderr line and exit 2.
 Besides ``check``, which reports each file's error and goes on, only
 ``matrix`` catches one: ``NoUnitaryPhase`` is its answer, printed on stdout
-with exit 1.  ``run`` is the process entry: under it a text report prints
-a file name as the bytes given, whatever the output encoding and also when
-they are not valid UTF-8; it turns what escapes ``main`` into exit 2
-and ends the process without interpreter teardown; it alone lets a large
-``check`` batch fork (``tripoint.workers``), with the output and exit
-status of one process.  Each command imports only what it runs: ``check``
-alone loads the graph layer, ``check`` and ``ratios`` alone the
-obstruction tests and ``matrix`` alone the branch matrix, so start-up
-loads none of them.  Nor does any command load the ``json`` package,
-whose decoder no command needs: ``_json`` and ``_render_report_json``
-write the bytes of ``json.dumps`` with ``allow_nan=False``.
+with exit 1.  ``check`` makes each file one outcome, a status and a line,
+and one writer, ``_write_outcomes``, prints them and combines their
+statuses.  ``run`` is the process entry: under it a report on stdout and
+an error line on stderr print a file name as the bytes given, whatever
+the output encoding and also when they are not valid UTF-8; it turns
+what escapes ``main`` into exit 2 and ends the process without
+interpreter teardown; it alone lets a large ``check`` batch fork
+(``tripoint.workers``), whose workers send back outcomes for the same
+writer, so the output and exit status are those of one process.  Each
+command imports only what it runs: ``check`` alone loads the graph
+layer, ``check`` and ``ratios`` alone the obstruction tests and
+``matrix`` alone the branch matrix, so start-up loads none of them.  Nor
+does any command load the ``json`` package, whose decoder no command
+needs: ``_json`` and ``_render_report_json`` write the bytes of
+``json.dumps`` with ``allow_nan=False``.
 
 The grammar is the table ``_COMMANDS``.  ``main`` reads a request in its
 plain form (see ``_parse_plain``) itself, so a well-formed request never
@@ -34,7 +38,7 @@ import codecs
 import math
 import os
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, NamedTuple, NoReturn
 
@@ -134,9 +138,27 @@ def _render_report_json(path: str, report: ObstructionReport) -> str:
     )
 
 
+def _shown(path: str, stream: Any) -> str:
+    """``path`` as ``stream`` prints a file name: the name's own bytes, whatever its encoding.
+
+    Each byte that ``stream``'s encoding cannot decode becomes the escaped
+    byte that ``run``'s error handler writes back.  A name that is no bytes
+    at all, with a lone surrogate, or one that an encoding which is no
+    superset of ASCII (UTF-16) cannot decode, shows its surrogates
+    backslash-escaped instead, as ``backslashreplace`` writes them.
+    """
+    encoding = getattr(stream, "encoding", None)
+    if encoding is None:
+        return path
+    try:
+        return os.fsencode(path).decode(encoding, "surrogateescape")
+    except UnicodeError:
+        return path.encode("utf-8", "backslashreplace").decode()
+
+
 def _render_report_text(path: str, report: ObstructionReport) -> str:
     lines = [
-        f"file: {path}",
+        f"file: {_shown(path, sys.stdout)}",
         f"  n = {report.n}   delta = {_fmt(report.delta)}",
         f"  p = {_fmt(report.p)}   q = {_fmt(report.q)}   r = {_fmt(report.r)}",
         f"  lambda + 1/lambda = {_fmt(report.lambda_trace)}",
@@ -151,6 +173,20 @@ def _render_report_text(path: str, report: ObstructionReport) -> str:
     return "\n".join(lines)
 
 
+def _write_outcomes(outcomes: Iterable[tuple[int, str]]) -> int:
+    """Print each outcome as it comes, on its stream; the worst status, 0 for none.
+
+    An outcome is what ``check`` makes of one file: a status and the line
+    that reports it.  Status 0 or 1 goes with a report, printed on stdout,
+    and 2 with the file's error, printed on stderr.
+    """
+    worst = 0
+    for status, line in outcomes:
+        print(line, file=sys.stderr if status == 2 else sys.stdout)
+        worst = max(worst, status)
+    return worst
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     # here, not at start-up: no other command needs them
     from .graph import parse_pair
@@ -158,44 +194,29 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
     tol = DEFAULT_TRACE_TOL if args.tol is None else args.tol
     _check_tol(tol)  # once, before any file is read
-    if args.format == "json":
-        render = _render_report_json
-    else:
-        encoding = getattr(sys.stdout, "encoding", None)  # read before a fork: a worker's stdout has none
+    render = _render_report_json if args.format == "json" else _render_report_text
 
-        def render(path: str, report: ObstructionReport) -> str:
-            if encoding is not None:  # the name's own bytes, whatever the output encoding
-                path = os.fsencode(path).decode(encoding, "surrogateescape")
-            return _render_report_text(path, report)
-
-    def check(paths: list[str]) -> int:
-        """Report on each file in turn, on stdout or stderr; the status of the run."""
-        status = 0
-        for path in paths:
+    def check(path: str) -> tuple[int, str]:
+        """The outcome of one file; it prints nothing."""
+        try:
+            with open(path, "rb") as fh:
+                text = fh.read().removeprefix(codecs.BOM_UTF8).decode()
+        except (OSError, ValueError) as exc:  # ValueError: a name open() refuses, or not UTF-8
+            failure: Exception = exc
+        else:
             try:
-                with open(path, "rb") as fh:
-                    text = fh.read().removeprefix(codecs.BOM_UTF8).decode()
-            except (OSError, ValueError) as exc:  # ValueError: a name open() refuses, or not UTF-8
-                failure: Exception | None = exc
+                report = run_battery(*parse_pair(text), tol=tol)
+            except TripointError as exc:  # not ValueError: from here on, that is a bug
+                failure = exc
             else:
-                try:
-                    report, failure = run_battery(*parse_pair(text), tol=tol), None
-                except TripointError as exc:  # not ValueError: from here on, that is a bug
-                    failure = exc
-            if failure is not None:
-                status = 2
-                print(f"{path}: {failure}", file=sys.stderr)
-                continue
-            if report.has_failure:
-                status = max(status, 1)
-            print(render(path, report))
-        return status
+                return int(report.has_failure), render(path, report)
+        return 2, f"{_shown(path, sys.stderr)}: {failure}"
 
     if not args.may_fork or len(args.files) == 1:
-        return check(args.files)
+        return _write_outcomes(map(check, args.files))
     from .workers import check_batch  # here, not at start-up: only a batch may fork
 
-    return check_batch(check, args.files)
+    return check_batch(check, args.files, _write_outcomes)
 
 
 def _check_size(flag: str, value: int, least: int, even: bool = False) -> None:
@@ -497,6 +518,19 @@ def _unwritten(exc: OSError) -> int:
     return 2
 
 
+def _bytes_as_given(exc: UnicodeEncodeError) -> tuple[str | bytes, int]:
+    """The error handler of ``run``'s stdout and stderr, for one character they cannot encode.
+
+    An escaped byte (U+DC80 to U+DCFF), as ``surrogateescape`` and so
+    ``_shown`` decode a name's bytes, is written as that byte; anything
+    else is backslash-escaped, as ``backslashreplace`` writes it.
+    """
+    c = exc.object[exc.start]
+    if "\udc80" <= c <= "\udcff":
+        return bytes([ord(c) - 0xDC00]), exc.start + 1
+    return c.encode("ascii", "backslashreplace").decode(), exc.start + 1
+
+
 def run() -> NoReturn:
     """Run ``main`` as the whole process, then end it at once.
 
@@ -504,19 +538,26 @@ def run() -> NoReturn:
     here.  Nothing escapes as exit 1, which reads as an exclusion: a stdout
     pipe whose reader has gone exits 2 silently, any other failure to write
     the output exits 2 with one stderr line, and a crash exits 2 with its
-    traceback; argparse keeps its own status.  A file name that is not valid
-    UTF-8 prints as the bytes given, as ``ls`` prints it.  Once stdout and
-    stderr are flushed, ``os._exit`` skips the teardown of every module and
-    object, which would cost a short process about a tenth of its time; no
-    ``atexit`` hook runs.
+    traceback; argparse keeps its own status.  A file name prints as the
+    bytes given, as ``ls`` prints it, in a report and in an error line
+    alike, under any output encoding and also when they are not valid
+    UTF-8: ``_shown`` decodes the name's bytes for each stream, and both
+    streams write an escaped byte back as that byte with the one error
+    handler ``_bytes_as_given``.  Once stdout and stderr are flushed,
+    ``os._exit`` skips the teardown of every module and object, which would
+    cost a short process about a tenth of its time; no ``atexit`` hook runs.
 
     ``run`` also lets a large ``check`` batch fork a worker for each further
-    CPU (see ``tripoint.workers``); the output, in file order, and the exit
-    status, a worker's crash included, are those of one process.  ``main``
-    called without ``may_fork`` never forks.
+    CPU (see ``tripoint.workers``).  A worker prints nothing: it sends the
+    outcomes of its files back, and this process writes them in file order
+    with the same writer as its own, so the output and the exit status, a
+    worker's crash included, are those of one process.  ``main`` called
+    without ``may_fork`` never forks.
     """
-    if sys.stdout is not None:  # None when the process started with no stdout
-        sys.stdout.reconfigure(errors="surrogateescape")
+    codecs.register_error("tripoint.bytes_as_given", _bytes_as_given)
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None when the process started without it
+            stream.reconfigure(errors="tripoint.bytes_as_given")
     try:
         status = main(may_fork=True)
     except SystemExit as exc:  # argparse: 2 after a usage error, 0 after --help

@@ -467,8 +467,9 @@ def _tree_norm(tree: Tree) -> float:
     its error grows with the root's child count, and on spiders of up to
     60 legs the norm ended up to 4 ulps off.  The norm lands within an
     ulp of its exact value on the battery corpus, on paths, on doubled
-    tails and on 4,000 such spiders, and within 1.3 ulps on 4,000 random
-    trees with multiple edges (1.9 with the plain step).
+    tails and on 4,000 such spiders, and within 1.15 ulps on each of four
+    draws of 4,000 random trees with multiple edges (1.9 with the plain
+    step).
     """
     n, root, links, degree = tree
     children = [(v, w) for v, p, _, w in links if p == root]

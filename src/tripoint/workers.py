@@ -2,20 +2,27 @@
 
 ``cli.run`` hands a ``check`` batch of more than one file to
 ``check_batch``, which decides from what it can observe whether forking
-pays, cuts the batch into chunks and gives the output of one process.  A
-worker is forked after start-up and before any file is read, checks its
-chunk with the same function as the parent, and sends what that wrote to
-stdout and stderr, its status and any crash over a pipe as one
-``marshal`` message, then ends with ``os._exit``.
+pays, cuts the batch into chunks and gives the output of one process.
+``check`` turns one file into its outcome, a status and a line, and
+prints nothing; ``cli``'s writer alone prints outcomes and combines
+their statuses.  A worker is forked after start-up and before any file
+is read, checks its chunk with the same function as the parent, and
+sends the outcomes and any crash over a pipe as one ``marshal`` message,
+then ends with ``os._exit``.  A worker writes nothing to fds 1 and 2
+itself: anything ``check`` must say goes into its outcome.
 """
 
 from __future__ import annotations
 
-import itertools
 import marshal
 import os
 import sys
-from typing import Callable, NoReturn
+from typing import Callable, Iterable, Iterator, NoReturn
+
+#: ``check``: one file to its outcome, ``(status, line)``
+Check = Callable[[str], tuple[int, str]]
+#: the writer of outcomes, which returns their worst status
+Write = Callable[[Iterable[tuple[int, str]]], int]
 
 
 #: Pair-file bytes a ``check`` batch must have per process before it forks a
@@ -61,55 +68,39 @@ def _chunks(paths: list[str]) -> list[list[str]]:
     return [chunk for chunk in chunks if chunk]
 
 
-def check_batch(check: Callable[[list[str]], int], paths: list[str]) -> int:
-    """``check(paths)``, in forked workers when ``_chunks`` cuts ``paths`` in more than one."""
+def check_batch(check: Check, paths: list[str], write: Write) -> int:
+    """``write(map(check, paths))``, in forked workers when ``_chunks`` cuts ``paths`` in more than one."""
     chunks = _chunks(paths)
-    return check(paths) if len(chunks) == 1 else _check_in_workers(check, chunks)
+    return write(map(check, paths)) if len(chunks) == 1 else _check_in_workers(check, chunks, write)
 
 
 class WorkerCrash(Exception):
     """A forked ``check`` worker crashed; the message is its traceback."""
 
 
-class _Capture:
-    """A worker's stdout or stderr: each write is kept, in order with the other stream's."""
+def _work(check: Check, paths: list[str], write_end: int, inherited: list[int]) -> NoReturn:
+    """In a forked worker: send the outcomes of ``paths`` to ``write_end``.
 
-    def __init__(self, writes: list[tuple[int, str]], stream: int) -> None:
-        self.writes, self.stream = writes, stream
-
-    def write(self, text: str) -> None:
-        self.writes.append((self.stream, text))
-
-    def flush(self) -> None:
-        pass
-
-
-def _work(check: Callable[[list[str]], int], paths: list[str], write_end: int,
-          inherited: list[int]) -> NoReturn:
-    """In a forked worker: run ``check`` on ``paths`` and send what it wrote to ``write_end``.
-
-    The message is ``marshal``ed: the writes as ``(1 or 2, text)`` runs in
-    order, the status and the traceback of a crash, or None.  The worker
-    closes the ``inherited`` read ends and ends with ``os._exit`` whatever
-    happens, so it never returns into the parent's code; it exits 0 only
-    once the whole message is written.
+    The message is ``marshal``ed: the list of outcomes, in file order, and
+    the traceback of a crash, or None; a crash keeps the outcomes before
+    it.  The worker closes the ``inherited`` read ends and ends with
+    ``os._exit`` whatever happens, so it never returns into the parent's
+    code and never flushes the streams it inherited; it exits 0 only once
+    the whole message is written.
     """
     code = 1
     try:
         for fd in inherited:
             os.close(fd)
-        writes: list[tuple[int, str]] = []
-        sys.stdout, sys.stderr = _Capture(writes, 1), _Capture(writes, 2)
+        outcomes: list[tuple[int, str]] = []
         try:
-            status, crash = check(paths), None
+            outcomes.extend(map(check, paths))
+            crash = None
         except Exception:
             import traceback
 
-            status, crash = 2, traceback.format_exc()
-        runs: list[tuple[int, str]] = []
-        for stream, group in itertools.groupby(writes, key=lambda write: write[0]):
-            runs.append((stream, "".join(text for _, text in group)))
-        message = memoryview(marshal.dumps((runs, status, crash)))
+            crash = traceback.format_exc()
+        message = memoryview(marshal.dumps((outcomes, crash)))
         while message:
             message = message[os.write(write_end, message):]
         code = 0
@@ -117,17 +108,28 @@ def _work(check: Callable[[list[str]], int], paths: list[str], write_end: int,
         os._exit(code)
 
 
-def _check_in_workers(check: Callable[[list[str]], int], chunks: list[list[str]]) -> int:
-    """Run ``check`` on ``chunks[0]`` here and on each other chunk in a forked worker.
+def _check_in_workers(check: Check, chunks: list[list[str]], write: Write) -> int:
+    """Check ``chunks[0]`` here and each other chunk in a forked worker.
 
-    The output is that of one process running ``check`` on every chunk in
-    turn: this process streams its own chunk, then prints each worker's
-    writes in chunk order, and the status is the largest.  A worker's crash
-    is raised after the writes before it.  Every worker is reaped, on every
-    path; one still running when this ends early is killed first.  A chunk
-    that cannot be forked runs here, in its turn.
+    ``write`` gets the outcomes of one process checking every chunk in
+    turn: this process's own, as they come, then each worker's, in chunk
+    order.  A worker's crash is raised after the outcomes before it.  Every
+    worker is reaped, on every path, before this returns or raises; one
+    still running when this ends early is killed first.  A chunk that
+    cannot be forked is checked here, in its turn.
     """
     workers: dict[int, tuple[int, int]] = {}  # chunk index -> (pid, read end of its pipe)
+
+    def outcomes() -> Iterator[tuple[int, str]]:
+        for index, chunk in enumerate(chunks):
+            if index not in workers:
+                yield from map(check, chunk)
+                continue
+            done, crash = marshal.loads(_collect(*workers.pop(index)))
+            yield from done
+            if crash is not None:
+                raise WorkerCrash(crash.rstrip("\n"))
+
     try:
         for index in range(1, len(chunks)):
             read_end, write_end = os.pipe()
@@ -142,18 +144,7 @@ def _check_in_workers(check: Callable[[list[str]], int], chunks: list[list[str]]
                 _work(check, chunks[index], write_end, inherited)
             os.close(write_end)
             workers[index] = (pid, read_end)
-        status = 0
-        for index, chunk in enumerate(chunks):
-            if index not in workers:
-                status = max(status, check(chunk))
-                continue
-            runs, worker_status, crash = marshal.loads(_collect(*workers.pop(index)))
-            for stream, text in runs:
-                (sys.stdout if stream == 1 else sys.stderr).write(text)
-            status = max(status, worker_status)
-            if crash is not None:
-                raise WorkerCrash(crash.rstrip("\n"))
-        return status
+        return write(outcomes())
     finally:
         for pid, read_end in workers.values():
             _reap(pid, read_end, kill=True)

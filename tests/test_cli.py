@@ -1322,16 +1322,18 @@ def test_check_prints_a_file_name_that_is_not_utf8_as_its_bytes(tmp_path):
     assert names == [b"file: " + bad, b"file: " + os.fsencode(plain)]
 
 
-#: ``python -m tripoint.cli`` as if on three CPUs; each fork is announced on stderr
-FORKING_ENTRY = """
+#: ``python -m tripoint.cli`` as if on the number of CPUs in ``sys.argv[1]``;
+#: each fork is announced on stderr, before any file is read
+ENTRY_ON_CPUS = """
 import os
 import runpy
 import sys
 
 fork = os.fork
 os.fork = lambda: os.write(2, b"fork\\n") and fork()
-os.sched_getaffinity = lambda pid: {0, 1, 2}
-sys.argv = ["tripoint", *sys.argv[1:]]
+cpus = set(range(int(sys.argv[1])))
+os.sched_getaffinity = lambda pid: cpus
+sys.argv = ["tripoint", *sys.argv[2:]]
 runpy.run_module("tripoint.cli", run_name="__main__")
 """
 
@@ -1347,7 +1349,7 @@ def test_text_output_prints_a_name_the_output_encoding_cannot_encode(tmp_path, f
     paths = [tmp_path / f"{i}.pair" for i in range(5 if forked else 0)] + [tmp_path / "café.pair"]
     for path in paths:
         path.write_text(pad + README_PAIR)
-    entry = ["-c", FORKING_ENTRY] if forked else ["-m", "tripoint.cli"]
+    entry = ["-c", ENTRY_ON_CPUS, "3"] if forked else ["-m", "tripoint.cli"]
     outputs = []
     for encoding in ("ascii", "utf-8"):
         proc = subprocess.run(
@@ -1360,6 +1362,80 @@ def test_text_output_prints_a_name_the_output_encoding_cannot_encode(tmp_path, f
     assert names == [b"file: " + os.fsencode(path) for path in paths]
     assert names[-1].endswith(b"/caf\xc3\xa9.pair")
     assert outputs[0] == outputs[1]
+
+
+def test_the_entry_prints_names_as_their_bytes_on_both_streams_forked_or_not(tmp_path):
+    """``python -m tripoint.cli check`` on a batch that forks on three CPUs, and on one CPU.
+
+    Each of the six files is padded to ``FORK_MIN_BYTES``, so the three
+    chunks are two files each: the failing ``café.pair`` and ``naïve.pair``,
+    which quotes a token ``'é'``, go to the first worker, the malformed
+    ``bad\\xff.pair`` to the second.  Both runs print the same bytes and exit alike under
+    each output encoding.  An error line shows its file name as the name's
+    bytes, as a report does, and the rest of its message as stderr writes
+    it; a JSON report writes the name as the same escapes under either
+    encoding.
+    """
+    pad = b"#" + b"." * workers.FORK_MIN_BYTES + b"\n"
+    malformed = b"[principal]\n"
+    token = b"[principal]\ndepths: 2\ncounts: 1 1\nedges: \xc3\xa9\n[dual]\n"
+    root = os.fsencode(tmp_path)
+    files = [(b"0.pair", README_PAIR.encode()), (b"1.pair", README_PAIR.encode()),
+             ("café.pair".encode(), README_PAIR.encode()), ("naïve.pair".encode(), token),
+             (b"4.pair", README_PAIR.encode()), (b"bad\xff.pair", malformed)]
+    paths = [os.path.join(root, name) for name, _ in files]
+    try:
+        for path, (_, text) in zip(paths, files):
+            with open(path, "wb") as fh:
+                fh.write(pad + text)
+    except OSError:
+        pytest.skip("the filesystem refuses a file name that is not UTF-8")
+    errors = []
+    for path, text in ((paths[3], token), (paths[5], malformed)):
+        with pytest.raises(TripointError) as excinfo:
+            parse_pair((pad + text).decode())
+        errors.append((path, str(excinfo.value)))
+    outputs = {}
+    for fmt in ("text", "json"):
+        for encoding in ("utf-8", "ascii"):
+            for cpus in (1, 3):
+                proc = subprocess.run(
+                    [sys.executable, "-c", ENTRY_ON_CPUS, str(cpus), "check", "--format", fmt, *paths],
+                    capture_output=True, env=dict(subprocess_env(), PYTHONIOENCODING=encoding), timeout=60,
+                )
+                forks = b"fork\n" * 2 if cpus == 3 else b""
+                assert proc.stderr.startswith(forks), (fmt, encoding, cpus)
+                outputs[fmt, encoding, cpus] = proc.returncode, proc.stdout, proc.stderr[len(forks):]
+            assert outputs[fmt, encoding, 1] == outputs[fmt, encoding, 3], (fmt, encoding)
+            status, stdout, stderr = outputs[fmt, encoding, 1]
+            assert status == 2
+            assert stderr == b"".join(
+                path + b": " + message.encode(encoding, "backslashreplace") + b"\n" for path, message in errors
+            )
+            reported = [path for path in paths if path not in dict(errors)]
+            if fmt == "text":
+                names = [line for line in stdout.splitlines() if line.startswith(b"file: ")]
+                assert names == [b"file: " + path for path in reported]
+            else:
+                assert [json.loads(line)["file"] for line in stdout.splitlines()] == list(map(os.fsdecode, reported))
+    assert b"\\xe9" in outputs["text", "ascii", 1][2] and b"'\xc3\xa9'" in outputs["text", "utf-8", 1][2]
+    assert outputs["json", "utf-8", 1][1] == outputs["json", "ascii", 1][1]
+
+
+def test_an_encoding_that_cannot_decode_a_name_escapes_it_with_no_traceback(tmp_path):
+    """UTF-16 is no superset of ASCII: it cannot carry a stray byte, so the name escapes it."""
+    bad = os.path.join(os.fsencode(tmp_path), b"bad\xff.pair")
+    try:
+        with open(bad, "w") as fh:
+            fh.write("[principal]\n")
+    except OSError:
+        pytest.skip("the filesystem refuses a file name that is not UTF-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "tripoint.cli", "check", bad],
+        capture_output=True, env=dict(subprocess_env(), PYTHONIOENCODING="utf-16"), timeout=60,
+    )
+    escaped = os.fsdecode(bad).encode("utf-8", "backslashreplace").decode()
+    assert (proc.returncode, proc.stderr.decode("utf-16")) == (2, f"{escaped}: missing [dual] section\n")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
