@@ -12,17 +12,17 @@ Besides ``check``, which reports each file's error and goes on, only
 with exit 1.  ``check`` makes each file one outcome, a status and a line,
 and one writer, ``_write_outcomes``, prints them and combines their
 statuses.  ``run`` is the process entry: under it a report on stdout and
-an error line on stderr print a file name as the bytes given, whatever
-the output encoding and also when they are not valid UTF-8; it turns
-what escapes ``main`` into exit 2 and ends the process without
-interpreter teardown; it alone lets a large ``check`` batch fork
-(``tripoint.workers``), whose workers send back outcomes for the same
-writer, so the output and exit status are those of one process.  Each
-command imports only what it runs: ``check`` alone loads the graph
-layer, ``check`` and ``ratios`` alone the obstruction tests and
-``matrix`` alone the branch matrix, so start-up loads none of them.  Nor
-does any command load the ``json`` package, whose decoder no command
-needs: ``_json`` and ``_render_report_json`` write the bytes of
+an error line on stderr print a file name as the bytes given, under any
+output encoding that is a superset of ASCII and also when they are not
+valid UTF-8; it turns what escapes ``main`` into exit 2 and ends the
+process without interpreter teardown; it alone lets a large ``check``
+batch fork (``tripoint.workers``), whose workers send back outcomes for
+the same writer, so the output and exit status are those of one
+process.  Each command imports only what it runs: ``check`` alone loads
+the graph layer, ``check`` and ``ratios`` alone the obstruction tests
+and ``matrix`` alone the branch matrix, so start-up loads none of them.
+Nor does any command load the ``json`` package, whose decoder no
+command needs: ``_json`` and ``_render_report_json`` write the bytes of
 ``json.dumps`` with ``allow_nan=False``.
 
 The grammar is the table ``_COMMANDS``.  ``main`` reads a request in its
@@ -138,22 +138,28 @@ def _render_report_json(path: str, report: ObstructionReport) -> str:
     )
 
 
-def _shown(path: str, stream: Any) -> str:
-    """``path`` as ``stream`` prints a file name: the name's own bytes, whatever its encoding.
+#: The error handler that ``run`` sets on stdout and stderr (see ``_bytes_as_given``).
+_BYTES_AS_GIVEN = "tripoint.bytes_as_given"
 
-    Each byte that ``stream``'s encoding cannot decode becomes the escaped
-    byte that ``run``'s error handler writes back.  A name that is no bytes
-    at all, with a lone surrogate, or one that an encoding which is no
-    superset of ASCII (UTF-16) cannot decode, shows its surrogates
-    backslash-escaped instead, as ``backslashreplace`` writes them.
+
+def _shown(path: str, stream: Any) -> str:
+    """``path`` as ``stream`` prints a file name: under ``run``, the name's own bytes.
+
+    Only a stream whose error handler is ``run``'s writes an escaped byte
+    back as that byte; there, under an encoding that is a superset of
+    ASCII, each byte that the encoding cannot decode becomes such an
+    escaped byte.  Under any other encoding (UTF-16), and for a name that
+    is no bytes at all (a lone surrogate), the name's surrogates are
+    backslash-escaped instead.  Any other stream gets ``path`` as it is.
     """
-    encoding = getattr(stream, "encoding", None)
-    if encoding is None:
+    if getattr(stream, "errors", None) != _BYTES_AS_GIVEN:
         return path
-    try:
-        return os.fsencode(path).decode(encoding, "surrogateescape")
-    except UnicodeError:
-        return path.encode("utf-8", "backslashreplace").decode()
+    if "a".encode(stream.encoding) == b"a":
+        try:
+            return os.fsencode(path).decode(stream.encoding, "surrogateescape")
+        except UnicodeError:  # a lone surrogate: fsencode refuses it
+            pass
+    return path.encode("utf-8", "backslashreplace").decode()
 
 
 def _render_report_text(path: str, report: ObstructionReport) -> str:
@@ -522,8 +528,9 @@ def _bytes_as_given(exc: UnicodeEncodeError) -> tuple[str | bytes, int]:
     """The error handler of ``run``'s stdout and stderr, for one character they cannot encode.
 
     An escaped byte (U+DC80 to U+DCFF), as ``surrogateescape`` and so
-    ``_shown`` decode a name's bytes, is written as that byte; anything
-    else is backslash-escaped, as ``backslashreplace`` writes it.
+    ``_shown`` decode a name's bytes under an encoding that is a superset
+    of ASCII, is written as that byte; anything else is backslash-escaped,
+    as ``backslashreplace`` writes it.
     """
     c = exc.object[exc.start]
     if "\udc80" <= c <= "\udcff":
@@ -540,12 +547,13 @@ def run() -> NoReturn:
     the output exits 2 with one stderr line, and a crash exits 2 with its
     traceback; argparse keeps its own status.  A file name prints as the
     bytes given, as ``ls`` prints it, in a report and in an error line
-    alike, under any output encoding and also when they are not valid
-    UTF-8: ``_shown`` decodes the name's bytes for each stream, and both
-    streams write an escaped byte back as that byte with the one error
-    handler ``_bytes_as_given``.  Once stdout and stderr are flushed,
-    ``os._exit`` skips the teardown of every module and object, which would
-    cost a short process about a tenth of its time; no ``atexit`` hook runs.
+    alike, under any output encoding that is a superset of ASCII and also
+    when they are not valid UTF-8: ``_shown`` decodes the name's bytes for
+    each stream, and both streams write an escaped byte back as that byte
+    with the one error handler ``_bytes_as_given``.  Once stdout and
+    stderr are flushed, ``os._exit`` skips the teardown of every module and
+    object, which would cost a short process about a tenth of its time; no
+    ``atexit`` hook runs.
 
     ``run`` also lets a large ``check`` batch fork a worker for each further
     CPU (see ``tripoint.workers``).  A worker prints nothing: it sends the
@@ -554,10 +562,10 @@ def run() -> NoReturn:
     worker's crash included, are those of one process.  ``main`` called
     without ``may_fork`` never forks.
     """
-    codecs.register_error("tripoint.bytes_as_given", _bytes_as_given)
+    codecs.register_error(_BYTES_AS_GIVEN, _bytes_as_given)
     for stream in (sys.stdout, sys.stderr):
         if stream is not None:  # None when the process started without it
-            stream.reconfigure(errors="tripoint.bytes_as_given")
+            stream.reconfigure(errors=_BYTES_AS_GIVEN)
     try:
         status = main(may_fork=True)
     except SystemExit as exc:  # argparse: 2 after a usage error, 0 after --help

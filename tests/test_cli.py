@@ -1422,20 +1422,33 @@ def test_the_entry_prints_names_as_their_bytes_on_both_streams_forked_or_not(tmp
     assert outputs["json", "utf-8", 1][1] == outputs["json", "ascii", 1][1]
 
 
-def test_an_encoding_that_cannot_decode_a_name_escapes_it_with_no_traceback(tmp_path):
-    """UTF-16 is no superset of ASCII: it cannot carry a stray byte, so the name escapes it."""
-    bad = os.path.join(os.fsencode(tmp_path), b"bad\xff.pair")
+def test_an_encoding_that_is_no_superset_of_ascii_prints_names_with_no_traceback(tmp_path):
+    """Under UTF-16 a name prints as its characters, its stray bytes escaped.
+
+    Names of each length parity, so that the test does not depend on the
+    length of the temporary path: a UTF-16 decode of an even number of
+    bytes succeeds, into unrelated characters.
+    """
+    root = os.fsencode(tmp_path)
+    files = [(b"bad\xff.pair", b"[principal]\n"), (b"bad\xff.pairs", b"[principal]\n"),
+             (b"bad.pair", b"[principal]\n"), (b"bad.pairs", b"[principal]\n"),
+             (b"ok.pair", README_PAIR.encode()), (b"ok.pairs", README_PAIR.encode())]
+    paths = [os.path.join(root, name) for name, _ in files]
     try:
-        with open(bad, "w") as fh:
-            fh.write("[principal]\n")
+        for path, (_, text) in zip(paths, files):
+            with open(path, "wb") as fh:
+                fh.write(text)
     except OSError:
         pytest.skip("the filesystem refuses a file name that is not UTF-8")
     proc = subprocess.run(
-        [sys.executable, "-m", "tripoint.cli", "check", bad],
+        [sys.executable, "-m", "tripoint.cli", "check", *paths],
         capture_output=True, env=dict(subprocess_env(), PYTHONIOENCODING="utf-16"), timeout=60,
     )
-    escaped = os.fsdecode(bad).encode("utf-8", "backslashreplace").decode()
-    assert (proc.returncode, proc.stderr.decode("utf-16")) == (2, f"{escaped}: missing [dual] section\n")
+    shown = [os.fsdecode(path).encode("utf-8", "backslashreplace").decode() for path in paths]
+    assert proc.returncode == 2
+    assert proc.stderr.decode("utf-16") == "".join(f"{name}: missing [dual] section\n" for name in shown[:4])
+    names = [line for line in proc.stdout.decode("utf-16").splitlines() if line.startswith("file: ")]
+    assert names == [f"file: {name}" for name in shown[4:]]
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
