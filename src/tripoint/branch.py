@@ -9,18 +9,24 @@ the middle coordinate of the image exposes the rotational eigenvalue lambda.
 Im(tau) is taken >= 0: the other root conjugates lambda and leaves
 lambda + 1/lambda, the only value the battery reads, unchanged.
 
-``build_branch_matrix``, the engine of ``tripoint matrix``, checks
-p + q = [n+1] before it solves for the phases, so an inconsistent request
-is an input error and never reads as "no unitary phase".
+``build_branch_matrix`` checks p + q = [n+1] before it solves for the
+phases, so an inconsistent request is an input error and never reads as
+"no unitary phase".  It is the engine of ``tripoint matrix``, whose
+handler ``_cmd_matrix`` lives here too: ``cli`` loads this module only for
+that command, and no other command needs either.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
+from .common import _check_size, _fmt, _json
 from .errors import InvalidArgument, NoUnitaryPhase, UnsupportedIndex
 from .qnum import NUMERIC_TOL, QuantumContext
+
+if TYPE_CHECKING:
+    import argparse
 
 Entries = tuple[tuple[complex | None, ...], ...]
 
@@ -104,3 +110,58 @@ def build_branch_matrix(ctx: QuantumContext, n: int, p: float, q: float) -> Bran
     if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
         raise UnsupportedIndex(f"lambda for n = {n} overflows double precision")
     return BranchMatrix(sigma, tau, entries, lam)
+
+
+# ---------------------------------------------------------------------------
+# the ``matrix`` command
+
+def _fmt_complex(z: complex) -> str:
+    return f"{z.real:.12g}{z.imag:+.12g}i"
+
+
+def _complex_dict(z: complex) -> dict:
+    return {"re": z.real, "im": z.imag}
+
+
+def _cmd_matrix(args: argparse.Namespace) -> int:
+    _check_size("--n", args.n, 2)
+    ctx = QuantumContext(args.delta)
+    try:
+        matrix = build_branch_matrix(ctx, args.n, args.p, args.q)
+    except NoUnitaryPhase:
+        print("no unitary phase: p - q > 1")
+        return 1
+    trace = 2.0 * matrix.lam.real
+    if args.format == "json":
+        payload = {
+            "n": args.n,
+            "delta": ctx.delta,
+            "p": args.p,
+            "q": args.q,
+            "entries": [
+                [None if z is None else _complex_dict(z) for z in row]
+                for row in matrix.entries
+            ],
+            "sigma": _complex_dict(matrix.sigma),
+            "tau": _complex_dict(matrix.tau),
+            "lambda": _complex_dict(matrix.lam),
+            "lambda_trace": trace,
+        }
+        print(_json(payload))
+    else:
+        print(
+            f"branch matrix for n = {args.n}, delta = {_fmt(ctx.delta)},"
+            f" p = {_fmt(args.p)}, q = {_fmt(args.q)}"
+        )
+        cells = [
+            ["?" if z is None else _fmt(z.real) if abs(z.imag) <= NUMERIC_TOL else _fmt_complex(z) for z in row]
+            for row in matrix.entries
+        ]
+        width = max(len(c) for row in cells for c in row)
+        for row in cells:
+            print("  [ " + "   ".join(c.ljust(width) for c in row) + " ]")
+        print(f"sigma  = {_fmt_complex(matrix.sigma)}")
+        print(f"tau    = {_fmt_complex(matrix.tau)}")
+        print(f"lambda = {_fmt_complex(matrix.lam)}")
+        print(f"lambda + 1/lambda = {_fmt(trace)}")
+    return 0

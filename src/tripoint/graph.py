@@ -23,10 +23,10 @@ the largest root of the last pivot of a leaf-to-root elimination of
 ``sigma I - A``, found by safeguarded Newton, and two steps of inverse
 iteration just above it, each an O(V) elimination and back substitution,
 give the vector.  A graph with a cycle takes a dense half-size solve with
-numpy: a graded graph is bipartite between even and odd depths, so the norm
-is the square root of the largest eigenvalue of ``B B^T``, with B the
-even-by-odd biadjacency, and the same two inverse-iteration steps give the
-vector.  Either way every entry, however small, keeps most of double
+numpy, in ``tripoint.dense``: a graded graph is bipartite between even and
+odd depths, so the norm is the square root of the largest eigenvalue of
+``B B^T``, with B the even-by-odd biadjacency, and the same two
+inverse-iteration steps give the vector.  Either way every entry, however small, keeps most of double
 precision (figures in ``GradedBigraph._vector``), and any failure raises
 ``UnsupportedIndex``.  Note that for an incomplete candidate graph these
 dimensions differ from those of any completion, so verdicts derived from a
@@ -50,10 +50,10 @@ graph alone checks that each edge fits the counts, in the order given, and
 the parser reports its first misfit as that token's error; the graph then
 sorts its edges and indexes its vertices in one pass.  A self-dual pair
 file, whose two sections describe the same graph, yields one graph object
-for both sections, so it is parsed and solved once.  numpy is imported
-only when a graph with a cycle is first solved, so importing this module,
-parsing, checking a pair of trees and the non-spectral commands never load
-it.
+for both sections, so it is parsed and solved once.  ``tripoint.dense``,
+and with it numpy, is imported only when a graph with a cycle is first
+solved, so importing this module, parsing, checking a pair of trees and
+the non-spectral commands never compile the one or load the other.
 """
 
 from __future__ import annotations
@@ -197,7 +197,7 @@ class GradedBigraph(_Graph):
         A tree is solved in pure Python (``_tree_norm``), so checking a tree
         pair never imports numpy; a float norm within ``NUMERIC_TOL`` of 2 is
         decided exactly (``_norm_is_two``).  A graph with a cycle takes one
-        ``eigvalsh`` of the even-side Gram matrix (``_dense_norm``).
+        ``eigvalsh`` of the even-side Gram matrix (``dense._dense_norm``).
         """
         tree = self._tree
         if tree is None:
@@ -211,9 +211,9 @@ class GradedBigraph(_Graph):
 
         Only ``_dimensions`` reads it, so of a pair only the principal graph
         is solved for its vector: the dual gives its norm and its shape.
-        Both paths (``_tree_vector``, ``_dense_vector``) take two steps of
-        inverse iteration with ``sigma I - A`` at ``sigma = delta (1 + 4
-        eps)``, starting from ones, and the result is scaled to unit length
+        Both paths (``_tree_vector``, ``dense._dense_vector``) take two
+        steps of inverse iteration with ``sigma I - A`` at ``sigma = delta
+        (1 + 4 eps)``, starting from ones, and the result is scaled to unit length
         and a positive sum here.  Unlike a dense eigensolver, whose vector
         entries carry an absolute error of about eps, this keeps small
         entries (the root of a graph whose dimensions grow far from it) to a
@@ -229,7 +229,12 @@ class GradedBigraph(_Graph):
         if self.vertex_count == 1:
             return (1.0,)
         sigma, tree = self._norm * (1 + 4 * sys.float_info.epsilon), self._tree
-        vec = _dense_vector(self, sigma) if tree is None else _tree_vector(tree, sigma)
+        if tree is None:
+            from .dense import _dense_vector  # loaded with ``_dense``, which ``_norm`` read
+
+            vec = _dense_vector(self, sigma)
+        else:
+            vec = _tree_vector(tree, sigma)
         norm = math.copysign(math.hypot(*vec), math.fsum(vec))
         if not all(x / norm > 0 for x in vec):
             raise UnsupportedIndex("Perron vector is not strictly positive in double precision")
@@ -237,7 +242,9 @@ class GradedBigraph(_Graph):
 
     @cached_property
     def _dense(self) -> tuple:
-        """``_dense_norm``: the norm of a graph with a cycle and what its vector solve reuses."""
+        """``dense._dense_norm``: the norm of a graph with a cycle and what its vector solve reuses."""
+        from .dense import _dense_norm  # here, not at start-up: it loads numpy
+
         return _dense_norm(self)
 
     def valence(self, depth: int, index: int) -> int:
@@ -561,66 +568,6 @@ def _tree_vector(tree: Tree, sigma: float) -> list[float]:
     except ZeroDivisionError:
         raise UnsupportedIndex("Perron solve failed: zero pivot") from None
     return x
-
-
-def _dense_norm(g: GradedBigraph) -> tuple:
-    """The norm of a graph with a cycle, with the even-depth mask, B and ``G = B B^T``.
-
-    Depth parity splits the graph into even and odd sides, so on them its
-    adjacency is ``[[0, B], [B^T, 0]]``, with B the even-by-odd block.  A
-    mask of the even depths over the graph's flat index ranks each vertex
-    on its side, and each edge is counted straight into B at the ranks of
-    its even and its odd end, so nothing of size V x V is allocated.  The
-    norm is the square root of the largest eigenvalue of G, whose entries
-    are small integers and so exact.  The mask, B and G come back with it
-    for ``_dense_vector``.
-    """
-    import numpy as np
-
-    offsets = g._offsets
-    size = offsets[-1]
-    even = np.zeros(size, dtype=bool)
-    for lo, hi in zip(offsets[::2], offsets[1::2]):
-        even[lo:hi] = True
-    even_rank, odd_rank = np.cumsum(even) - 1, np.cumsum(~even) - 1
-    n_even = int(np.count_nonzero(even))
-    n_odd = size - n_even
-    depth, u, v = np.array(g.edges).T
-    starts = np.array(offsets)
-    top, bottom = starts[depth] + u, starts[depth + 1] + v  # flat index of each end
-    odd_top = depth % 2 == 1
-    cells = (even_rank[np.where(odd_top, bottom, top)] * n_odd
-             + odd_rank[np.where(odd_top, top, bottom)])
-    b = np.bincount(cells, minlength=n_even * n_odd).reshape(n_even, n_odd).astype(float)
-    gram = b @ b.T
-    try:
-        return math.sqrt(np.linalg.eigvalsh(gram)[-1]), even, b, gram
-    except np.linalg.LinAlgError as exc:
-        raise UnsupportedIndex(f"Perron solve failed: {exc}") from None
-
-
-def _dense_vector(g: GradedBigraph, sigma: float) -> list[float]:
-    """Perron vector of a graph with a cycle, by inverse iteration at ``sigma``.
-
-    Each step is solved through the Schur complement ``sigma^2 I - G`` on
-    the even side, with the mask, B and G of ``_dense_norm``, and the two
-    halves of the vector go back into flat order through the mask.
-    """
-    import numpy as np
-
-    _, even, b, gram = g._dense
-    schur = -gram
-    schur.flat[:: len(gram) + 1] += sigma * sigma
-    x_even, x_odd = np.ones(b.shape[0]), np.ones(b.shape[1])
-    try:
-        for _ in range(2):
-            x_even = np.linalg.solve(schur, sigma * x_even + b @ x_odd)
-            x_odd = (x_odd + b.T @ x_even) / sigma
-    except np.linalg.LinAlgError as exc:
-        raise UnsupportedIndex(f"Perron solve failed: {exc}") from None
-    vec = np.empty(len(even))
-    vec[even], vec[~even] = x_even, x_odd
-    return vec.tolist()
 
 
 def graph_norm(g: GradedBigraph) -> float:

@@ -4,7 +4,7 @@
 ``check_batch``, which decides from what it can observe whether forking
 pays, cuts the batch into chunks and gives the output of one process.
 ``check`` turns one file into its outcome, a status and a line, and
-prints nothing; ``cli``'s writer alone prints outcomes and combines
+prints nothing; ``check``'s writer alone prints outcomes and combines
 their statuses.  A worker is forked after start-up and before any file
 is read, checks its chunk with the same function as the parent, and
 sends the outcomes and any crash over a pipe as one ``marshal`` message,

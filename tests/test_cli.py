@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import helpers
 import tripoint
 from tripoint import graph as graph_module
-from tripoint import branch, cli, obstruct, workers
+from tripoint import branch, cli, common, obstruct, workers
 from tripoint.branch import build_branch_matrix
 from tripoint.cli import SIZE_LIMIT, main
 from tripoint.errors import TripointError
@@ -318,13 +318,13 @@ JSON_INTS = st.one_of(st.integers(), st.integers(-(10 ** 400), 10 ** 400))
 @settings(max_examples=500, deadline=None)
 @given(text=JSON_TEXT)
 def test_json_strings_match_json_dumps(text):
-    assert cli._json_str(text) == json.dumps(text)
+    assert common._json_str(text) == json.dumps(text)
 
 
 @settings(max_examples=500, deadline=None)
 @given(x=JSON_FLOATS)
 def test_json_numbers_match_json_dumps_of_the_rounded_float(x):
-    assert cli._json_num(x) == json.dumps(helpers.reference_rounded(x), allow_nan=False)
+    assert common._json_num(x) == json.dumps(helpers.reference_rounded(x), allow_nan=False)
 
 
 @settings(max_examples=300, deadline=None)
@@ -334,14 +334,14 @@ def test_json_numbers_match_json_dumps_of_the_rounded_float(x):
     max_leaves=20,
 ))
 def test_json_writer_matches_json_dumps_of_the_rounded_payload(value):
-    assert cli._json(value) == json.dumps(helpers.reference_rounded(value), allow_nan=False)
+    assert common._json(value) == json.dumps(helpers.reference_rounded(value), allow_nan=False)
 
 
 @pytest.mark.parametrize("bad", [math.nan, -math.nan, math.inf, -math.inf])
 def test_json_writer_refuses_non_finite_floats(bad):
     with pytest.raises(ValueError, match="not JSON compliant"):
         json.dumps(bad, allow_nan=False)
-    for write in (cli._json_num, cli._json, lambda x: cli._json({"values": [0.0, x]})):
+    for write in (common._json_num, common._json, lambda x: common._json({"values": [0.0, x]})):
         with pytest.raises(ValueError, match="not JSON compliant"):
             write(bad)
 
@@ -644,26 +644,27 @@ def test_check_tree_vector_that_is_not_one_signed_exits_two(passing_file, monkey
 
 NUMPY_PROBE = """
 import io, json, sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 if sys.argv[2] == "blocked":
     sys.modules["numpy"] = None  # any import of numpy now raises ImportError
 
 import tripoint.cli
 
+MODULES = ("tripoint.branch", "tripoint.graph", "tripoint.check", "tripoint.dense", "tripoint.usage")
+
 
 def modules():
-    return (
-        sys.modules.get("numpy") is not None,
-        "tripoint.branch" in sys.modules,
-        "tripoint.graph" in sys.modules,
-    )
+    return (sys.modules.get("numpy") is not None, *(name in sys.modules for name in MODULES))
 
 
 loaded = {"import tripoint.cli": modules()}
 for argv in json.loads(sys.argv[1]):
-    with redirect_stdout(io.StringIO()) as out:
-        code = tripoint.cli.main(argv)
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()):
+        try:
+            code = tripoint.cli.main(argv)
+        except SystemExit as exc:  # argparse, after a usage error
+            code = exc.code
     loaded[" ".join(argv)] = (*modules(), code, out.getvalue())
 print(json.dumps(loaded))
 """
@@ -678,11 +679,13 @@ def probe_numpy(commands: list[list[str]], numpy: str = "allowed") -> dict:
 
 
 def test_numpy_loads_only_when_a_graph_is_solved(passing_file, cycle_file):
-    """Only a graph with a cycle loads numpy, only ``matrix`` loads ``tripoint.branch``
-    and only ``check`` loads ``tripoint.graph``.
+    """Only a graph with a cycle loads numpy and ``tripoint.dense``, only ``matrix`` loads
+    ``tripoint.branch``, only ``check`` loads ``tripoint.graph`` and ``tripoint.check``, and
+    only help or a usage error loads ``tripoint.usage``.
 
     The commands run in one process, so each entry says what is loaded
-    after it: (numpy, tripoint.branch, tripoint.graph, exit code, stdout).
+    after it: (numpy, tripoint.branch, tripoint.graph, tripoint.check,
+    tripoint.dense, tripoint.usage, exit code, stdout).
     """
     half = repr(QuantumContext(2.1).qint(5) / 2.0)
     commands = [
@@ -691,19 +694,22 @@ def test_numpy_loads_only_when_a_graph_is_solved(passing_file, cycle_file):
         ["matrix", "--n", "4", "--delta", "2.1", "--p", half, "--q", half],
         ["check", passing_file],
         ["check", cycle_file],
+        ["qnum", "--delta", "2.5"],  # a usage error
     ]
     loaded = probe_numpy(commands)
-    assert loaded.pop("import tripoint.cli") == [False, False, False]
-    *plain, matrix, tree_check, cycle_check = (loaded[" ".join(argv)] for argv in commands)
-    assert [entry[:4] for entry in plain] == [[False, False, False, 0]] * 2
-    assert matrix[:4] == [False, True, False, 0]
-    assert matrix[4].startswith("branch matrix for n = 4, delta = 2.1,")
-    assert tree_check[:4] == [False, True, True, 0]
-    assert cycle_check[:4] == [True, True, True, 0]  # the probe does see numpy once a cycle is solved
+    assert loaded.pop("import tripoint.cli") == [False] * 6
+    *plain, matrix, tree_check, cycle_check, usage_error = (loaded[" ".join(argv)] for argv in commands)
+    assert [entry[:7] for entry in plain] == [[False] * 6 + [0]] * 2
+    assert matrix[:7] == [False, True, False, False, False, False, 0]
+    assert matrix[7].startswith("branch matrix for n = 4, delta = 2.1,")
+    assert tree_check[:7] == [False, True, True, True, False, False, 0]
+    # the probe does see numpy once a cycle is solved
+    assert cycle_check[:7] == [True, True, True, True, True, False, 0]
+    assert usage_error[:7] == [True, True, True, True, True, True, 2]
 
     blocked = probe_numpy([["check", passing_file]], numpy="blocked")
-    assert blocked[f"check {passing_file}"] == [False, False, True, 0, tree_check[4]]
-    assert tree_check[4].startswith(f"file: {passing_file}")
+    assert blocked[f"check {passing_file}"] == [False, False, True, True, False, False, 0, tree_check[7]]
+    assert tree_check[7].startswith(f"file: {passing_file}")
 
 
 START_UP_PROBE = """
@@ -733,11 +739,14 @@ def test_start_up_loads_no_dataclasses_machinery(passing_file, batch_files):
     """Neither the import of the CLI nor a tree check loads dataclasses or what it pulls in.
 
     Nor do they load ``tripoint.branch``, which only ``matrix`` imports,
+    ``tripoint.dense``, which only a graph with a cycle imports,
+    ``tripoint.usage``, which only help and usage errors import,
     ``tripoint.workers``, which only a ``check`` of more than one file under
     ``run`` imports, the process pools and ``pickle``, which a forked batch
     does without, the ``utf-8-sig`` codec, since ``check`` strips a
     byte-order mark itself, or ``json``, since the CLI writes its own JSON.
-    The import alone loads no ``tripoint.obstruct`` either.
+    The import alone loads neither ``tripoint.obstruct`` nor
+    ``tripoint.check``, which only ``check`` imports.
 
     This is why no value of the package is a dataclass: importing
     ``dataclasses`` loads ``inspect`` and ``ast``, 9.2 to 11.6 ms by
@@ -753,9 +762,11 @@ def test_start_up_loads_no_dataclasses_machinery(passing_file, batch_files):
     loaded = json.loads(proc.stdout.splitlines()[-1])
     assert (loaded["code"], loaded["forks"]) == (0, 1)
     assert "tripoint.cli" in loaded["import"]  # the probe does see what the import loads
-    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "tripoint.branch",
-             "multiprocessing", "concurrent.futures", "pickle", "encodings.utf_8_sig", "json"}
-    assert (heavy | {"tripoint.obstruct"}).intersection(loaded["import"]) == set()
+    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "tripoint.branch", "tripoint.dense",
+             "tripoint.usage", "multiprocessing", "concurrent.futures", "pickle", "encodings.utf_8_sig",
+             "json"}
+    assert (heavy | {"tripoint.obstruct", "tripoint.check"}).intersection(loaded["import"]) == set()
+    assert "tripoint.check" in loaded["check"]
     assert (heavy | {"tripoint.workers"}).intersection(loaded["check"]) == set()
     assert heavy.intersection(loaded["batch"]) == set()
     assert "tripoint.workers" in loaded["batch"]
@@ -1451,6 +1462,50 @@ def test_an_encoding_that_is_no_superset_of_ascii_prints_names_with_no_traceback
     assert names == [f"file: {name}" for name in shown[4:]]
 
 
+def strict_utf8() -> io.TextIOWrapper:
+    """A text stream that refuses what UTF-8 cannot encode, as pytest's ``capsys`` does."""
+    return io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+
+
+def test_a_strict_stderr_gets_an_escaped_error_line_and_the_batch_goes_on(tmp_path, passing_file,
+                                                                          monkeypatch, capsys):
+    """An in-process caller's strict stderr cannot encode a name that is not UTF-8.
+
+    Only ``run`` sets the error handler that writes such a name's bytes;
+    here the writer prints the line again, backslash-escaped, and goes on
+    to the next file.
+    """
+    monkeypatch.chdir(tmp_path)
+    try:
+        with open(b"bad\xff.pair", "wb") as fh:
+            fh.write(b"[principal]\n")
+    except OSError:
+        pytest.skip("the filesystem refuses a file name that is not UTF-8")
+    stderr = strict_utf8()
+    with contextlib.redirect_stderr(stderr):
+        assert main(["check", os.fsdecode(b"bad\xff.pair"), passing_file]) == 2
+    stderr.flush()
+    assert stderr.buffer.getvalue() == b"bad\\udcff.pair: missing [dual] section\n"
+    assert capsys.readouterr().out.startswith(f"file: {passing_file}\n")
+
+
+def test_a_strict_stdout_gets_a_report_whose_name_it_cannot_encode_escaped(tmp_path, monkeypatch):
+    """The byte 0xff of a name is escaped; the character U+00FF of the next one is not."""
+    monkeypatch.chdir(tmp_path)
+    try:
+        for name in (b"ok\xff.pair", "ok\xff.pair".encode()):
+            with open(name, "wb") as fh:
+                fh.write(README_PAIR.encode())
+    except OSError:
+        pytest.skip("the filesystem refuses a file name that is not UTF-8")
+    stdout = strict_utf8()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["check", os.fsdecode(b"ok\xff.pair"), "ok\xff.pair"]) == 1
+    stdout.flush()
+    names = [line for line in stdout.buffer.getvalue().splitlines() if line.startswith(b"file: ")]
+    assert names == [b"file: ok\\udcff.pair", b"file: ok\xc3\xbf.pair"]
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_check_ignores_a_leading_byte_order_mark(tmp_path, capsys, fmt):
     path = tmp_path / "candidate.pair"
@@ -1550,6 +1605,23 @@ def test_no_command_loads_json(passing_file):
             assert "json" not in loaded, argv
             assert ("tripoint.obstruct" in loaded) == (name in ("check", "ratios")), argv
             assert ("tripoint.graph" in loaded) == (name == "check"), argv
+
+
+def test_python_m_compiles_and_runs_the_cli_once(passing_file):
+    """Under ``python -m tripoint.cli`` the CLI runs as ``__main__``, so no module may import it.
+
+    An import of ``tripoint.cli`` would compile and run the module a second
+    time; the modules of the commands, and ``tripoint.usage`` for help,
+    share what they need through ``tripoint.common`` instead.
+    """
+    requests = [[arg.format(pair=passing_file) for arg in OUTPUT_REQUESTS[name]]
+                for name in ("check", "ratios", "matrix", "qnum")]
+    for argv in [*requests, ["--help"]]:
+        status, loaded = loaded_by(*argv)
+        assert status == 0, argv
+        assert "tripoint.qnum" in loaded, argv  # the probe does see the program's imports
+        assert "tripoint.cli" not in loaded, argv
+        assert ("tripoint.usage" in loaded) == (argv == ["--help"]), argv
 
 
 ATEXIT_PROBE = """

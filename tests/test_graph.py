@@ -13,6 +13,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import helpers
+from tripoint import dense
 from tripoint import graph as graph_module
 from tripoint.errors import (
     InvalidGraph,
@@ -564,9 +565,9 @@ def test_tree_classifier_and_both_solves_agree(candidate):
         return
     if g.vertex_count == 1:
         return
-    dense_delta = graph_module._dense_norm(g)[0]
+    dense_delta = dense._dense_norm(g)[0]
     assert graph_norm(g) == pytest.approx(dense_delta, rel=1e-14)
-    dense_vec = graph_module._dense_vector(g, dense_delta * (1 + 4 * sys.float_info.epsilon))
+    dense_vec = dense._dense_vector(g, dense_delta * (1 + 4 * sys.float_info.epsilon))
     scale = math.copysign(math.hypot(*dense_vec), math.fsum(dense_vec))
     assert list(g._vector) == pytest.approx([x / scale for x in dense_vec], abs=1e-12)
 
@@ -711,7 +712,8 @@ def test_dense_solve_allocates_no_vertex_by_vertex_matrix():
     together peak at 30.4 MB under numpy 2.4, most of it B, its Gram
     matrix and the Schur complement, each about 1,000 x 1,000 doubles, and
     the solvers' working copies; a V x V edge-count matrix first would add
-    32 MB.
+    32 MB.  ``tripoint.dense`` is imported with this test module, before the
+    trace starts, so the window holds the two solves and no compile.
     """
     ladder = [(0, 0, 0), (0, 0, 1)]
     ladder += [edge for d in range(1, 999) for edge in ((d, 0, 0), (d, 1, 1), (d, 0, 1))]

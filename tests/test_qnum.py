@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from tripoint import branch
 from tripoint import cli as cli_module
 from tripoint import graph as graph_module
 from tripoint.errors import InvalidArgument, UnsupportedIndex
@@ -180,7 +181,7 @@ def test_one_recurrence_per_accepted_pair(monkeypatch):
 
 def test_one_recurrence_per_matrix_request(monkeypatch, capsys):
     """The dimension-sum check, the entries and lambda share one run of the recurrence."""
-    contexts = counting_contexts(monkeypatch, cli_module)
+    contexts = counting_contexts(monkeypatch, branch)
     argv = ["matrix", "--n", "30", "--delta", "3", "--p", "2026369768940.75",
             "--q", "2026369768940.25"]
     assert cli_module.main(argv) == 0
