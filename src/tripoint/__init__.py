@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 
 #: Home module of each public name besides ``errors``.
 _HOMES = {
-    "DEFAULT_TRACE_TOL": "obstruct",
+    "DEFAULT_TRACE_TOL": "qnum",
     "GradedBigraph": "graph",
     "ObstructionReport": "obstruct",
     "QuantumContext": "qnum",

@@ -100,10 +100,9 @@ def _write_outcomes(outcomes: Iterable[tuple[int, str]]) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     # here, not at start-up: no other command needs them
     from .graph import parse_pair
-    from .obstruct import DEFAULT_TRACE_TOL, _check_tol, run_battery
+    from .obstruct import _check_tol, run_battery
 
-    tol = DEFAULT_TRACE_TOL if args.tol is None else args.tol
-    _check_tol(tol)  # once, before any file is read
+    _check_tol(args.tol)  # once, before any file is read
     render = _render_report_json if args.format == "json" else _render_report_text
 
     def check(path: str) -> tuple[int, str]:
@@ -115,7 +114,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             failure: Exception = exc
         else:
             try:
-                report = run_battery(*parse_pair(text), tol=tol)
+                report = run_battery(*parse_pair(text), tol=args.tol)
             except TripointError as exc:  # not ValueError: from here on, that is a bug
                 failure = exc
             else:

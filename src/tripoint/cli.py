@@ -51,7 +51,7 @@ from typing import TYPE_CHECKING, Any, NamedTuple, NoReturn
 
 from .common import _BYTES_AS_GIVEN, SIZE_LIMIT, _check_size, _fmt, _json
 from .errors import InvalidArgument, TripointError, UnsupportedIndex
-from .qnum import QuantumContext
+from .qnum import DEFAULT_TRACE_TOL, QuantumContext
 
 if TYPE_CHECKING:
     import argparse
@@ -120,8 +120,9 @@ def _cmd_qnum(args: argparse.Namespace) -> int:
 class _Option(NamedTuple):
     """A ``--flag value`` option: its argparse ``add_argument`` keywords.
 
-    A ``help`` that is a function is called for the text, only when the
-    argparse parser is built.
+    ``help`` is plain text, which argparse formats with the option's
+    keywords, so ``%(default)g`` shows the default that ``_parse_plain``
+    gives too.
     """
 
     flag: str
@@ -130,7 +131,7 @@ class _Option(NamedTuple):
     required: bool = False
     default: Any = None
     choices: tuple[str, ...] | None = None
-    help: str | Callable[[], str] | None = None
+    help: str | None = None
 
 
 class _Command(NamedTuple):
@@ -147,13 +148,6 @@ class _Command(NamedTuple):
     files: bool = False
 
 
-def _tol_help() -> str:
-    """The help of ``check --tol``: a ``--tol`` left out is ``None``, which is ``obstruct``'s default."""
-    from .obstruct import DEFAULT_TRACE_TOL
-
-    return f"tolerance for obstruction verdicts (default {DEFAULT_TRACE_TOL:g})"
-
-
 _FORMAT = _Option("--format", "format", default="text", choices=("text", "json"))
 
 #: The command-line grammar, which ``_parse_plain`` reads and ``build_parser`` builds.
@@ -163,7 +157,8 @@ _COMMANDS = {
         "run the obstruction battery on graph pair files",
         (
             _FORMAT,
-            _Option("--tol", "tol", float, help=_tol_help),
+            _Option("--tol", "tol", float, default=DEFAULT_TRACE_TOL,
+                    help="tolerance for obstruction verdicts (default %(default)g)"),
         ),
         files=True,
     ),

@@ -4,12 +4,14 @@ Verdicts are three-valued: a test whose hypotheses are not met reports
 ``Inapplicable`` rather than passing, so enumeration workflows can tell
 "not excluded" apart from "hypothesis failed".  A candidate is excluded as
 soon as any applicable test fails, but the battery always runs everything
-for full diagnostics.  Every verdict compares against a tolerance, and this
-module alone decides which tolerances are valid: positive and finite.  Each
-function that takes one refuses any other with ``InvalidArgument``, and the
-command line asks the same check.  The graph layer is imported only when
-``run_battery`` extracts a pair, so the ratio tables and the command line's
-start-up do without it.
+for full diagnostics.  Every verdict compares against a tolerance, by
+default ``DEFAULT_TRACE_TOL``, which this module re-exports from its home
+in ``qnum``, beside ``NUMERIC_TOL``.  This module alone decides which
+tolerances are valid: positive and finite.  Each function that takes one
+refuses any other with ``InvalidArgument``, and the command line asks the
+same check.  The graph layer is imported only when ``run_battery``
+extracts a pair, so the ratio tables and the command line's start-up do
+without it.
 """
 
 from __future__ import annotations
@@ -20,15 +22,10 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidArgument, UnsupportedIndex
-from .qnum import QuantumContext
+from .qnum import DEFAULT_TRACE_TOL, QuantumContext
 
 if TYPE_CHECKING:
     from .graph import GradedBigraph, TriplePointData
-
-#: Default verdict tolerance: how far p - q may exceed 1, and how far the trace
-#: may miss a root of unity, before a test fails.  It sets only verdicts;
-#: internal consistency checks use ``qnum.NUMERIC_TOL``.
-DEFAULT_TRACE_TOL = 1e-6
 
 
 def _check_tol(tol: float) -> None:

@@ -23,9 +23,16 @@ from typing import NamedTuple
 from .errors import DimensionSumMismatch, InvalidArgument, UnsupportedIndex
 
 #: Absolute (or, where stated, relative) tolerance of every internal
-#: consistency check.  Obstruction verdicts use their own tolerance, see
-#: ``obstruct.DEFAULT_TRACE_TOL``.
+#: consistency check.  Obstruction verdicts use their own tolerance,
+#: ``DEFAULT_TRACE_TOL``.
 NUMERIC_TOL = 1e-9
+
+#: Default verdict tolerance: how far p - q may exceed 1, and how far the trace
+#: may miss a root of unity, before a test fails.  It sets only verdicts;
+#: internal consistency checks use ``NUMERIC_TOL``.  It lives here, where
+#: every request loads it, so the grammar of ``check --tol`` gives it as the
+#: option's default and ``--help`` shows it without loading ``obstruct``.
+DEFAULT_TRACE_TOL = 1e-6
 
 
 class _Context(NamedTuple):

@@ -28,8 +28,6 @@ def build_parser(commands: Mapping[str, Any]) -> argparse.ArgumentParser:
         for group, options in groups:
             for option in options:
                 keywords = option._asdict()
-                if callable(option.help):
-                    keywords["help"] = option.help()
                 group.add_argument(keywords.pop("flag"), **keywords)
         if command.files:
             p_command.add_argument("files", nargs="+", metavar="FILE")

@@ -1,15 +1,16 @@
 """Forked workers for a ``check`` batch.
 
-``cli.run`` hands a ``check`` batch of more than one file to
-``check_batch``, which decides from what it can observe whether forking
-pays, cuts the batch into chunks and gives the output of one process.
-``check`` turns one file into its outcome, a status and a line, and
-prints nothing; ``check``'s writer alone prints outcomes and combines
-their statuses.  A worker is forked after start-up and before any file
-is read, checks its chunk with the same function as the parent, and
-sends the outcomes and any crash over a pipe as one ``marshal`` message,
-then ends with ``os._exit``.  A worker writes nothing to fds 1 and 2
-itself: anything ``check`` must say goes into its outcome.
+Under ``cli.run``, ``check`` hands a batch of more than one file to
+``check_batch``, the one place that decides, from what it can observe,
+whether forking pays: it cuts the batch into chunks, checks a batch of
+one chunk in this process alone, and in either case gives the output of
+one process.  ``check`` turns one file into its outcome, a status and a
+line, and prints nothing; ``check``'s writer alone prints outcomes and
+combines their statuses.  A worker is forked after start-up and before
+any file is read, checks its chunk with the same function as the parent,
+and sends the outcomes and any crash over a pipe as one ``marshal``
+message, then ends with ``os._exit``.  A worker writes nothing to fds 1
+and 2 itself: anything ``check`` must say goes into its outcome.
 """
 
 from __future__ import annotations
@@ -68,12 +69,6 @@ def _chunks(paths: list[str]) -> list[list[str]]:
     return [chunk for chunk in chunks if chunk]
 
 
-def check_batch(check: Check, paths: list[str], write: Write) -> int:
-    """``write(map(check, paths))``, in forked workers when ``_chunks`` cuts ``paths`` in more than one."""
-    chunks = _chunks(paths)
-    return write(map(check, paths)) if len(chunks) == 1 else _check_in_workers(check, chunks, write)
-
-
 class WorkerCrash(Exception):
     """A forked ``check`` worker crashed; the message is its traceback."""
 
@@ -108,16 +103,20 @@ def _work(check: Check, paths: list[str], write_end: int, inherited: list[int]) 
         os._exit(code)
 
 
-def _check_in_workers(check: Check, chunks: list[list[str]], write: Write) -> int:
-    """Check ``chunks[0]`` here and each other chunk in a forked worker.
+def check_batch(check: Check, paths: list[str], write: Write) -> int:
+    """``write(map(check, paths))``: the chunks of ``paths`` after the first in forked workers.
 
-    ``write`` gets the outcomes of one process checking every chunk in
-    turn: this process's own, as they come, then each worker's, in chunk
-    order.  A worker's crash is raised after the outcomes before it.  Every
-    worker is reaped, on every path, before this returns or raises; one
-    still running when this ends early is killed first.  A chunk that
-    cannot be forked is checked here, in its turn.
+    ``_chunks`` cuts ``paths``; with one chunk nothing forks and this
+    process checks every file.  Otherwise this process checks the first
+    chunk and a forked worker each other one.  ``write`` gets the outcomes
+    of one process checking every chunk in turn: this process's own, as
+    they come, then each worker's, in chunk order.  A worker's crash is
+    raised after the outcomes before it.  Every worker is reaped, on every
+    path, before this returns or raises; one still running when this ends
+    early is killed first.  A chunk that cannot be forked is checked here,
+    in its turn.
     """
+    chunks = _chunks(paths)
     workers: dict[int, tuple[int, int]] = {}  # chunk index -> (pid, read end of its pipe)
 
     def outcomes() -> Iterator[tuple[int, str]]:

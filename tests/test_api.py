@@ -52,10 +52,10 @@ HOMES = {
         "parse_graph", "parse_pair", "supertransitivity",
     ],
     "obstruct": [
-        "DEFAULT_TRACE_TOL", "ObstructionReport", "RatioRow", "RootCandidate", "Verdict",
+        "ObstructionReport", "RatioRow", "RootCandidate", "Verdict",
         "allowed_ratios", "ocneanu_parity", "rotational_test", "run_battery", "triple_single",
     ],
-    "qnum": ["QuantumContext"],
+    "qnum": ["DEFAULT_TRACE_TOL", "QuantumContext"],
 }
 
 

@@ -120,6 +120,18 @@ def test_check_malformed_file_exits_two(malformed_file, capsys):
     assert "out of range" in err
 
 
+def test_check_refuses_distinct_norms_closer_than_numeric_tol(capsys):
+    """Two trees of 19 vertices whose norms lie 5.6e-10, 1.26 million ulps, apart.
+
+    They are closer than ``NUMERIC_TOL``, 1e-9, so an absolute bound at it
+    would accept the pair and report it with exit 0.
+    """
+    path = str(Path(__file__).resolve().parent / "fixtures" / "norms_1e-9_apart.pair")
+    assert main(["check", path]) == 2
+    expected = "graph norms differ: 2.358893512727939 vs 2.3588935132884927"
+    assert capsys.readouterr() == ("", f"{path}: {expected}\n")
+
+
 def test_check_missing_file_exits_two(tmp_path, capsys):
     path = str(tmp_path / "nope.pair")
     assert main(["check", path]) == 2
@@ -1244,8 +1256,7 @@ def test_build_parser_prints_the_grammar():
         text = help_of(name)
         for option in (*command.options, *command.one_of):
             assert f"{option.flag} {option.dest.upper()}" in text or option.choices
-            help = option.help() if callable(option.help) else option.help
-            assert help is None or help in text
+            assert option.help is None or option.help % option._asdict() in text
     assert "--n N (--delta DELTA |" in " ".join(help_of("ratios").split())
     assert "[--tol TOL] FILE [FILE ...]" in help_of("check")
 
@@ -1612,16 +1623,19 @@ def test_python_m_compiles_and_runs_the_cli_once(passing_file):
 
     An import of ``tripoint.cli`` would compile and run the module a second
     time; the modules of the commands, and ``tripoint.usage`` for help,
-    share what they need through ``tripoint.common`` instead.
+    share what they need through ``tripoint.common`` instead.  Help loads
+    no command's module either: the grammar holds ``check --tol``'s default.
     """
     requests = [[arg.format(pair=passing_file) for arg in OUTPUT_REQUESTS[name]]
                 for name in ("check", "ratios", "matrix", "qnum")]
-    for argv in [*requests, ["--help"]]:
+    for argv in [*requests, ["--help"], ["check", "--help"]]:
         status, loaded = loaded_by(*argv)
+        asks_help = argv[-1] == "--help"
         assert status == 0, argv
         assert "tripoint.qnum" in loaded, argv  # the probe does see the program's imports
         assert "tripoint.cli" not in loaded, argv
-        assert ("tripoint.usage" in loaded) == (argv == ["--help"]), argv
+        assert ("tripoint.usage" in loaded) == asks_help, argv
+        assert not (asks_help and {"tripoint.obstruct", "tripoint.check"} & loaded), argv
 
 
 ATEXIT_PROBE = """

@@ -73,7 +73,9 @@ HAAGERUP = helpers.grade_tree(star(3, 3, 3), "a0.2")
 #: The one tree of the right norm found for Haagerup's dual among "a string of
 #: 3 edges, then a leaf plus a subtree of at most 7 vertices": depth counts
 #: 1 1 1 1 2 1 1 2 1.  It is not checked against a drawing in the literature,
-#: so the pair is only required not to fail.
+#: so the pair is required not to fail, and to pass the rotational test the
+#: way its numbers say: p = q, so the trace (p - q)^2 [n][n+2]/(pq) - 2 is -2
+#: exactly, the half turn k = n/2.
 HAAGERUP_DUAL = helpers.grade_tree(
     [("r", "s1"), ("s1", "s2"), ("s2", "b"), ("b", "L"), ("b", "x4"), ("x4", "x5"),
      ("x5", "x6"), ("x6", "y7"), ("y7", "w8"), ("x6", "z7")],
@@ -94,6 +96,10 @@ def test_haagerup_with_its_dual_candidate_never_fails():
     assert HAAGERUP_DUAL.vertex_counts == (1, 1, 1, 1, 2, 1, 1, 2, 1)
     report = run_battery(HAAGERUP, HAAGERUP_DUAL)
     assert Verdict.FAIL not in report.verdicts.values()
+    assert report.verdicts["rotational"] is Verdict.PASS
+    assert report.n == 4 and report.p == report.q
+    assert report.lambda_trace == -2.0
+    assert report.root_candidates[0] == (report.n // 2, 0.0)
 
 
 def test_check_of_affine_e6_exits_zero(tmp_path, capsys):
