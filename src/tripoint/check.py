@@ -99,10 +99,11 @@ def _write_outcomes(outcomes: Iterable[tuple[int, str]]) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     # here, not at start-up: no other command needs them
-    from .graph import parse_pair
     from .obstruct import _check_tol, run_battery
 
-    _check_tol(args.tol)  # once, before any file is read
+    _check_tol(args.tol)  # once, before any file is read or the graph layer is compiled
+    from .graph import parse_pair
+
     render = _render_report_json if args.format == "json" else _render_report_text
 
     def check(path: str) -> tuple[int, str]:

@@ -10,7 +10,10 @@ combines their statuses.  A worker is forked after start-up and before
 any file is read, checks its chunk with the same function as the parent,
 and sends the outcomes and any crash over a pipe as one ``marshal``
 message, then ends with ``os._exit``.  A worker writes nothing to fds 1
-and 2 itself: anything ``check`` must say goes into its outcome.
+and 2 itself: anything ``check`` must say goes into its outcome.  The
+parent ends each worker in one place: one whose message it has read to
+the end is reaped in its turn, and any other is killed and reaped when
+the batch ends.
 """
 
 from __future__ import annotations
@@ -39,17 +42,16 @@ FORK_MIN_BYTES = 16 * 1024
 def _chunks(paths: list[str]) -> list[list[str]]:
     """``paths`` cut into contiguous runs of about equal bytes, one per process.
 
-    One run, the whole batch, unless this is a single-threaded Linux process
-    that may run on more than one CPU and the batch holds at least
-    ``FORK_MIN_BYTES`` for each process.  Sizes come from ``stat``; a file
-    that cannot be read counts as empty, and its error is reported in turn.
+    Only a single-threaded process that can fork and read its CPU affinity
+    cuts at all.  The number of runs is decided once, as the least of the
+    CPUs it may run on, the files, and the batch's bytes over
+    ``FORK_MIN_BYTES``; below two, the one run is the whole batch, on one
+    CPU too.  Sizes come from ``stat``; a file that cannot be read counts as
+    empty, and its error is reported in turn.
     """
     threading = sys.modules.get("threading")  # read, not imported: a fork copies one thread only
     if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
             or threading is not None and threading.active_count() > 1):
-        return [paths]
-    cpus = len(os.sched_getaffinity(0))
-    if cpus < 2:
         return [paths]
     sizes = []
     for path in paths:
@@ -58,7 +60,7 @@ def _chunks(paths: list[str]) -> list[list[str]]:
         except (OSError, ValueError):  # ValueError: a name that stat() refuses
             sizes.append(0)
     total = sum(sizes)
-    count = min(cpus, len(paths), total // FORK_MIN_BYTES)
+    count = min(len(os.sched_getaffinity(0)), len(paths), total // FORK_MIN_BYTES)
     if count < 2:
         return [paths]
     chunks: list[list[str]] = [[] for _ in range(count)]
@@ -110,11 +112,15 @@ def check_batch(check: Check, paths: list[str], write: Write) -> int:
     process checks every file.  Otherwise this process checks the first
     chunk and a forked worker each other one.  ``write`` gets the outcomes
     of one process checking every chunk in turn: this process's own, as
-    they come, then each worker's, in chunk order.  A worker's crash is
-    raised after the outcomes before it.  Every worker is reaped, on every
-    path, before this returns or raises; one still running when this ends
-    early is killed first.  A chunk that cannot be forked is checked here,
-    in its turn.
+    they come, then each worker's, in chunk order.  A chunk that cannot be
+    forked is checked here, in its turn.
+
+    A worker stays in ``workers`` until its pipe reads to its end; it is
+    then reaped, and a non-zero status, say from a kill from outside, is a
+    ``WorkerCrash``, as is a crash it reports, raised after the outcomes
+    before it.  The ``finally`` is the one place that kills: whatever ends
+    the batch early, each worker still in ``workers`` is killed and reaped
+    there, so every worker is reaped before this returns or raises.
     """
     chunks = _chunks(paths)
     workers: dict[int, tuple[int, int]] = {}  # chunk index -> (pid, read end of its pipe)
@@ -124,7 +130,14 @@ def check_batch(check: Check, paths: list[str], write: Write) -> int:
             if index not in workers:
                 yield from map(check, chunk)
                 continue
-            done, crash = marshal.loads(_collect(*workers.pop(index)))
+            pid, read_end = workers[index]
+            blocks = []
+            while block := os.read(read_end, 1 << 16):
+                blocks.append(block)
+            code = os.waitstatus_to_exitcode(_reap(*workers.pop(index)))
+            if code != 0:  # it died before its message was whole, say killed from outside
+                raise WorkerCrash(f"check worker {pid} ended with status {code} and no whole report")
+            done, crash = marshal.loads(b"".join(blocks))
             yield from done
             if crash is not None:
                 raise WorkerCrash(crash.rstrip("\n"))
@@ -145,30 +158,15 @@ def check_batch(check: Check, paths: list[str], write: Write) -> int:
             workers[index] = (pid, read_end)
         return write(outcomes())
     finally:
-        for pid, read_end in workers.values():
-            _reap(pid, read_end, kill=True)
+        if workers:
+            import signal  # only a batch that ends early needs it
+
+            for pid, read_end in workers.values():
+                os.kill(pid, signal.SIGKILL)
+                _reap(pid, read_end)
 
 
-def _collect(pid: int, read_end: int) -> bytes:
-    """Read a worker's message to its end, then reap the worker."""
-    blocks = []
-    try:
-        while block := os.read(read_end, 1 << 16):
-            blocks.append(block)
-    except BaseException:
-        _reap(pid, read_end, kill=True)
-        raise
-    code = os.waitstatus_to_exitcode(_reap(pid, read_end, kill=False))
-    if code != 0:  # it died before its message was whole, say killed from outside
-        raise WorkerCrash(f"check worker {pid} ended with status {code} and no whole report")
-    return b"".join(blocks)
-
-
-def _reap(pid: int, read_end: int, kill: bool) -> int:
-    """Close the worker's pipe, kill it if asked and wait for it; its wait status."""
+def _reap(pid: int, read_end: int) -> int:
+    """Close the worker's pipe and wait for it; its wait status.  Only ``check_batch``'s ``finally`` kills."""
     os.close(read_end)
-    if kill:
-        import signal  # only a batch that ends early needs it
-
-        os.kill(pid, signal.SIGKILL)
     return os.waitpid(pid, 0)[1]

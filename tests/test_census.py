@@ -20,7 +20,7 @@ import helpers
 from tripoint.errors import TripointError
 from tripoint.obstruct import Verdict, run_battery
 
-MAX_N = 10
+MAX_N = 12
 
 #: A tree is a tuple of neighbour tuples over the vertices 0..N-1.
 Tree = tuple[tuple[int, ...], ...]
@@ -95,13 +95,13 @@ def census(n: int) -> tuple[Counter, list]:
 
 def test_the_enumerator_counts_free_and_rooted_trees():
     sizes = range(2, MAX_N + 1)
-    assert [len(free_trees(n)) for n in sizes] == [1, 1, 2, 3, 6, 11, 23, 47, 106]  # A000055
-    assert [census(n)[0]["gradings"] for n in sizes] == [1, 2, 4, 9, 20, 48, 115, 286, 719]  # A000081
+    assert [len(free_trees(n)) for n in sizes] == [1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]  # A000055
+    assert [census(n)[0]["gradings"] for n in sizes] == [1, 2, 4, 9, 20, 48, 115, 286, 719, 1_842, 4_766]  # A000081
 
 
 def test_the_census_tallies_are_pinned():
-    """Candidates, accepted, survive all and rotational Pass at N = 8 and 10; no norm mismatch anywhere."""
-    pinned = {8: (633, 28, 13, 3), 10: (5_277, 226, 98, 7)}
+    """Candidates, accepted, survive all and rotational Pass at N = 8, 10 and 12; no norm mismatch anywhere."""
+    pinned = {8: (633, 28, 13, 3), 10: (5_277, 226, 98, 7), 12: (43_494, 1_647, 734, 9)}
     for n, counts in pinned.items():
         tally = census(n)[0]
         assert tuple(tally[key] for key in ("candidates", "accepted", "survive all", "rotational Pass")) == counts

@@ -1570,14 +1570,17 @@ def test_a_crash_exits_two_with_its_traceback_after_the_earlier_output(passing_f
     assert lines[-1] == "RuntimeError: injected fault"
 
 
-def loaded_by(*argv: str) -> tuple[int, set[str]]:
-    """The exit status of ``python -m tripoint.cli argv`` and the modules it loads."""
+def loaded_by(*argv: str) -> tuple[int, set[str], list[str]]:
+    """The exit status of ``python -m tripoint.cli argv``, the modules it loads
+    and the other lines of its stderr."""
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "tripoint.cli", *argv],
         capture_output=True, text=True, env=subprocess_env(), timeout=60,
     )
-    return proc.returncode, {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
-                             if line.startswith("import time:")}
+    lines = proc.stderr.splitlines()
+    return (proc.returncode,
+            {line.rpartition("|")[2].strip() for line in lines if line.startswith("import time:")},
+            [line for line in lines if not line.startswith("import time:")])
 
 
 def test_a_well_formed_request_loads_no_argparse(passing_file):
@@ -1585,17 +1588,24 @@ def test_a_well_formed_request_loads_no_argparse(passing_file):
 
     They cost a fresh process about 10 ms (``python -X importtime``, Python
     3.11.7, 2 shared vCPUs), spent only on reading a few ``--flag value`` tokens.
+    A ``--tol`` that ``check`` refuses is read without argparse too, and is
+    refused before ``tripoint.graph`` is compiled.
     """
     argparse_modules = {"argparse", "gettext", "locale"}
     for name in ("check", "ratios", "matrix", "qnum"):
         argv = [arg.format(pair=passing_file) for arg in OUTPUT_REQUESTS[name]]
-        status, loaded = loaded_by(*argv)
+        status, loaded, _ = loaded_by(*argv)
         assert status == 0, argv
         assert "tripoint.qnum" in loaded, argv  # the probe does see the program's imports
         assert argparse_modules.intersection(loaded) == set(), argv
-    status, loaded = loaded_by("qnum", "--delta", "2.5")  # a usage error
+    status, loaded, _ = loaded_by("qnum", "--delta", "2.5")  # a usage error
     assert status == 2
     assert argparse_modules <= loaded
+    # a --tol that check refuses, before any file is read or the graph layer is compiled
+    status, loaded, said = loaded_by("check", "--tol", "0", passing_file)
+    assert (status, said) == (2, ["tol = 0.0 must be positive and finite"])
+    assert "tripoint.obstruct" in loaded  # the probe does see the program's imports
+    assert (argparse_modules | {"tripoint.graph"}).intersection(loaded) == set()
 
 
 def test_no_command_loads_json(passing_file):
@@ -1610,7 +1620,7 @@ def test_no_command_loads_json(passing_file):
         for fmt in ("text", "json"):
             # the last --format given wins
             argv = [*(arg.format(pair=passing_file) for arg in OUTPUT_REQUESTS[name]), "--format", fmt]
-            status, loaded = loaded_by(*argv)
+            status, loaded, _ = loaded_by(*argv)
             assert status == 0, argv
             assert "tripoint.qnum" in loaded, argv  # the probe does see the program's imports
             assert "json" not in loaded, argv
@@ -1629,7 +1639,7 @@ def test_python_m_compiles_and_runs_the_cli_once(passing_file):
     requests = [[arg.format(pair=passing_file) for arg in OUTPUT_REQUESTS[name]]
                 for name in ("check", "ratios", "matrix", "qnum")]
     for argv in [*requests, ["--help"], ["check", "--help"]]:
-        status, loaded = loaded_by(*argv)
+        status, loaded, _ = loaded_by(*argv)
         asks_help = argv[-1] == "--help"
         assert status == 0, argv
         assert "tripoint.qnum" in loaded, argv  # the probe does see the program's imports
@@ -1891,17 +1901,25 @@ def test_a_worker_killed_from_outside_is_a_crash(crashing_batch, forks, capsys, 
     assert_no_worker_left()
 
 
-def test_an_interrupt_reaps_every_worker(batch_files, forks, monkeypatch):
-    """The interrupt comes in this process's own chunk, while the workers run."""
-    with open(batch_files[0], "a") as fh:
-        fh.write(CRASH_MARKER)
+@pytest.mark.parametrize("where", ["own-chunk", "first-read"])
+def test_an_interrupt_reaps_every_worker(batch_files, forks, monkeypatch, where):
+    """The interrupt comes while the workers run: in this process's own chunk,
+    or in its first read of a worker's message, before that read reaches the end."""
+    if where == "own-chunk":
+        with open(batch_files[0], "a") as fh:
+            fh.write(CRASH_MARKER)
 
-    def parse_interrupted_at_its_marker(text):
-        if text.endswith(CRASH_MARKER):
+        def parse_interrupted_at_its_marker(text):
+            if text.endswith(CRASH_MARKER):
+                raise KeyboardInterrupt
+            return parse_pair(text)
+
+        monkeypatch.setattr(graph_module, "parse_pair", parse_interrupted_at_its_marker)
+    else:
+        def read_interrupted(fd, size):
             raise KeyboardInterrupt
-        return parse_pair(text)
 
-    monkeypatch.setattr(graph_module, "parse_pair", parse_interrupted_at_its_marker)
+        monkeypatch.setattr(workers.os, "read", read_interrupted)
     with pytest.raises(KeyboardInterrupt):
         main(["check", *batch_files], may_fork=True)
     assert len(forks) == 2
