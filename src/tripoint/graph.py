@@ -630,21 +630,17 @@ NORM_MATCH_ULPS = 64
 def extract_triple_point(principal: GradedBigraph, dual: GradedBigraph) -> TriplePointData:
     """Locate the initial triple point of a graph pair and collect its data.
 
-    delta is the principal graph's norm (see ``qnum.QuantumContext`` for the
-    clamp at 2), and the dual's norm must agree with it to
-    ``NORM_MATCH_ULPS`` ulps of the larger.  Both graphs must share their
-    supertransitivity, and each must branch into a simple triple point
-    (three single edges: one down, two up).  p >= q are the principal
+    The pair's shape comes first, and solves nothing: both graphs must share
+    their supertransitivity, and each must branch into a simple triple point
+    (three single edges: one down, two up).  Only a pair of that shape is
+    solved: delta is the principal graph's norm (see ``qnum.QuantumContext``
+    for the clamp at 2), and the dual's norm must agree with it to
+    ``NORM_MATCH_ULPS`` ulps of the larger.  p >= q are the principal
     graph's depth-n dimensions, flagged when they tie; the dual's flags come
-    from its depth-n valences.  Each graph's norm is solved once, however
-    often it is passed, the vector of the principal graph alone, and only
-    its two depth-n dimensions are root-normalized.
+    from its depth-n valences.  Each graph's norm is solved at most once,
+    however often it is passed, the vector of the principal graph alone, and
+    only its two depth-n dimensions are root-normalized.
     """
-    norm_p = graph_norm(principal)
-    ctx = QuantumContext(norm_p)
-    norm_d = graph_norm(dual)
-    if abs(norm_p - norm_d) > NORM_MATCH_ULPS * math.ulp(max(norm_p, norm_d)):
-        raise NormMismatch(f"graph norms differ: {norm_p!r} vs {norm_d!r}")
     s_p, branch_p = supertransitivity(principal)
     s_d, branch_d = supertransitivity(dual)
     if s_p != s_d:
@@ -654,6 +650,11 @@ def extract_triple_point(principal: GradedBigraph, dual: GradedBigraph) -> Tripl
     n = s_p + 1
     _require_simple_triple_point(principal, n, "principal")
     _require_simple_triple_point(dual, n, "dual")
+    norm_p = graph_norm(principal)
+    ctx = QuantumContext(norm_p)
+    norm_d = graph_norm(dual)
+    if abs(norm_p - norm_d) > NORM_MATCH_ULPS * math.ulp(max(norm_p, norm_d)):
+        raise NormMismatch(f"graph norms differ: {norm_p!r} vs {norm_d!r}")
 
     first = principal.vertex_offset(n)
     q, p = sorted(_dimensions(principal, first, first + 2))

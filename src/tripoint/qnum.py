@@ -1,17 +1,19 @@
 """Quantum integer arithmetic driven by the index parameter delta = [2].
 
-A context holds delta alone and validates it on construction, and computes
-each [k] from it once.  ``QuantumContext(delta)`` is its one constructor; a
-graph pair's context is built from its principal graph's norm by
-``graph.extract_triple_point``.
+A context holds delta and nothing else: it validates delta on construction,
+and each call runs the recurrence for the [k] it asks for, into a new list,
+so a context never changes once built.  ``QuantumContext(delta)`` is its
+one constructor; a graph pair's context is built from its principal graph's
+norm by ``graph.extract_triple_point``.
 
 Every value of the package is a ``typing.NamedTuple`` or a subclass of one.
 A field cannot be assigned or deleted, and equality, hashing and ``repr``
 go by the fields, as for a tuple, so a value equals a plain tuple of the
 same fields.  ``QuantumContext`` and ``graph.GradedBigraph`` check their
 fields in ``__new__``, and their ``_make``, and so ``_replace``, go through
-it; their derived caches (the list of [k]; the vertex index and the solve)
-live in the instance dict, outside the fields.
+it.  ``QuantumContext`` has no instance dict (``__slots__ = ()``), so no
+attribute can be set on it; a ``GradedBigraph`` keeps its derived caches
+(the vertex index and the solve) in its instance dict, outside the fields.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ class QuantumContext(_Context):
     checks use ``NUMERIC_TOL``.
     """
 
+    __slots__ = ()  # no instance dict, so a context is its delta alone
+
     def __new__(cls, delta: float) -> QuantumContext:
         if not math.isfinite(delta):
             raise InvalidArgument("delta must be finite")
@@ -58,9 +62,7 @@ class QuantumContext(_Context):
             raise UnsupportedIndex(
                 f"delta = {delta} < 2 means index < 4, outside the supported regime"
             )
-        self = super().__new__(cls, delta)
-        self._qints = [0.0, 1.0]  # derived state, see ``_extended``
-        return self
+        return super().__new__(cls, delta)
 
     @classmethod
     def _make(cls, iterable: Iterable[float]) -> QuantumContext:
@@ -70,24 +72,18 @@ class QuantumContext(_Context):
         """The quantum integer [k]."""
         if k < 0:
             raise InvalidArgument(f"k = {k} must be >= 0")
-        return self._extended(k)[k]
+        return self.qints(k)[k]
 
     def qints(self, max_k: int) -> list[float]:
-        """[0], [1], ..., [max_k] as a new list."""
-        if max_k < 0:
-            raise InvalidArgument(f"max_k = {max_k} must be >= 0")
-        return self._extended(max_k)[: max_k + 1]
-
-    def _extended(self, max_k: int) -> list[float]:
-        """The context's own list of [k], extended to hold at least [max_k].
+        """[0], [1], ..., [max_k] as a new list.
 
         Evaluated by the three-term recurrence [k+1] = delta*[k] - [k-1]
         with [0] = 0 and [1] = 1, which stays exact in the nu = 1 limit
-        where the closed form degenerates to 0/0.  The context keeps the
-        longest list it has built and only extends it, so each [k] is
-        computed once however many callers ask for it.
+        where the closed form degenerates to 0/0.
         """
-        values = self._qints
+        if max_k < 0:
+            raise InvalidArgument(f"max_k = {max_k} must be >= 0")
+        values = [0.0, 1.0]
         while len(values) <= max_k:
             values.append(self.delta * values[-1] - values[-2])
         # [k] grows with k for delta >= 2, so an overflow anywhere in the
@@ -96,7 +92,7 @@ class QuantumContext(_Context):
             raise UnsupportedIndex(
                 f"[{max_k}] overflows double precision at delta = {self.delta}"
             )
-        return values
+        return values[: max_k + 1]
 
     def check_dimension_sum(self, n: int, p: float, q: float) -> None:
         """Require p + q = [n+1] to ``NUMERIC_TOL``, relative to max(1, [n+1]).

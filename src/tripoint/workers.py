@@ -30,12 +30,16 @@ Write = Callable[[Iterable[tuple[int, str]]], int]
 
 
 #: Pair-file bytes a ``check`` batch must have per process before it forks a
-#: worker.  Measured in-process with Python 3.11 on 2 shared x86-64 vCPUs: a
-#: fork, with its pipe, exit and reaping, takes 1.5-2.3 ms, and checking
-#: takes 0.37 us per byte on the near-index-4 corpus (pairs of 30-300
-#: vertices) and 0.75 us on enum-batch's (6-30 vertices), so a 16 KiB share
-#: is 6-12 ms of work, three or more forks' worth.  A one-file check never
-#: forks.
+#: worker.  Measured in one process with Python 3.11 on 2 shared x86-64
+#: vCPUs: a bare fork, ``os._exit`` and reap takes 1.3-1.8 ms, with about 225
+#: minor page faults in the worker, and checking takes 0.22 us per byte on
+#: the near-index-4 corpus (pairs of 30-300 vertices) and 0.45-0.50 us on
+#: enum-batch's (6-30 vertices), so a 16 KiB share is 3.6-8 ms of work, two
+#: to six bare forks' worth.  A whole forked batch costs more: on a 150-pair
+#: enum-batch, 36-58 ms of CPU against 27-47 ms in one process, with 370-460
+#: minor faults in the parent and 520-580 in the worker against 15-170.  On
+#: shared vCPUs the two processes run side by side only some of the time, so
+#: the value is kept, not tuned.  A one-file check never forks.
 FORK_MIN_BYTES = 16 * 1024
 
 

@@ -553,6 +553,18 @@ def test_check_solves_a_self_dual_graph_once(tmp_path, monkeypatch):
     }
 
 
+def test_check_solves_no_norm_for_a_pair_refused_for_its_shape(tmp_path, monkeypatch, capsys):
+    """One tree graded with strings of 3 and 1 edges: refused on shape, with nothing solved."""
+    edges = helpers.two_rooted_tree()
+    principal, dual = helpers.grade_tree(edges, "a"), helpers.grade_tree(edges, "L")
+    path = tmp_path / "shape.pair"
+    path.write_text(helpers.pair_text(principal, dual))
+    calls = count_solves(monkeypatch)
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"{path}: supertransitivities differ: 3 vs 1\n")
+    assert calls == {"norm": [], "vector": [], "eigvalsh": [], "eigh": [], "solve": []}
+
+
 def test_check_solves_each_graph_with_a_cycle_once_on_its_even_side(cycle_file, monkeypatch):
     """One ``eigvalsh`` per graph; the two inverse-iteration solves are the principal's alone."""
     calls = count_solves(monkeypatch)

@@ -1154,16 +1154,27 @@ def test_extract_supertransitivity_mismatch():
         extract_triple_point(principal, dual)
 
 
+def test_extract_refuses_a_shape_mismatch_before_a_norm_mismatch():
+    """Supertransitivities 3 and 2, and norms far apart: the shape is the one reported."""
+    principal = helpers.grade_tree(helpers.branched_tree(3, (), (4,)), "p0")
+    dual = helpers.grade_tree(helpers.branched_tree(2, (), (5,)), "p0")
+    assert abs(graph_norm(principal) - graph_norm(dual)) > 1e-3
+    with pytest.raises(SupertransitivityMismatch, match="supertransitivities differ: 3 vs 2"):
+        extract_triple_point(principal, dual)
+
+
 def test_extract_rejects_pure_path():
-    g = path_graph(5)
+    """D5 graded from its long end has a simple triple point, and norm 2cos(pi/8) < 2."""
+    g = helpers.grade_tree(helpers.branched_tree(2), "p0")
+    assert g.vertex_counts == (1, 1, 1, 2)
+    assert graph_norm(g) == pytest.approx(2 * math.cos(math.pi / 8), rel=1e-14)
     with pytest.raises(UnsupportedIndex, match="index < 4"):
         extract_triple_point(g, g)
 
 
-def test_extract_rejects_a_path_of_norm_two(monkeypatch):
-    """A path has no branch point; its norm is only clamped to 2 at about 99,000 vertices."""
+def test_extract_rejects_a_path_of_norm_two():
+    """A path has no branch point, and is refused for that before its norm is solved."""
     g = path_graph(5)
-    monkeypatch.setattr(graph_module, "graph_norm", lambda g: 2.0)
     with pytest.raises(NotATriplePoint, match="graph has no initial branch point"):
         extract_triple_point(g, g)
 

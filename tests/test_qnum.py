@@ -6,12 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import helpers
-from tripoint import branch
-from tripoint import cli as cli_module
-from tripoint import graph as graph_module
 from tripoint.errors import InvalidArgument, UnsupportedIndex
-from tripoint.obstruct import run_battery
 from tripoint.qnum import NUMERIC_TOL, QuantumContext
 
 
@@ -55,6 +50,8 @@ def test_a_context_never_equals_a_bare_float():
     assert ctx.__eq__(2.5) is NotImplemented
     assert ctx != 2.5
     assert ctx == QuantumContext(2.5)
+    with pytest.raises(AttributeError):  # no instance dict: delta is all a context holds
+        ctx.cache = []
 
 
 def test_context_validates_delta_directly():
@@ -145,48 +142,3 @@ def test_recurrence_matches_closed_form(delta, k):
     ctx = QuantumContext(delta)
     expected = direct_qint(delta, k)
     assert ctx.qint(k) == pytest.approx(expected, rel=1e-9, abs=1e-12)
-
-
-
-class CountingDelta(float):
-    """A delta that records what it multiplies: each recurrence step is delta * [k]."""
-
-    def __mul__(self, other):
-        self.factors.append(other)
-        return float(self) * other
-
-
-def counting_contexts(monkeypatch, module) -> list[QuantumContext]:
-    """Make ``module`` build each context on a ``CountingDelta``; the list collects them."""
-    contexts = []
-
-    def context(delta):
-        counted = CountingDelta(delta)
-        counted.factors = []
-        contexts.append(QuantumContext(counted))
-        return contexts[-1]
-
-    monkeypatch.setattr(module, "QuantumContext", context)
-    return contexts
-
-
-def test_one_recurrence_per_accepted_pair(monkeypatch):
-    """Extraction's p + q = [n+1] check and the trace share one run of the recurrence."""
-    contexts = counting_contexts(monkeypatch, graph_module)
-    report = run_battery(*helpers.self_paired(helpers.branched_tree(5, (), (4,))))
-    (ctx,) = contexts
-    qints = QuantumContext(float(report.delta)).qints(report.n + 2)
-    assert ctx.delta.factors == qints[1 : report.n + 2]  # [1]..[n+1], each once
-
-
-def test_one_recurrence_per_matrix_request(monkeypatch, capsys):
-    """The dimension-sum check, the entries and lambda share one run of the recurrence."""
-    contexts = counting_contexts(monkeypatch, branch)
-    argv = ["matrix", "--n", "30", "--delta", "3", "--p", "2026369768940.75",
-            "--q", "2026369768940.25"]
-    assert cli_module.main(argv) == 0
-    assert "lambda + 1/lambda = -1\n" in capsys.readouterr().out
-    (ctx,) = contexts
-    qints = QuantumContext(3.0).qints(32)
-    # [1]..[30] for [31] in the dimension-sum check, [31] for [32], then delta [30] for an entry
-    assert ctx.delta.factors == qints[1:32] + [qints[30]]
