@@ -633,8 +633,9 @@ def extract_triple_point(principal: GradedBigraph, dual: GradedBigraph) -> Tripl
     The pair's shape comes first, and solves nothing: both graphs must share
     their supertransitivity, and each must branch into a simple triple point
     (three single edges: one down, two up).  Only a pair of that shape is
-    solved: delta is the principal graph's norm (see ``qnum.QuantumContext``
-    for the clamp at 2), and the dual's norm must agree with it to
+    solved: delta is the principal graph's norm, refused below 2 by
+    ``qnum.QuantumContext`` and exactly 2 only for a tree that
+    ``_norm_is_two`` decides so, and the dual's norm must agree with it to
     ``NORM_MATCH_ULPS`` ulps of the larger.  p >= q are the principal
     graph's depth-n dimensions, flagged when they tie; the dual's flags come
     from its depth-n valences.  Each graph's norm is solved at most once,

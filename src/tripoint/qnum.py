@@ -1,8 +1,9 @@
 """Quantum integer arithmetic driven by the index parameter delta = [2].
 
 A context holds delta and nothing else: it validates delta on construction,
-and each call runs the recurrence for the [k] it asks for, into a new list,
-so a context never changes once built.  ``QuantumContext(delta)`` is its
+refusing any delta below 2 (index < 4) by one rule, with no tolerance, and
+each call runs the recurrence for the [k] it asks for, into a new list, so
+a context never changes once built.  ``QuantumContext(delta)`` is its
 one constructor; a graph pair's context is built from its principal graph's
 norm by ``graph.extract_triple_point``.
 
@@ -45,10 +46,10 @@ class QuantumContext(_Context):
     """Evaluation context for quantum integers.
 
     ``delta`` is the value [2], so the index is delta squared; it must be
-    finite and at least 2.  Values within ``NUMERIC_TOL`` below 2 are
-    clamped to 2, so spectral radii that round a hair under the theoretical
-    bound still construct.  All arithmetic is double precision; consistency
-    checks use ``NUMERIC_TOL``.
+    finite and at least 2: a delta below 2, however close, is index < 4 and
+    refused.  It is exactly 2.0 only when given so; a tree's norm of 2 is
+    decided exactly by ``graph._norm_is_two``.  All arithmetic is double
+    precision; consistency checks use ``NUMERIC_TOL``.
     """
 
     __slots__ = ()  # no instance dict, so a context is its delta alone
@@ -56,9 +57,7 @@ class QuantumContext(_Context):
     def __new__(cls, delta: float) -> QuantumContext:
         if not math.isfinite(delta):
             raise InvalidArgument("delta must be finite")
-        if 2.0 - NUMERIC_TOL <= delta < 2.0:
-            delta = 2.0
-        elif delta < 2:
+        if delta < 2:
             raise UnsupportedIndex(
                 f"delta = {delta} < 2 means index < 4, outside the supported regime"
             )

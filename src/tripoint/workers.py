@@ -37,9 +37,14 @@ Write = Callable[[Iterable[tuple[int, str]]], int]
 #: enum-batch's (6-30 vertices), so a 16 KiB share is 3.6-8 ms of work, two
 #: to six bare forks' worth.  A whole forked batch costs more: on a 150-pair
 #: enum-batch, 36-58 ms of CPU against 27-47 ms in one process, with 370-460
-#: minor faults in the parent and 520-580 in the worker against 15-170.  On
-#: shared vCPUs the two processes run side by side only some of the time, so
-#: the value is kept, not tuned.  A one-file check never forks.
+#: minor faults in the parent and 520-580 in the worker against 15-170.
+#: Whether the worker runs beside its parent depends on the host's recent
+#: load (60 alternating rounds, 2 vCPUs): on an idle host that 150-pair
+#: batch took 90.4 ms wall and 88.9 ms CPU forked, the worker staying on the
+#: parent's CPU, against 83.5 ms unforked; right after another CPU-bound job
+#: it overlapped, 77.7 ms wall and 91.0 ms CPU against 81.2 ms; a 1,500-pair
+#: batch overlapped on an idle host too, 292 ms wall and 501 ms CPU against
+#: 420 ms.  So the value is kept, not tuned.  A one-file check never forks.
 FORK_MIN_BYTES = 16 * 1024
 
 

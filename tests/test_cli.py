@@ -132,6 +132,38 @@ def test_check_refuses_distinct_norms_closer_than_numeric_tol(capsys):
     assert capsys.readouterr() == ("", f"{path}: {expected}\n")
 
 
+@pytest.mark.parametrize("n", [49000, 50000])
+def test_check_refuses_a_long_d_n_as_index_below_four(tmp_path, n, capsys):
+    """D_n graded from the end of its long arm has norm 2cos(pi/(2n - 2)), below 2.
+
+    From about 49,700 vertices that norm lies within 1e-9 of 2, and every
+    such delta must still be refused as index < 4, not taken as 2.
+    """
+    counts = [1] * (n - 2) + [2]
+    edges = [(d, 0, 0) for d in range(n - 2)] + [(n - 3, 0, 1)]
+    graph = helpers.graph_text(counts, edges)
+    path = tmp_path / f"d{n}.pair"
+    path.write_text(f"[principal]\n{graph}[dual]\n{graph}")
+    assert main(["check", str(path)]) == 2
+    out, err = capsys.readouterr()
+    match = re.fullmatch(
+        rf"{re.escape(str(path))}: delta = (\S+) < 2 means index < 4, outside the supported regime\n", err
+    )
+    assert out == "" and match
+    assert float(match[1]) == pytest.approx(2.0 * math.cos(math.pi / (2 * n - 2)), rel=1e-15)
+
+
+def test_qnum_and_matrix_refuse_a_delta_a_hair_under_two(capsys):
+    """A delta 5e-10 under 2 gets the one refusal, exit 2, as in ``ratios``."""
+    line = "delta = 1.9999999995 < 2 means index < 4, outside the supported regime\n"
+    for argv in (
+        ["qnum", "--delta", "1.9999999995", "--max", "3"],
+        ["matrix", "--n", "4", "--delta", "1.9999999995", "--p", "2", "--q", "1"],
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", line)
+
+
 def test_check_missing_file_exits_two(tmp_path, capsys):
     path = str(tmp_path / "nope.pair")
     assert main(["check", path]) == 2
@@ -871,14 +903,14 @@ def test_ratios_rejects_odd_n(capsys):
 
 
 def test_ratios_rejects_small_index(capsys):
-    """--index and --delta share one rule: a hair under index 4 is 4, anything lower exits 2."""
+    """--index and --delta share one rule: anything under index 4, however close, exits 2."""
     for fmt in ("text", "json"):
-        assert main(["ratios", "--n", "4", "--delta", "1.9999999995", "--format", fmt]) == 0
-        by_delta = capsys.readouterr()
-        assert main(["ratios", "--n", "4", "--index", "3.999999998", "--format", fmt]) == 0
-        assert capsys.readouterr() == by_delta
-        assert by_delta.err == ""
-    assert json.loads(by_delta.out)["delta"] == 2.0
+        assert main(["ratios", "--n", "4", "--delta", "1.9999999995", "--format", fmt]) == 2
+        assert capsys.readouterr() == (
+            "", "delta = 1.9999999995 < 2 means index < 4, outside the supported regime\n"
+        )
+        assert main(["ratios", "--n", "4", "--index", "3.999999998", "--format", fmt]) == 2
+        assert capsys.readouterr() == ("", "--index 3.999999998 is not a finite index of at least 4\n")
     for index in ("-1", "3.9", "nan", "inf"):
         assert main(["ratios", "--n", "4", "--index", index]) == 2
         captured = capsys.readouterr()

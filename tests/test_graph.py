@@ -1037,14 +1037,17 @@ def test_extract_carries_the_principal_norm_as_delta():
         assert extract_triple_point(principal, dual).ctx.delta == graph_norm(principal), name
 
 
-def test_extract_clamps_a_norm_just_below_two(monkeypatch):
-    """Affine D5 graded from a leaf has norm 2; a norm a hair under 2 is clamped to it."""
+def test_extract_refuses_a_norm_just_below_two(monkeypatch):
+    """Affine D5 graded from a leaf has norm exactly 2; a norm a hair under 2 is index < 4."""
     edges = [("a", "b"), ("a2", "b"), ("b", "c"), ("c", "d"), ("c", "d2")]
     g = helpers.grade_tree(edges, "a")
-    monkeypatch.setattr(graph_module, "graph_norm", lambda g: 2.0 - 1e-12)
     tp = extract_triple_point(g, g)
     assert tp.ctx.delta == 2.0
     assert (tp.n, tp.p, tp.q) == (2, pytest.approx(2.0), pytest.approx(1.0))
+    monkeypatch.setattr(graph_module, "graph_norm", lambda g: 2.0 - 1e-12)
+    with pytest.raises(UnsupportedIndex) as exc:
+        extract_triple_point(g, g)
+    assert str(exc.value) == f"delta = {2.0 - 1e-12!r} < 2 means index < 4, outside the supported regime"
 
 
 def test_extract_reads_a_self_dual_graph_once(monkeypatch):

@@ -74,8 +74,10 @@ def test_replace_and_make_rerun_the_checks():
         ctx._replace(delta=1.0)
     with pytest.raises(UnsupportedIndex, match="index < 4"):
         QuantumContext._make([1.0])
-    # the constructor runs whole: it clamps delta and sorts the edges
-    assert ctx._replace(delta=2.0 - 1e-12) == QuantumContext(2.0)
+    # the constructor runs whole: it refuses any delta below 2 and sorts the edges
+    with pytest.raises(UnsupportedIndex, match="index < 4"):
+        ctx._replace(delta=2.0 - 1e-12)
+    assert ctx._replace(delta=2.0) == QuantumContext(2.0)
     assert graph._replace(edges=graph.edges[::-1]).edges == graph.edges
     assert graph_norm(graph._replace()) == pytest.approx(math.sqrt(2.0))
     # equality and hashing go by the fields, as for a plain tuple

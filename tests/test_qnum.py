@@ -66,14 +66,15 @@ def test_context_validates_delta_directly():
         assert ctx.qints(2) == [0.0, 1.0, delta]
 
 
-def test_slightly_low_delta_clamps_to_two():
-    """The one constructor clamps [2 - NUMERIC_TOL, 2) to 2 and refuses anything lower."""
-    for delta in (2.0 - 1e-12, 2.0 - NUMERIC_TOL):
-        ctx = QuantumContext(delta)
-        assert ctx.delta == 2.0
-        assert ctx.qint(7) == 7.0
-    with pytest.raises(UnsupportedIndex, match="index < 4"):
-        QuantumContext(2.0 - 2.0 * NUMERIC_TOL)
+def test_slightly_low_delta_is_refused():
+    """The one constructor refuses every delta below 2, however close; 2.0 itself is index 4."""
+    for delta in (2.0 - 1e-12, math.nextafter(2.0, 0.0), 2.0 - NUMERIC_TOL, 2.0 - 2.0 * NUMERIC_TOL):
+        with pytest.raises(UnsupportedIndex) as exc:
+            QuantumContext(delta)
+        assert str(exc.value) == f"delta = {delta!r} < 2 means index < 4, outside the supported regime"
+    ctx = QuantumContext(2.0)
+    assert ctx.delta == 2.0
+    assert ctx.qint(7) == 7.0
 
 
 def test_qint_base_cases():
