@@ -154,7 +154,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
             f" p = {_fmt(args.p)}, q = {_fmt(args.q)}"
         )
         cells = [
-            ["?" if z is None else _fmt(z.real) if abs(z.imag) <= NUMERIC_TOL else _fmt_complex(z) for z in row]
+            ["?" if z is None else _fmt(z.real) if z.imag == 0 else _fmt_complex(z) for z in row]
             for row in matrix.entries
         ]
         width = max(len(c) for row in cells for c in row)

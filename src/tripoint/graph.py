@@ -259,8 +259,7 @@ class TriplePointData(NamedTuple):
     ``ctx`` evaluates quantum integers at the pair's delta, the norm of its
     principal graph.  ``n`` is the depth of the two branch arms (the branch
     vertex sits at depth n-1), ``p >= q > 0`` are the principal-graph
-    dimensions at depth n.  ``dim_tie`` flags p and q agreeing within
-    tolerance, in which case the ordering is conventional.
+    dimensions at depth n.
 
     The two flags describe the dual graph's shape, read from valences
     without its dimensions.  Its two depth-n vertices hang from the branch
@@ -278,7 +277,6 @@ class TriplePointData(NamedTuple):
     q: float
     gamma3_univalent: bool
     gamma2_trivalent: bool
-    dim_tie: bool = False
 
     @property
     def branch_depth_odd(self) -> bool:
@@ -637,10 +635,10 @@ def extract_triple_point(principal: GradedBigraph, dual: GradedBigraph) -> Tripl
     ``qnum.QuantumContext`` and exactly 2 only for a tree that
     ``_norm_is_two`` decides so, and the dual's norm must agree with it to
     ``NORM_MATCH_ULPS`` ulps of the larger.  p >= q are the principal
-    graph's depth-n dimensions, flagged when they tie; the dual's flags come
-    from its depth-n valences.  Each graph's norm is solved at most once,
-    however often it is passed, the vector of the principal graph alone, and
-    only its two depth-n dimensions are root-normalized.
+    graph's depth-n dimensions; the dual's flags come from its depth-n
+    valences.  Each graph's norm is solved at most once, however often it
+    is passed, the vector of the principal graph alone, and only its two
+    depth-n dimensions are root-normalized.
     """
     s_p, branch_p = supertransitivity(principal)
     s_d, branch_d = supertransitivity(dual)
@@ -669,5 +667,4 @@ def extract_triple_point(principal: GradedBigraph, dual: GradedBigraph) -> Tripl
         q=q,
         gamma3_univalent=low == 1,
         gamma2_trivalent=low == 1 and high == 3,
-        dim_tie=p - q <= NUMERIC_TOL * max(1.0, p),
     )

@@ -1,10 +1,11 @@
 """What the package offers its users: its public names, and the Python versions it parses on.
 
-Every public function or method of ``src/tripoint`` must be used by the
-program itself or be named in the README's Library section, so that no
-surface survives for the tests alone; test-only views of the program live
-in ``tests/helpers.py``.  ``pyproject.toml`` promises Python 3.10, so every
-source file must parse as 3.10 syntax.
+Every public function or method of ``src/tripoint``, and every field of a
+public record, must be used by the program itself or be named in the
+README's Library section, so that no surface survives for the tests alone;
+test-only views of the program live in ``tests/helpers.py``.
+``pyproject.toml`` promises Python 3.10, so every source file must parse as
+3.10 syntax.
 """
 
 import ast
@@ -107,6 +108,13 @@ def test_importing_the_package_loads_only_its_errors():
     assert proc.stdout.split() == ["tripoint", "tripoint.errors"]
 
 
+def library_words() -> set[str]:
+    """The words of the README's Library section."""
+    readme = (ROOT / "README.md").read_text()
+    start = readme.index("## Library")
+    return set(re.findall(r"\w+", readme[start : readme.index("\n## ", start)]))
+
+
 def public_functions(tree: ast.Module):
     """Names of the module-level functions and class methods that do not start with ``_``."""
     for node in tree.body:
@@ -128,10 +136,7 @@ def test_every_public_function_is_used_by_the_program_or_documented():
         for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute))
     }
-    readme = (ROOT / "README.md").read_text()
-    start = readme.index("## Library")
-    library = readme[start : readme.index("\n## ", start)]
-    documented = set(re.findall(r"\w+", library))
+    documented = library_words()
     unused = sorted(
         f"{module}:{name}"
         for module, tree in modules.items()
@@ -139,6 +144,26 @@ def test_every_public_function_is_used_by_the_program_or_documented():
         if name not in used and name not in documented
     )
     assert unused == []
+
+
+def test_every_record_field_is_read_by_the_program_or_documented():
+    """Each field of a public NamedTuple is read as an attribute in ``src/tripoint``."""
+    read = {
+        node.attr
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    documented = library_words()
+    records = [getattr(tripoint, name) for name in tripoint.__all__]
+    unread = sorted(
+        f"{record.__name__}.{field}"
+        for record in records
+        if isinstance(record, type) and issubclass(record, tuple)
+        for field in record._fields
+        if field not in read and field not in documented
+    )
+    assert unread == []
 
 
 SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))

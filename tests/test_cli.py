@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -25,7 +25,7 @@ from tripoint import graph as graph_module
 from tripoint import branch, cli, common, obstruct, workers
 from tripoint.branch import build_branch_matrix
 from tripoint.cli import SIZE_LIMIT, main
-from tripoint.errors import TripointError
+from tripoint.errors import NoUnitaryPhase, TripointError
 from tripoint.graph import extract_triple_point, parse_pair
 from tripoint.obstruct import allowed_ratios, run_battery
 from tripoint.qnum import QuantumContext
@@ -953,6 +953,37 @@ def test_matrix_text_marks_unknown_entries(capsys):
     out = capsys.readouterr().out
     assert "?" in out
     assert "sigma" in out and "tau" in out and "lambda" in out
+
+
+@settings(max_examples=100, deadline=None)
+@given(delta=st.floats(2.0, 3.0), n=st.integers(2, 40), gap=st.floats(0.0, 1.0))
+@example(delta=2.1, n=4, gap=1.0 - 1e-12)
+@example(delta=2.1, n=4, gap=1.0 + 1e-12)
+@example(delta=2.0, n=2, gap=1.0 - 1e-12)
+def test_matrix_text_prints_exactly_the_real_entries_as_reals(delta, n, gap):
+    """A text cell ends in ``i`` exactly when its entry's imaginary part is nonzero.
+
+    Within ``NUMERIC_TOL`` of p - q = 1 the Re(tau) snap makes sigma and tau
+    real; outside it the imaginary parts stay well clear of zero.
+    """
+    ctx = QuantumContext(delta)
+    total = ctx.qint(n + 1)
+    p, q = (total + gap) / 2.0, (total - gap) / 2.0
+    try:
+        matrix = build_branch_matrix(ctx, n, p, q)
+    except NoUnitaryPhase:  # rounding widened the gap past 1
+        return
+    argv = ["matrix", "--n", str(n), "--delta", repr(delta), "--p", repr(p), "--q", repr(q)]
+    code, out = printed(argv)
+    assert code == 0
+    rows = [line.strip().removeprefix("[").removesuffix("]").split() for line in out.splitlines()[1:4]]
+    for row, entries in zip(rows, matrix.entries, strict=True):
+        for cell, z in zip(row, entries, strict=True):
+            if z is None:
+                assert cell == "?"
+            else:
+                assert cell.endswith("i") == (z.imag != 0), (cell, z)
+                assert z.imag == 0 or abs(z.imag) >= 1e-5, z
 
 
 def test_matrix_without_unitary_phase_exits_one(capsys):

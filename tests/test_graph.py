@@ -1114,10 +1114,10 @@ def test_extract_trivalent_gamma2():
     assert tp.gamma2_trivalent
 
 
-def test_extract_dimension_tie_flagged():
+def test_extract_dimension_tie():
+    """The two-rooted pair's depth-n dimensions tie."""
     principal, dual = helpers.two_rooted_pair(0)
     tp = extract_triple_point(principal, dual)
-    assert tp.dim_tie
     assert tp.p == pytest.approx(tp.q, rel=1e-12)
 
 
@@ -1133,12 +1133,11 @@ def test_extract_orders_positive_dimensions_across_corpus():
         assert (tp.gamma3_univalent, tp.gamma2_trivalent) == helpers.eigh_flags(dual, tp.n), name
 
 
-def test_triple_point_data_ties_default_to_false():
+def test_triple_point_data_has_exactly_its_six_fields():
     ctx = QuantumContext(2.5)
     tp = TriplePointData(ctx, 4, 2.0, 1.0, True, False)
-    assert len(tp) == 7 and "dual_dims" not in tp._fields
-    assert tp.dim_tie is False
-    assert TriplePointData(ctx, 4, 2.0, 1.0, True, False, dim_tie=True).dim_tie
+    assert tp._fields == ("ctx", "n", "p", "q", "gamma3_univalent", "gamma2_trivalent")
+    assert TriplePointData._field_defaults == {}
 
 
 def test_extract_norm_mismatch():
