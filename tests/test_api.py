@@ -10,10 +10,7 @@ test-only views of the program live in ``tests/helpers.py``.
 
 import ast
 import importlib
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -85,27 +82,6 @@ def test_star_import_and_dir_list_every_public_name():
 def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="^module 'tripoint' has no attribute 'graph_norms'$"):
         tripoint.graph_norms
-
-
-IMPORT_PROBE = """
-import sys
-
-import tripoint
-
-print(" ".join(sorted(name for name in sys.modules if name.startswith("tripoint"))))
-"""
-
-
-def test_importing_the_package_loads_only_its_errors():
-    """Every other module loads at the first access to one of its names."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])
-    ))
-    proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE],
-        capture_output=True, text=True, env=env, check=True, timeout=60,
-    )
-    assert proc.stdout.split() == ["tripoint", "tripoint.errors"]
 
 
 def library_words() -> set[str]:

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import shlex
 import signal
 import subprocess
 import sys
@@ -696,136 +697,6 @@ def test_check_tree_vector_that_is_not_one_signed_exits_two(passing_file, monkey
     assert captured.err.splitlines() == [
         f"{passing_file}: Perron vector is not strictly positive in double precision"
     ]
-
-
-NUMPY_PROBE = """
-import io, json, sys
-from contextlib import redirect_stderr, redirect_stdout
-
-if sys.argv[2] == "blocked":
-    sys.modules["numpy"] = None  # any import of numpy now raises ImportError
-
-import tripoint.cli
-
-MODULES = ("tripoint.branch", "tripoint.graph", "tripoint.check", "tripoint.dense", "tripoint.usage")
-
-
-def modules():
-    return (sys.modules.get("numpy") is not None, *(name in sys.modules for name in MODULES))
-
-
-loaded = {"import tripoint.cli": modules()}
-for argv in json.loads(sys.argv[1]):
-    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()):
-        try:
-            code = tripoint.cli.main(argv)
-        except SystemExit as exc:  # argparse, after a usage error
-            code = exc.code
-    loaded[" ".join(argv)] = (*modules(), code, out.getvalue())
-print(json.dumps(loaded))
-"""
-
-
-def probe_numpy(commands: list[list[str]], numpy: str = "allowed") -> dict:
-    proc = subprocess.run(
-        [sys.executable, "-c", NUMPY_PROBE, json.dumps(commands), numpy],
-        capture_output=True, text=True, env=subprocess_env(), check=True, timeout=60,
-    )
-    return json.loads(proc.stdout)
-
-
-def test_numpy_loads_only_when_a_graph_is_solved(passing_file, cycle_file):
-    """Only a graph with a cycle loads numpy and ``tripoint.dense``, only ``matrix`` loads
-    ``tripoint.branch``, only ``check`` loads ``tripoint.graph`` and ``tripoint.check``, and
-    only help or a usage error loads ``tripoint.usage``.
-
-    The commands run in one process, so each entry says what is loaded
-    after it: (numpy, tripoint.branch, tripoint.graph, tripoint.check,
-    tripoint.dense, tripoint.usage, exit code, stdout).
-    """
-    half = repr(QuantumContext(2.1).qint(5) / 2.0)
-    commands = [
-        ["qnum", "--delta", "2.5", "--max", "8"],
-        ["ratios", "--n", "4", "--index", "4.41", "--format", "json"],
-        ["matrix", "--n", "4", "--delta", "2.1", "--p", half, "--q", half],
-        ["check", passing_file],
-        ["check", cycle_file],
-        ["qnum", "--delta", "2.5"],  # a usage error
-    ]
-    loaded = probe_numpy(commands)
-    assert loaded.pop("import tripoint.cli") == [False] * 6
-    *plain, matrix, tree_check, cycle_check, usage_error = (loaded[" ".join(argv)] for argv in commands)
-    assert [entry[:7] for entry in plain] == [[False] * 6 + [0]] * 2
-    assert matrix[:7] == [False, True, False, False, False, False, 0]
-    assert matrix[7].startswith("branch matrix for n = 4, delta = 2.1,")
-    assert tree_check[:7] == [False, True, True, True, False, False, 0]
-    # the probe does see numpy once a cycle is solved
-    assert cycle_check[:7] == [True, True, True, True, True, False, 0]
-    assert usage_error[:7] == [True, True, True, True, True, True, 2]
-
-    blocked = probe_numpy([["check", passing_file]], numpy="blocked")
-    assert blocked[f"check {passing_file}"] == [False, False, True, True, False, False, 0, tree_check[7]]
-    assert tree_check[7].startswith(f"file: {passing_file}")
-
-
-START_UP_PROBE = """
-import os
-import sys
-
-before = set(sys.modules)
-import tripoint.cli
-
-imported = set(sys.modules) - before
-code = tripoint.cli.main(["check", sys.argv[1]])
-checked = set(sys.modules) - before
-forks = []
-fork = os.fork
-os.fork = lambda: forks.append(None) or fork()
-os.sched_getaffinity = lambda pid: {0, 1}  # forks on a host with one CPU too
-tripoint.cli.main(["check", *sys.argv[2:]], may_fork=True)
-batch = set(sys.modules) - before
-import json
-
-print(json.dumps({"import": sorted(imported), "check": sorted(checked), "code": code,
-                  "batch": sorted(batch), "forks": len(forks)}))
-"""
-
-
-def test_start_up_loads_no_dataclasses_machinery(passing_file, batch_files):
-    """Neither the import of the CLI nor a tree check loads dataclasses or what it pulls in.
-
-    Nor do they load ``tripoint.branch``, which only ``matrix`` imports,
-    ``tripoint.dense``, which only a graph with a cycle imports,
-    ``tripoint.usage``, which only help and usage errors import,
-    ``tripoint.workers``, which only a ``check`` of more than one file under
-    ``run`` imports, the process pools and ``pickle``, which a forked batch
-    does without, the ``utf-8-sig`` codec, since ``check`` strips a
-    byte-order mark itself, or ``json``, since the CLI writes its own JSON.
-    The import alone loads neither ``tripoint.obstruct`` nor
-    ``tripoint.check``, which only ``check`` imports.
-
-    This is why no value of the package is a dataclass: importing
-    ``dataclasses`` loads ``inspect`` and ``ast``, 9.2 to 11.6 ms by
-    ``python -X importtime`` (Python 3.11.7, 2 shared vCPUs), against 9 to
-    14 ms for all of ``import tripoint.cli`` compiled from source (no
-    bytecode on disk, as under ``PYTHONDONTWRITEBYTECODE=1``) and 2 to 4 ms
-    with its bytecode cached.  The values are named tuples instead.
-    """
-    proc = subprocess.run(
-        [sys.executable, "-c", START_UP_PROBE, passing_file, *batch_files],
-        capture_output=True, text=True, env=subprocess_env(), check=True, timeout=60,
-    )
-    loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert (loaded["code"], loaded["forks"]) == (0, 1)
-    assert "tripoint.cli" in loaded["import"]  # the probe does see what the import loads
-    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "tripoint.branch", "tripoint.dense",
-             "tripoint.usage", "multiprocessing", "concurrent.futures", "pickle", "encodings.utf_8_sig",
-             "json"}
-    assert (heavy | {"tripoint.obstruct", "tripoint.check"}).intersection(loaded["import"]) == set()
-    assert "tripoint.check" in loaded["check"]
-    assert (heavy | {"tripoint.workers"}).intersection(loaded["check"]) == set()
-    assert heavy.intersection(loaded["batch"]) == set()
-    assert "tripoint.workers" in loaded["batch"]
 
 
 # ---------------------------------------------------------------------------
@@ -1645,84 +1516,6 @@ def test_a_crash_exits_two_with_its_traceback_after_the_earlier_output(passing_f
     assert lines[-1] == "RuntimeError: injected fault"
 
 
-def loaded_by(*argv: str) -> tuple[int, set[str], list[str]]:
-    """The exit status of ``python -m tripoint.cli argv``, the modules it loads
-    and the other lines of its stderr."""
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "tripoint.cli", *argv],
-        capture_output=True, text=True, env=subprocess_env(), timeout=60,
-    )
-    lines = proc.stderr.splitlines()
-    return (proc.returncode,
-            {line.rpartition("|")[2].strip() for line in lines if line.startswith("import time:")},
-            [line for line in lines if not line.startswith("import time:")])
-
-
-def test_a_well_formed_request_loads_no_argparse(passing_file):
-    """Only help and usage errors load argparse, and with it ``gettext`` and ``locale``.
-
-    They cost a fresh process about 10 ms (``python -X importtime``, Python
-    3.11.7, 2 shared vCPUs), spent only on reading a few ``--flag value`` tokens.
-    A ``--tol`` that ``check`` refuses is read without argparse too, and is
-    refused before ``tripoint.graph`` is compiled.
-    """
-    argparse_modules = {"argparse", "gettext", "locale"}
-    for name in ("check", "ratios", "matrix", "qnum"):
-        argv = [arg.format(pair=passing_file) for arg in OUTPUT_REQUESTS[name]]
-        status, loaded, _ = loaded_by(*argv)
-        assert status == 0, argv
-        assert "tripoint.qnum" in loaded, argv  # the probe does see the program's imports
-        assert argparse_modules.intersection(loaded) == set(), argv
-    status, loaded, _ = loaded_by("qnum", "--delta", "2.5")  # a usage error
-    assert status == 2
-    assert argparse_modules <= loaded
-    # a --tol that check refuses, before any file is read or the graph layer is compiled
-    status, loaded, said = loaded_by("check", "--tol", "0", passing_file)
-    assert (status, said) == (2, ["tol = 0.0 must be positive and finite"])
-    assert "tripoint.obstruct" in loaded  # the probe does see the program's imports
-    assert (argparse_modules | {"tripoint.graph"}).intersection(loaded) == set()
-
-
-def test_no_command_loads_json(passing_file):
-    """Each command writes its JSON without the ``json`` package, and only
-    ``check`` and ``ratios`` load the obstruction tests.
-
-    ``json`` loads its decoder and scanner, which no command uses: 3 to 4 ms
-    of a fresh process with its bytecode cached, and ``tripoint.obstruct``
-    2 ms more (``python -X importtime``, Python 3.11.7, 2 shared vCPUs).
-    """
-    for name in ("check", "ratios", "matrix", "qnum"):
-        for fmt in ("text", "json"):
-            # the last --format given wins
-            argv = [*(arg.format(pair=passing_file) for arg in OUTPUT_REQUESTS[name]), "--format", fmt]
-            status, loaded, _ = loaded_by(*argv)
-            assert status == 0, argv
-            assert "tripoint.qnum" in loaded, argv  # the probe does see the program's imports
-            assert "json" not in loaded, argv
-            assert ("tripoint.obstruct" in loaded) == (name in ("check", "ratios")), argv
-            assert ("tripoint.graph" in loaded) == (name == "check"), argv
-
-
-def test_python_m_compiles_and_runs_the_cli_once(passing_file):
-    """Under ``python -m tripoint.cli`` the CLI runs as ``__main__``, so no module may import it.
-
-    An import of ``tripoint.cli`` would compile and run the module a second
-    time; the modules of the commands, and ``tripoint.usage`` for help,
-    share what they need through ``tripoint.common`` instead.  Help loads
-    no command's module either: the grammar holds ``check --tol``'s default.
-    """
-    requests = [[arg.format(pair=passing_file) for arg in OUTPUT_REQUESTS[name]]
-                for name in ("check", "ratios", "matrix", "qnum")]
-    for argv in [*requests, ["--help"], ["check", "--help"]]:
-        status, loaded, _ = loaded_by(*argv)
-        asks_help = argv[-1] == "--help"
-        assert status == 0, argv
-        assert "tripoint.qnum" in loaded, argv  # the probe does see the program's imports
-        assert "tripoint.cli" not in loaded, argv
-        assert ("tripoint.usage" in loaded) == asks_help, argv
-        assert not (asks_help and {"tripoint.obstruct", "tripoint.check"} & loaded), argv
-
-
 ATEXIT_PROBE = """
 import atexit
 import runpy
@@ -1768,6 +1561,141 @@ def test_python_m_ends_with_mains_output_and_status_and_no_teardown(
     captured = capsys.readouterr()
     assert "atexit hook ran" not in proc.stderr
     assert (proc.returncode, proc.stdout, proc.stderr) == (status, captured.out, captured.err)
+
+
+# ---------------------------------------------------------------------------
+# start-up: what each request loads
+
+#: Every module of the package, read from its directory, so that a new one is watched too.
+PACKAGE_MODULES = {
+    "tripoint" if path.stem == "__init__" else f"tripoint.{path.stem}"
+    for path in Path(tripoint.__file__).parent.glob("*.py")
+}
+#: The modules whose loading ``LOADS`` states: the package's and the heavier ones of
+#: numpy and the standard library.
+WATCHED = PACKAGE_MODULES | {
+    "numpy", "json", "argparse", "gettext", "locale", "dataclasses", "inspect", "ast", "dis",
+    "tokenize", "pickle", "multiprocessing", "concurrent.futures", "encodings.utf_8_sig",
+}
+
+# Why a request loads no more than its row says (``python -X importtime``,
+# Python 3.11.7, 2 shared vCPUs):
+# - numpy, with ``tripoint.dense``, loads only when a graph with a cycle is
+#   solved: a tree pair, as every pair of the benchmark is, is checked with
+#   the standard library alone.
+# - ``dataclasses`` loads ``inspect`` and ``ast``, 9.2 to 11.6 ms, against 9
+#   to 14 ms for all of ``import tripoint.cli`` compiled from source and 2 to
+#   4 ms with its bytecode cached.  So no value of the package is a
+#   dataclass; the values are named tuples.
+# - ``argparse``, with ``gettext`` and ``locale``, costs a fresh process about
+#   10 ms, spent only on reading a few ``--flag value`` tokens.  Only help
+#   and usage errors load it, with ``tripoint.usage``; a ``--tol`` that
+#   ``check`` refuses is read without it, and refused before the graph layer
+#   is compiled.
+# - ``json`` loads its decoder and scanner, which no command uses: 3 to 4 ms
+#   with its bytecode cached.  ``common._json`` writes the bytes instead.
+# - ``tripoint.cli`` runs as ``__main__`` under ``python -m``, so no module
+#   may import it: the import would compile and run it a second time.
+# - A forked batch sends ``marshal`` over a pipe, with no process pool and
+#   no ``pickle``; ``check`` strips a byte-order mark itself, without the
+#   ``utf-8-sig`` codec.
+# - Each command loads only its own modules: ``check`` the graph layer and
+#   ``tripoint.check``, ``check`` and ``ratios`` the obstruction tests (2 ms
+#   with cached bytecode), ``matrix`` the branch matrix, and a ``check`` of
+#   more than one file under ``run`` the fork path, ``tripoint.workers``.
+#   Help comes from the grammar alone and loads no command's module.
+
+#: what ``python -m tripoint.cli`` loads for any request, not counting the CLI itself
+CLI = {"tripoint", "tripoint.errors", "tripoint.common", "tripoint.qnum"}
+CHECK = CLI | {"tripoint.check", "tripoint.graph", "tripoint.obstruct"}
+USAGE = CLI | {"tripoint.usage", "argparse", "gettext", "locale"}
+
+#: Each request by name: the argv of one fresh ``python -X importtime`` process,
+#: its exit status and exactly the watched modules it loads, besides those that
+#: the interpreter's start-up loads, and those that numpy loads when a row loads
+#: numpy.  ``{pair}`` and ``{fail}`` stand for tree pairs that pass and fail,
+#: ``{cycle}`` for a pair of graphs with a cycle and ``{batch}`` for the files of
+#: ``batch_files``.
+LOADS = {
+    "import-tripoint": ("-c 'import tripoint'", 0, {"tripoint", "tripoint.errors"}),
+    "import-cli": ("-c 'import tripoint.cli'", 0, CLI | {"tripoint.cli"}),
+    "check": ("-m tripoint.cli check {pair}", 0, CHECK),
+    "check-json": ("-m tripoint.cli check --format json {pair}", 0, CHECK),
+    "check-json-fail": ("-m tripoint.cli check --format json {fail}", 1, CHECK),
+    "check-cycle": ("-m tripoint.cli check {cycle}", 0, CHECK | {"tripoint.dense", "numpy"}),
+    "check-tol-0": ("-m tripoint.cli check --tol 0 {pair}", 2, CLI | {"tripoint.check", "tripoint.obstruct"}),
+    "check-batch": ("-m tripoint.cli check {batch}", 2, CHECK | {"tripoint.workers"}),
+    "ratios-delta": ("-m tripoint.cli ratios --n 4 --delta 2.1", 0, CLI | {"tripoint.obstruct"}),
+    "ratios-index": ("-m tripoint.cli ratios --n 4 --index 4.41", 0, CLI | {"tripoint.obstruct"}),
+    "ratios-index-json":
+        ("-m tripoint.cli ratios --n 4 --index 4.41 --format json", 0, CLI | {"tripoint.obstruct"}),
+    "matrix":
+        ("-m tripoint.cli matrix --n 4 --delta 2.1 --p 3.60905 --q 3.60905", 0, CLI | {"tripoint.branch"}),
+    "matrix-json": ("-m tripoint.cli matrix --n 4 --delta 2.1 --p 3.60905 --q 3.60905 --format json",
+                    0, CLI | {"tripoint.branch"}),
+    "qnum": ("-m tripoint.cli qnum --delta 2 --max 5", 0, CLI),
+    "qnum-json": ("-m tripoint.cli qnum --delta 2 --max 5 --format json", 0, CLI),
+    "usage-error": ("-m tripoint.cli qnum --delta 2.5", 2, USAGE),
+    "help": ("-m tripoint.cli --help", 0, USAGE),
+    "check-help": ("-m tripoint.cli check --help", 0, USAGE),
+}
+
+
+def loaded_by(*args: str) -> tuple[int, set[str]]:
+    """The exit status of ``python -X importtime args`` and the watched modules it loads."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        capture_output=True, text=True, env=subprocess_env(), timeout=60,
+    )
+    return proc.returncode, WATCHED.intersection(
+        line.rpartition("|")[2].strip()
+        for line in proc.stderr.splitlines() if line.startswith("import time:")
+    )
+
+
+@pytest.fixture(scope="module")
+def start_up_loads() -> set[str]:
+    """The watched modules that a bare interpreter loads, which vary with its version:
+    Python 3.13's ``site`` reads ``.pth`` files with the ``utf-8-sig`` codec."""
+    status, loaded = loaded_by("-c", "pass")
+    assert status == 0
+    return loaded
+
+
+@pytest.fixture(scope="module")
+def numpy_loads() -> set[str]:
+    """The watched modules that numpy's own import loads, which vary with its version."""
+    status, loaded = loaded_by("-c", "import numpy")
+    assert status == 0
+    return loaded
+
+
+@pytest.mark.parametrize("name", LOADS)
+def test_each_request_loads_exactly_its_modules(
+    passing_file, even_depth_file, cycle_file, batch_files, start_up_loads, numpy_loads, name,
+):
+    command, status, modules = LOADS[name]
+    files = {"pair": passing_file, "fail": even_depth_file, "cycle": cycle_file}
+    argv = []
+    for arg in shlex.split(command):
+        argv += batch_files if arg == "{batch}" else [arg.format(**files)]
+    modules = modules | start_up_loads | (numpy_loads if "numpy" in modules else set())
+    assert loaded_by(*argv) == (status, modules)
+
+
+def test_every_module_of_the_package_is_loaded_by_some_request():
+    assert PACKAGE_MODULES <= set().union(*(modules for _, _, modules in LOADS.values()))
+
+
+def test_a_tree_pair_is_checked_with_numpy_blocked(passing_file, capsys):
+    """With any import of numpy made to fail, a tree ``check`` prints what it prints with numpy."""
+    blocked = "import sys; sys.modules['numpy'] = None; import tripoint.cli; tripoint.cli.run()"
+    proc = subprocess.run(
+        [sys.executable, "-c", blocked, "check", passing_file],
+        capture_output=True, text=True, env=subprocess_env(), timeout=60,
+    )
+    assert main(["check", passing_file]) == 0
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
 
 
 # ---------------------------------------------------------------------------
