@@ -44,7 +44,12 @@ Write = Callable[[Iterable[tuple[int, str]]], int]
 #: parent's CPU, against 83.5 ms unforked; right after another CPU-bound job
 #: it overlapped, 77.7 ms wall and 91.0 ms CPU against 81.2 ms; a 1,500-pair
 #: batch overlapped on an idle host too, 292 ms wall and 501 ms CPU against
-#: 420 ms.  So the value is kept, not tuned.  A one-file check never forks.
+#: 420 ms.  The benchmark's own loop measures the forked batch faster on both
+#: batch workloads: ``bench/run.py`` for 8 s on seeds 41-43 (Python 3.11.7,
+#: 2 vCPUs) read 263/259/255 near-index-4 pairs/s against 241/236/237 with
+#: this value raised to 2**40, and 1,464/1,407/1,459 enum-batch pairs/s
+#: against 1,240/939/1,229.  So the value is kept, not tuned.  A one-file
+#: check never forks.
 FORK_MIN_BYTES = 16 * 1024
 
 
